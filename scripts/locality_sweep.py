@@ -17,41 +17,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wamlkit import semantics, syntax, unravel  # noqa: E402
+from wamlkit import syntax, unravel  # noqa: E402
 from wamlkit.model import random_model  # noqa: E402
-
-
-def random_formula(rng, alphabet, nesting, fuel=8):
-    leaves = [syntax.Letter(a) for a in alphabet] + [syntax.Top(), syntax.Bottom()]
-    if fuel <= 1:
-        return rng.choice(leaves)
-    kind = rng.randrange(6)
-    if kind == 0:
-        return rng.choice(leaves)
-    if kind == 1:
-        return syntax.Not(random_formula(rng, alphabet, nesting, fuel - 1))
-    if kind in (2, 3) and nesting > 0:
-        wrap = syntax.Box if kind == 2 else syntax.Diamond
-        return wrap(random_formula(rng, alphabet, nesting - 1, fuel - 1))
-    op = rng.choice([syntax.And, syntax.Or])
-    half = (fuel - 1) // 2
-    return op(
-        random_formula(rng, alphabet, nesting, half),
-        random_formula(rng, alphabet, nesting, fuel - 1 - half),
-    )
-
-
-def least_stable_depth(m, w, f, max_depth):
-    reference = semantics.check(m, w, f)
-    least = None
-    for depth in range(max_depth + 1):
-        result = unravel.unravel(m, w, depth)
-        agree = semantics.check(result.model, result.root, f) == reference
-        if agree and least is None:
-            least = depth
-        if not agree:
-            least = None
-    return least
 
 
 def main() -> None:
@@ -67,9 +34,10 @@ def main() -> None:
     for i in range(args.samples):
         m = random_model(2, rng.randint(2, 4), rng.uniform(0.05, 0.25), {"p", "q"}, seed=i)
         w = m.worlds[rng.randrange(len(m.worlds))]
-        f = random_formula(rng, ["p", "q"], rng.randint(1, args.max_depth))
+        nesting = rng.randint(1, args.max_depth)
+        f = syntax.random_formula(rng, ["p", "q"], nesting)
         depth = syntax.modal_depth(f)
-        least = least_stable_depth(m, w, f, args.max_depth)
+        least = unravel.locality_sweep(m, w, f, args.max_depth).least_stable_depth
         if least is None:
             verdict = f"no stable depth within {args.max_depth}"
         else:

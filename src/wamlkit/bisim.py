@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 from . import semantics
-from .errors import ArityMismatchError, UnknownWorldError
+from .errors import ArityMismatchError, InvalidArgumentError, UnknownWorldError
 from .model import NModel
-from .syntax import And, Bottom, Box, Diamond, Formula, Letter, Not, Or, Top
+from .syntax import And, Bottom, Box, Diamond, Formula, Letter, Not, Or, Top, conj, disj
 
 Pair = tuple[str, str]
 
@@ -53,13 +53,6 @@ def _require_same_arity(left: NModel, right: NModel) -> None:
         )
 
 
-def _succ_index(m: NModel) -> dict[str, list[tuple[str, ...]]]:
-    idx: dict[str, list[tuple[str, ...]]] = {w: [] for w in m.worlds}
-    for t in sorted(m.relation):
-        idx[t[0]].append(t[1:])
-    return idx
-
-
 def _pair_order(left: NModel, right: NModel):
     lpos = {w: i for i, w in enumerate(left.worlds)}
     rpos = {w: i for i, w in enumerate(right.worlds)}
@@ -90,14 +83,14 @@ def check_bisim(z: PairRelation) -> BisimViolation | None:
     first failing pair with the violated condition and offending tuple."""
     _require_same_arity(z.left, z.right)
     if not z.pairs:
-        raise ValueError("a bisimulation candidate must be nonempty")
+        raise InvalidArgumentError("a bisimulation candidate must be nonempty")
     for a, b in sorted(z.pairs):
         if a not in z.left.valuation:
             raise UnknownWorldError(f"unknown left world {a!r}")
         if b not in z.right.valuation:
             raise UnknownWorldError(f"unknown right world {b!r}")
-    lsucc = _succ_index(z.left)
-    rsucc = _succ_index(z.right)
+    lsucc = z.left.successors
+    rsucc = z.right.successors
     for a, b in sorted(z.pairs, key=_pair_order(z.left, z.right)):
         if z.left.valuation[a] & z.alphabet != z.right.valuation[b] & z.alphabet:
             return BisimViolation((a, b), "inv", None)
@@ -121,24 +114,6 @@ def check_bisim(z: PairRelation) -> BisimViolation | None:
 # assembled from the certificates of the previous stage.
 
 
-def _and_chain(parts: list[Formula]) -> Formula:
-    if not parts:
-        return Top()
-    f = parts[0]
-    for g in parts[1:]:
-        f = And(f, g)
-    return f
-
-
-def _or_chain(parts: list[Formula]) -> Formula:
-    if not parts:
-        return Bottom()
-    f = parts[0]
-    for g in parts[1:]:
-        f = Or(f, g)
-    return f
-
-
 def _dedupe(parts: list[Formula]) -> list[Formula]:
     seen = set()
     out = []
@@ -155,8 +130,8 @@ class _Refinement:
         self.left = left
         self.right = right
         self.alphabet = alphabet
-        self.lsucc = _succ_index(left)
-        self.rsucc = _succ_index(right)
+        self.lsucc = left.successors
+        self.rsucc = right.successors
         self.order = _pair_order(left, right)
         self.certificates: dict[Pair, Formula] = {}
         self.stages = [self._stage_zero()]
@@ -189,11 +164,11 @@ class _Refinement:
         )
         disjuncts = _dedupe(
             [
-                _and_chain(_dedupe([self.certificates[(v, u)] for u in bad]))
+                conj(_dedupe([self.certificates[(v, u)] for u in bad]))
                 for v in lt
             ]
         )
-        return Diamond(_or_chain(disjuncts))
+        return Diamond(disj(disjuncts))
 
     def _back_certificate(self, a, b, rt, z) -> Formula:
         bad = sorted(
@@ -206,13 +181,11 @@ class _Refinement:
         )
         disjuncts = _dedupe(
             [
-                _and_chain(
-                    _dedupe([Not(self.certificates[(v, u)]) for v in bad])
-                )
+                conj(_dedupe([Not(self.certificates[(v, u)]) for v in bad]))
                 for u in rt
             ]
         )
-        return Not(Diamond(_or_chain(disjuncts)))
+        return Not(Diamond(disj(disjuncts)))
 
     def refine_once(self) -> bool:
         """Run one stage; False when already stable."""
@@ -277,12 +250,12 @@ def simplify_boolean(f: Formula) -> Formula:
             parts = _dedupe([p for p in flatten(f, And) if not isinstance(p, Top)])
             if any(isinstance(p, Bottom) for p in parts):
                 return Bottom()
-            return _and_chain(parts)
+            return conj(parts)
         case Or():
             parts = _dedupe([p for p in flatten(f, Or) if not isinstance(p, Bottom)])
             if any(isinstance(p, Top) for p in parts):
                 return Top()
-            return _or_chain(parts)
+            return disj(parts)
         case Not(g):
             return Not(simplify_boolean(g))
         case Box(g):

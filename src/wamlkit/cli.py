@@ -88,8 +88,7 @@ def _cmd_mc(args) -> int:
 
 def _cmd_sat(args) -> int:
     f = syntax.parse(args.formula)
-    budget = args.budget if args.budget is not None else semantics.DEFAULT_SEARCH_BUDGET
-    witness = semantics.bounded_sat(f, args.arity, args.max_worlds, budget=budget)
+    witness = semantics.bounded_sat(f, args.arity, args.max_worlds, budget=args.budget)
     if witness is None:
         _emit(
             args,
@@ -196,8 +195,7 @@ def _cmd_bisim_distinguish(args) -> int:
 
 def _cmd_unravel(args) -> int:
     m = model.load(_read(args.model))
-    cap = args.budget if args.budget is not None else unravel.DEFAULT_NODE_BUDGET
-    result = unravel.unravel(m, args.world, args.depth, max_nodes=cap)
+    result = unravel.unravel(m, args.world, args.depth, max_nodes=args.budget)
     text = model.save(result.model).decode().rstrip()
     if args.out:
         Path(args.out).write_bytes(model.save(result.model))
@@ -351,29 +349,19 @@ def _write_bundle(bundle: interp.CounterexampleBundle, directory: Path) -> None:
 def _cmd_experiment_locality(args) -> int:
     m = model.load(_read(args.model))
     f = syntax.parse(args.formula)
-    cap = args.budget if args.budget is not None else unravel.DEFAULT_NODE_BUDGET
-    reference = semantics.check(m, args.world, f)
-    rows = []
-    least = None
-    for depth in range(args.max_depth + 1):
-        result = unravel.unravel(m, args.world, depth, max_nodes=cap)
-        agree = (
-            semantics.check(result.model, result.root, f) == reference
-        )
-        rows.append({"depth": depth, "agree": agree})
-        if agree and least is None:
-            least = depth
-        if not agree:
-            least = None
+    sweep = unravel.locality_sweep(
+        m, args.world, f, args.max_depth, max_nodes=args.budget
+    )
+    least = sweep.least_stable_depth
     lines = [
         "EXPERIMENT locality sweep (no optimality asserted)",
         f"EXPERIMENT formula: {syntax.print_formula(f)}; "
-        f"value at {args.world}: {reference}",
+        f"value at {args.world}: {sweep.reference}",
     ]
-    for row in rows:
+    for depth, agree in enumerate(sweep.agree):
         lines.append(
-            f"EXPERIMENT depth {row['depth']}: bounded unraveling "
-            f"{'agrees' if row['agree'] else 'disagrees'}"
+            f"EXPERIMENT depth {depth}: bounded unraveling "
+            f"{'agrees' if agree else 'disagrees'}"
         )
     lines.append(
         "EXPERIMENT least depth agreeing through the sweep: "
@@ -385,8 +373,11 @@ def _cmd_experiment_locality(args) -> int:
             "command": "experiment-locality",
             "formula": syntax.print_formula(f),
             "world": args.world,
-            "reference": reference,
-            "sweep": rows,
+            "reference": sweep.reference,
+            "sweep": [
+                {"depth": depth, "agree": agree}
+                for depth, agree in enumerate(sweep.agree)
+            ],
             "least_stable_depth": least,
         },
         lines,
@@ -399,14 +390,11 @@ def _cmd_experiment_locality(args) -> int:
 
 def _add_common(sub) -> None:
     sub.add_argument("--json", action="store_true", help="structured output")
+
+
+def _add_budget(sub, default: int, unit: str) -> None:
     sub.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized subcommands"
-    )
-    sub.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="step budget for bounded searches (defaults per subcommand)",
+        "--budget", type=int, default=default, help=f"{unit} budget (default {default})"
     )
 
 
@@ -428,6 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sat.add_argument("formula")
     sat.add_argument("--arity", type=int, required=True)
     sat.add_argument("--max-worlds", type=int, required=True)
+    _add_budget(sat, semantics.DEFAULT_SEARCH_BUDGET, "search step")
     _add_common(sat)
     sat.set_defaults(handler=_cmd_sat)
 
@@ -465,6 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     un.add_argument("--depth", type=int, required=True)
     un.add_argument("--out", default=None)
     un.add_argument("--emit-rmap", default=None)
+    _add_budget(un, unravel.DEFAULT_NODE_BUDGET, "node")
     _add_common(un)
     un.set_defaults(handler=_cmd_unravel)
 
@@ -501,6 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     loc.add_argument("world")
     loc.add_argument("formula")
     loc.add_argument("--max-depth", type=int, default=4)
+    _add_budget(loc, unravel.DEFAULT_NODE_BUDGET, "node")
     _add_common(loc)
     loc.set_defaults(handler=_cmd_experiment_locality)
 

@@ -31,3 +31,9 @@ class BudgetExceededError(WamlError):
     Deliberately distinct from a negative answer: callers can tell
     "no, exhaustively" apart from "gave up".
     """
+
+
+class InvalidArgumentError(WamlError, ValueError):
+    """An argument outside its documented range: a nonpositive arity or
+    bound, a negative depth, an empty candidate relation, a malformed
+    identifier.  Also a ValueError, since each is a bad argument value."""

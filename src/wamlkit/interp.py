@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import bisim, proof, semantics, syntax
 from .bisim import PairRelation
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvalidArgumentError
 from .model import PointedModel, make_model
 from .proof import ProofScript, binary_tag, refutation_formulas, tag_width
 from .syntax import Formula, Implies, Not, And, letters, print_formula
@@ -56,7 +56,7 @@ def build_counterexample(n: int) -> CounterexampleBundle:
     """The counterexample bundle at arity n.  Point valuations are empty;
     the bisimulation alphabet is the single shared letter p."""
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise InvalidArgumentError("n must be >= 2")
     phi, psi = refutation_formulas(n)
     if n == 2:
         left = make_model(

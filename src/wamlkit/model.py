@@ -12,9 +12,10 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import ModelLoadError, UnknownWorldError
+from .errors import InvalidArgumentError, ModelLoadError, UnknownWorldError
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,15 @@ class NModel:
         if world not in self.valuation:
             raise UnknownWorldError(f"unknown world {world!r}")
         return self.valuation[world]
+
+    @cached_property
+    def successors(self) -> dict[str, tuple[tuple[str, ...], ...]]:
+        """World -> successor vectors of its tuples, in sorted relation
+        order.  Computed once per model and shared by every caller."""
+        succ: dict[str, list[tuple[str, ...]]] = {w: [] for w in self.worlds}
+        for t in sorted(self.relation):
+            succ[t[0]].append(t[1:])
+        return {w: tuple(vectors) for w, vectors in succ.items()}
 
 
 @dataclass(frozen=True)
@@ -164,9 +174,9 @@ def random_model(
     kept with probability ``relation_density``, each letter holds at each
     world with probability 1/2."""
     if num_worlds < 1:
-        raise ValueError("num_worlds must be >= 1")
+        raise InvalidArgumentError("num_worlds must be >= 1")
     if not 0 <= relation_density <= 1:
-        raise ValueError("relation_density must be in [0, 1]")
+        raise InvalidArgumentError("relation_density must be in [0, 1]")
     rng = random.Random(seed)
     worlds = tuple(f"w{i}" for i in range(num_worlds))
     relation = [

@@ -15,12 +15,11 @@ propositional reasoning.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import BudgetExceededError, ModelLoadError
+from .errors import BudgetExceededError, InvalidArgumentError, ModelLoadError
 from .syntax import (
     And,
     Bottom,
@@ -33,6 +32,10 @@ from .syntax import (
     Not,
     Or,
     Top,
+    bit_pattern,
+    conj,
+    disj,
+    fold_mask,
     parse,
     print_formula,
 )
@@ -127,15 +130,13 @@ def expand_diamonds(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _atoms_of(f: Formula, acc: dict[object, None]) -> None:
+def _atoms_of(f: Formula, acc: dict[Formula, None]) -> None:
     # maximal boxed subformulas and letters, after diamond expansion
     match f:
-        case Letter(name):
-            acc.setdefault(("letter", name))
+        case Letter() | Box():
+            acc.setdefault(f)
         case Top() | Bottom():
             pass
-        case Box():
-            acc.setdefault(("box", f))
         case Not(g):
             _atoms_of(g, acc)
         case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
@@ -145,45 +146,25 @@ def _atoms_of(f: Formula, acc: dict[object, None]) -> None:
             raise TypeError(f"unexpected formula: {f!r}")
 
 
-def _prop_eval(f: Formula, env: dict[object, bool]) -> bool:
-    match f:
-        case Letter(name):
-            return env[("letter", name)]
-        case Top():
-            return True
-        case Bottom():
-            return False
-        case Box():
-            return env[("box", f)]
-        case Not(g):
-            return not _prop_eval(g, env)
-        case And(l, r):
-            return _prop_eval(l, env) and _prop_eval(r, env)
-        case Or(l, r):
-            return _prop_eval(l, env) or _prop_eval(r, env)
-        case Implies(l, r):
-            return (not _prop_eval(l, env)) or _prop_eval(r, env)
-        case Iff(l, r):
-            return _prop_eval(l, env) == _prop_eval(r, env)
-    raise TypeError(f"unexpected formula: {f!r}")
-
-
 def is_tautology(f: Formula) -> bool:
     """Exact truth-table check after abstracting maximal boxed subformulas
-    (syntactically identical boxes share an atom, nothing else does)."""
+    (syntactically identical boxes share an atom, nothing else does).
+
+    The 2**k rows over k atoms are checked bit-parallel in one fold: atom
+    b takes ``bit_pattern(b, 2**k)`` and f must come out true in every
+    row."""
     expanded = expand_diamonds(f)
-    atoms: dict[object, None] = {}
+    atoms: dict[Formula, None] = {}
     _atoms_of(expanded, atoms)
-    keys = list(atoms)
-    if len(keys) > MAX_TAUTOLOGY_ATOMS:
+    if len(atoms) > MAX_TAUTOLOGY_ATOMS:
         raise BudgetExceededError(
-            f"tautology check over {len(keys)} atoms exceeds the cap of "
+            f"tautology check over {len(atoms)} atoms exceeds the cap of "
             f"{MAX_TAUTOLOGY_ATOMS}"
         )
-    for values in itertools.product((False, True), repeat=len(keys)):
-        if not _prop_eval(expanded, dict(zip(keys, values))):
-            return False
-    return True
+    rows = 1 << len(atoms)
+    cache = {g: bit_pattern(b, rows) for b, g in enumerate(atoms)}
+    full = (1 << rows) - 1
+    return fold_mask(expanded, full, cache.__getitem__, cache) == full
 
 
 def tautological_consequence(premises: list[Formula], conclusion: Formula) -> bool:
@@ -200,24 +181,18 @@ def kn_axiom(arity: int, substitution: Mapping[str, Formula]) -> Formula:
     """The arity-n axiom instance under the substitution for p0..pn, with
     the pairwise disjunction enumerated in lexicographic (i, j) order."""
     if arity < 1:
-        raise ValueError("arity must be >= 1")
+        raise InvalidArgumentError("arity must be >= 1")
     names = [f"p{i}" for i in range(arity + 1)]
     missing = [p for p in names if p not in substitution]
     if missing:
-        raise ValueError(f"substitution missing {', '.join(missing)}")
+        raise InvalidArgumentError(f"substitution missing {', '.join(missing)}")
     args = [substitution[p] for p in names]
-    antecedent: Formula = Box(args[0])
-    for g in args[1:]:
-        antecedent = And(antecedent, Box(g))
     pairs = [
         And(args[i], args[j])
         for i in range(arity + 1)
         for j in range(i + 1, arity + 1)
     ]
-    disjunction: Formula = pairs[0]
-    for g in pairs[1:]:
-        disjunction = Or(disjunction, g)
-    return Implies(antecedent, Box(disjunction))
+    return Implies(conj([Box(g) for g in args]), Box(disj(pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +423,6 @@ def save_script(script: ProofScript) -> bytes:
 # ---------------------------------------------------------------------------
 # Refutation scripts for the interpolation counterexamples
 
-def _conj(parts: list[Formula]) -> Formula:
-    f = parts[0]
-    for g in parts[1:]:
-        f = And(f, g)
-    return f
-
-
 def binary_tag(index: int, width: int) -> Formula:
     """Conjunction of literals over r1..r_width encoding index-1 in binary:
     bit b set means r_{b+1} positive, otherwise negated.  Distinct indices
@@ -464,7 +432,7 @@ def binary_tag(index: int, width: int) -> Formula:
     for b in range(width):
         letter = Letter(f"r{b + 1}")
         literals.append(letter if bits >> b & 1 else Not(letter))
-    return _conj(literals)
+    return conj(literals)
 
 
 def tag_width(n: int) -> int:
@@ -482,7 +450,7 @@ def refutation_formulas(n: int) -> tuple[Formula, Formula]:
     forces ~p, with pairwise-incompatible tags keeping the right boxes
     distinct."""
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise InvalidArgumentError("n must be >= 2")
     p, q = Letter("p"), Letter("q")
     if n == 2:
         phi = And(Box(Or(Not(p), Not(q))), Diamond(q))
@@ -491,12 +459,12 @@ def refutation_formulas(n: int) -> tuple[Formula, Formula]:
     if n == 3:
         r = Letter("r")
         taut = Or(p, Not(p))
-        phi = _conj([Box(And(p, Not(q))), Box(And(p, q)), Diamond(taut)])
-        psi = _conj([Box(And(Not(p), r)), Box(And(Not(p), Not(r))), Diamond(taut)])
+        phi = conj([Box(And(p, Not(q))), Box(And(p, q)), Diamond(taut)])
+        psi = conj([Box(And(Not(p), r)), Box(And(Not(p), Not(r))), Diamond(taut)])
         return phi, psi
     width = tag_width(n)
-    phi = _conj([Box(And(p, Not(q))), Box(And(p, q)), Diamond(Top())])
-    psi = _conj(
+    phi = conj([Box(And(p, Not(q))), Box(And(p, q)), Diamond(Top())])
+    psi = conj(
         [Box(And(Not(p), binary_tag(i, width))) for i in range(1, n)]
         + [Diamond(Top())]
     )
@@ -509,7 +477,7 @@ def generate_interp_refutation(n: int) -> ProofScript:
     pairwise disjunction (every disjunct is contradictory), monotonicity,
     then propositional steps against the diamond conjunct."""
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise InvalidArgumentError("n must be >= 2")
     phi, psi = refutation_formulas(n)
     p, q = Letter("p"), Letter("q")
     if n == 2:

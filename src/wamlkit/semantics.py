@@ -12,7 +12,7 @@ import itertools
 from typing import Iterator
 
 from . import syntax
-from .errors import BudgetExceededError, UnknownWorldError
+from .errors import BudgetExceededError, InvalidArgumentError, UnknownWorldError
 from .model import NModel, PointedModel, make_model
 from .syntax import (
     And,
@@ -41,55 +41,25 @@ class ModelEvaluator:
         self.model = m
         self.pos = {w: i for i, w in enumerate(m.worlds)}
         self.full = (1 << len(m.worlds)) - 1
-        succ: dict[str, list[tuple[int, ...]]] = {w: [] for w in m.worlds}
-        for t in sorted(m.relation):
-            succ[t[0]].append(tuple(self.pos[v] for v in t[1:]))
-        self.succ = [succ[w] for w in m.worlds]
         self._cache: dict[Formula, int] = {}
 
     def mask(self, f: Formula) -> int:
-        cached = self._cache.get(f)
-        if cached is not None:
-            return cached
-        match f:
-            case Letter(name):
-                bits = 0
-                for i, w in enumerate(self.model.worlds):
-                    if name in self.model.valuation[w]:
-                        bits |= 1 << i
-            case Top():
-                bits = self.full
-            case Bottom():
-                bits = 0
-            case Not(g):
-                bits = ~self.mask(g) & self.full
-            case And(l, r):
-                bits = self.mask(l) & self.mask(r)
-            case Or(l, r):
-                bits = self.mask(l) | self.mask(r)
-            case Implies(l, r):
-                bits = (~self.mask(l) & self.full) | self.mask(r)
-            case Iff(l, r):
-                bits = ~(self.mask(l) ^ self.mask(r)) & self.full
-            case Box(g):
-                child = self.mask(g)
-                bits = 0
-                for i in range(len(self.model.worlds)):
-                    if all(
-                        any(child >> v & 1 for v in vec) for vec in self.succ[i]
-                    ):
-                        bits |= 1 << i
-            case Diamond(g):
-                child = self.mask(g)
-                bits = 0
-                for i in range(len(self.model.worlds)):
-                    if any(
-                        all(child >> v & 1 for v in vec) for vec in self.succ[i]
-                    ):
-                        bits |= 1 << i
-            case _:
-                raise TypeError(f"not a formula: {f!r}")
-        self._cache[f] = bits
+        return syntax.fold_mask(f, self.full, self._leaf, self._cache)
+
+    def _leaf(self, f: Formula) -> int:
+        m = self.model
+        if isinstance(f, Letter):
+            return sum(
+                1 << i for i, w in enumerate(m.worlds) if f.name in m.valuation[w]
+            )
+        # box: every tuple has some slot true; dia: some tuple has all true
+        every, some = (all, any) if isinstance(f, Box) else (any, all)
+        child = self.mask(f.operand)
+        true = {w for w, i in self.pos.items() if child >> i & 1}
+        bits = 0
+        for i, w in enumerate(m.worlds):
+            if every(some(v in true for v in vec) for vec in m.successors[w]):
+                bits |= 1 << i
         return bits
 
     def holds(self, world: str, f: Formula) -> bool:
@@ -177,51 +147,22 @@ class _TypeSpace:
         self.count = 1 << self.nbits
         self.all_types = (1 << self.count) - 1
         budget.spend(self.count)
-        self._bit_patterns = [self._pattern(b) for b in range(self.nbits)]
-        self._truth: dict[Formula, int] = {}
-        for i, name in enumerate(self.letters):
-            self._truth[Letter(name)] = self._bit_patterns[i]
-        for j, g in enumerate(self.modals):
-            self._truth[g] = self._bit_patterns[len(self.letters) + j]
+        # the leaves are seeded: letters and modal subformulas are the bits
+        atoms = [Letter(name) for name in self.letters] + self.modals
+        self._truth = {
+            g: syntax.bit_pattern(b, self.count) for b, g in enumerate(atoms)
+        }
         self.root_mask = self.truth(f)
         # (kind, own truth, child truth) per modal subformula
         self.modal_info = [
-            (isinstance(g, Box), self._truth[g], self.truth(g.operand))
+            (isinstance(g, Box), self.truth(g), self.truth(g.operand))
             for g in self.modals
         ]
 
-    def _pattern(self, b: int) -> int:
-        # bits t with (t >> b) & 1 == 1, for t in range(self.count)
-        block = ((1 << (1 << b)) - 1) << (1 << b)
-        pattern = 0
-        step = 1 << (b + 1)
-        for start in range(0, self.count, step):
-            pattern |= block << start
-        return pattern & self.all_types
-
     def truth(self, g: Formula) -> int:
-        cached = self._truth.get(g)
-        if cached is not None:
-            return cached
-        match g:
-            case Top():
-                bits = self.all_types
-            case Bottom():
-                bits = 0
-            case Not(h):
-                bits = ~self.truth(h) & self.all_types
-            case And(l, r):
-                bits = self.truth(l) & self.truth(r)
-            case Or(l, r):
-                bits = self.truth(l) | self.truth(r)
-            case Implies(l, r):
-                bits = (~self.truth(l) & self.all_types) | self.truth(r)
-            case Iff(l, r):
-                bits = ~(self.truth(l) ^ self.truth(r)) & self.all_types
-            case _:
-                raise TypeError(f"unexpected subformula: {g!r}")
-        self._truth[g] = bits
-        return bits
+        return syntax.fold_mask(
+            g, self.all_types, self._truth.__getitem__, self._truth
+        )
 
     def demands(self, t: int) -> list[tuple[int, list[int]]]:
         """Existential successor demands of type t: for each, the slot pool
@@ -429,9 +370,9 @@ def bounded_sat(
     from an exhaustive negative answer.
     """
     if arity < 1:
-        raise ValueError("arity must be >= 1")
+        raise InvalidArgumentError("arity must be >= 1")
     if max_worlds < 1:
-        raise ValueError("max_worlds must be >= 1")
+        raise InvalidArgumentError("max_worlds must be >= 1")
     tracker = _Budget(budget)
     space = _TypeSpace(f, arity, tracker)
     if space.root_mask == 0:

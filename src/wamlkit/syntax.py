@@ -9,9 +9,11 @@ arrows are right-associative, ``&`` and ``|`` left-associative.
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import reduce
+from typing import Callable, Iterable, Iterator
 
 from .errors import FormulaParseError
 
@@ -73,6 +75,16 @@ class Box(Formula):
 @dataclass(frozen=True)
 class Diamond(Formula):
     operand: Formula
+
+
+def conj(parts: list[Formula]) -> Formula:
+    """Left-nested conjunction of the parts; ``true`` when there are none."""
+    return reduce(And, parts) if parts else Top()
+
+
+def disj(parts: list[Formula]) -> Formula:
+    """Left-nested disjunction of the parts; ``false`` when there are none."""
+    return reduce(Or, parts) if parts else Bottom()
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +327,61 @@ def formula_key(f: Formula) -> tuple[int, str]:
 
 
 # ---------------------------------------------------------------------------
+# Bit-parallel boolean folding
+#
+# A mask is an integer whose bit i is the truth value in row i (a world of
+# a model, a type of a type space, a row of a truth table); ``full`` has
+# every row bit set.
+
+
+def fold_mask(
+    f: Formula, full: int, leaf: Callable[[Formula], int], cache: dict
+) -> int:
+    """The mask of f: the boolean connectives are folded here, and ``leaf``
+    is asked for the mask of each letter and modal formula not yet in
+    ``cache``.  Every mask computed is stored in ``cache``."""
+
+    def fold(g: Formula) -> int:
+        bits = cache.get(g)
+        if bits is not None:
+            return bits
+        match g:
+            case Top():
+                bits = full
+            case Bottom():
+                bits = 0
+            case Not(h):
+                bits = ~fold(h) & full
+            case And(l, r):
+                bits = fold(l) & fold(r)
+            case Or(l, r):
+                bits = fold(l) | fold(r)
+            case Implies(l, r):
+                bits = (~fold(l) & full) | fold(r)
+            case Iff(l, r):
+                bits = ~(fold(l) ^ fold(r)) & full
+            case Letter() | Box() | Diamond():
+                bits = leaf(g)
+            case _:
+                raise TypeError(f"not a formula: {g!r}")
+        cache[g] = bits
+        return bits
+
+    return fold(f)
+
+
+def bit_pattern(b: int, count: int) -> int:
+    """The ``count``-row mask whose row t is bit b of t: in a truth table
+    over 2**k rows, atom b < k takes this column."""
+    pattern = ((1 << (1 << b)) - 1) << (1 << b)
+    width = 1 << (b + 1)
+    while width < count:
+        pattern |= pattern << width
+        width <<= 1
+    return pattern & ((1 << count) - 1)
+
+
+# ---------------------------------------------------------------------------
 # Canonical enumeration
 
 def enumerate_formulas(
@@ -363,3 +430,27 @@ def enumerate_formulas(
         bucket.sort(key=print_formula)
         by_size[size] = bucket
         yield from bucket
+
+
+def random_formula(
+    rng: random.Random, alphabet: list[str], nesting: int, fuel: int = 12
+) -> Formula:
+    """Seed-deterministic random formula with modal depth <= nesting and
+    roughly ``fuel`` AST nodes."""
+    leaves = [Letter(a) for a in alphabet] + [Top(), Bottom()]
+    if fuel <= 1:
+        return rng.choice(leaves)
+    kind = rng.randrange(8)
+    if kind == 0:
+        return rng.choice(leaves)
+    if kind == 1:
+        return Not(random_formula(rng, alphabet, nesting, fuel - 1))
+    if kind in (2, 3) and nesting > 0:
+        wrap = Box if kind == 2 else Diamond
+        return wrap(random_formula(rng, alphabet, nesting - 1, fuel - 1))
+    op = rng.choice([And, Or, Implies, Iff])
+    half = (fuel - 1) // 2
+    return op(
+        random_formula(rng, alphabet, nesting, half),
+        random_formula(rng, alphabet, nesting, fuel - 1 - half),
+    )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .errors import InvalidArgumentError
 from .model import NModel
 from .syntax import (
     And,
@@ -97,7 +98,7 @@ def st(f: Formula, arity: int, free_var: str = "x") -> FolFormula:
     bound twice along a path.
     """
     if arity < 1:
-        raise ValueError("arity must be >= 1")
+        raise InvalidArgumentError("arity must be >= 1")
     counter = 0
 
     def fresh() -> list[str]:
@@ -172,7 +173,7 @@ def fol_eval(m: NModel, assignment: dict[str, str], g: FolFormula) -> bool:
     quantifiers range over m.worlds."""
     missing = sorted(free_variables(g) - set(assignment))
     if missing:
-        raise ValueError(f"unassigned free variables: {', '.join(missing)}")
+        raise InvalidArgumentError(f"unassigned free variables: {', '.join(missing)}")
 
     def go(h: FolFormula, env: dict[str, str]) -> bool:
         match h:
@@ -254,15 +255,15 @@ def tptp_export(
     """One TPTP fof line for g.  Free variables must all be grounded to
     constants; bound variables are uppercased as TPTP requires."""
     if role not in ("axiom", "conjecture"):
-        raise ValueError(f"role must be axiom or conjecture, got {role!r}")
+        raise InvalidArgumentError(f"role must be axiom or conjecture, got {role!r}")
     if not _TPTP_NAME_RE.match(name):
-        raise ValueError(f"{name!r} is not a valid TPTP identifier")
+        raise InvalidArgumentError(f"{name!r} is not a valid TPTP identifier")
     unground = sorted(free_variables(g) - set(grounding))
     if unground:
-        raise ValueError(f"ungrounded free variables: {', '.join(unground)}")
+        raise InvalidArgumentError(f"ungrounded free variables: {', '.join(unground)}")
     for const in grounding.values():
         if not _TPTP_NAME_RE.match(const):
-            raise ValueError(f"{const!r} is not a valid TPTP constant")
+            raise InvalidArgumentError(f"{const!r} is not a valid TPTP constant")
 
     def term(v: str) -> str:
         if v in grounding:

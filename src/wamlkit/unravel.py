@@ -15,8 +15,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ArityMismatchError, BudgetExceededError, UnknownWorldError
+from . import semantics
+from .errors import (
+    ArityMismatchError,
+    BudgetExceededError,
+    InvalidArgumentError,
+    UnknownWorldError,
+)
 from .model import NModel, make_model
+from .syntax import Formula
 
 DEFAULT_NODE_BUDGET = 50_000
 
@@ -54,10 +61,8 @@ def unravel(
     if w not in m.valuation:
         raise UnknownWorldError(f"unknown world {w!r}")
     if depth < 0:
-        raise ValueError("depth must be >= 0")
-    succ: dict[str, list[tuple[str, ...]]] = {world: [] for world in m.worlds}
-    for t in sorted(m.relation):
-        succ[t[0]].append(t[1:])
+        raise InvalidArgumentError("depth must be >= 0")
+    succ = m.successors
 
     root: Path = (((w,) * m.arity, 1),)
     levels: list[list[Path]] = [[root]]
@@ -102,6 +107,36 @@ def unravel(
 
 
 @dataclass(frozen=True)
+class LocalitySweep:
+    reference: bool  # truth of the formula at the original point
+    agree: tuple[bool, ...]  # per depth 0..max_depth: the unraveling agrees
+    least_stable_depth: int | None  # agreement holds from here on, if ever
+
+
+def locality_sweep(
+    m: NModel,
+    w: str,
+    f: Formula,
+    max_depth: int,
+    max_nodes: int = DEFAULT_NODE_BUDGET,
+) -> LocalitySweep:
+    """Compare f at (m, w) with f at the root of the bounded unraveling of
+    every depth up to ``max_depth``.  No optimality is asserted: agreement
+    is only guaranteed from the modal depth of f on."""
+    reference = semantics.check(m, w, f)
+    agree = []
+    least = None
+    for depth in range(max_depth + 1):
+        result = unravel(m, w, depth, max_nodes=max_nodes)
+        agree.append(semantics.check(result.model, result.root, f) == reference)
+        if not agree[-1]:
+            least = None
+        elif least is None:
+            least = depth
+    return LocalitySweep(reference, tuple(agree), least)
+
+
+@dataclass(frozen=True)
 class PmorphismViolation:
     condition: str  # "valuation" | "forward" | "back"
     detail: str
@@ -119,9 +154,9 @@ def check_pmorphism(
         )
     for s in source.worlds:
         if s not in f:
-            raise ValueError(f"map is not total: missing {s!r}")
+            raise InvalidArgumentError(f"map is not total: missing {s!r}")
         if f[s] not in target.valuation:
-            raise ValueError(f"map sends {s!r} outside the target model")
+            raise InvalidArgumentError(f"map sends {s!r} outside the target model")
 
     for s in source.worlds:
         if source.valuation[s] != target.valuation[f[s]]:
@@ -134,16 +169,10 @@ def check_pmorphism(
             return PmorphismViolation(
                 "forward", f"image {list(image)} of {list(t)} is not a target tuple"
             )
-    tsucc: dict[str, list[tuple[str, ...]]] = {w: [] for w in target.worlds}
-    for t in sorted(target.relation):
-        tsucc[t[0]].append(t[1:])
-    ssucc: dict[str, list[tuple[str, ...]]] = {w: [] for w in source.worlds}
-    for t in sorted(source.relation):
-        ssucc[t[0]].append(t[1:])
     for s in source.worlds:
-        for vector in tsucc[f[s]]:
+        for vector in target.successors[f[s]]:
             if not any(
-                tuple(f[v] for v in st) == vector for st in ssucc[s]
+                tuple(f[v] for v in st) == vector for st in source.successors[s]
             ):
                 return PmorphismViolation(
                     "back",

@@ -1,46 +1,9 @@
-import random
 from pathlib import Path
 
-from wamlkit.syntax import (
-    And,
-    Bottom,
-    Box,
-    Diamond,
-    Formula,
-    Iff,
-    Implies,
-    Letter,
-    Not,
-    Or,
-    Top,
-)
+from wamlkit.syntax import random_formula  # noqa: F401  (re-exported for tests)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def fixture(name: str) -> Path:
     return FIXTURES / name
-
-
-def random_formula(
-    rng: random.Random, alphabet: list[str], nesting: int, fuel: int = 12
-) -> Formula:
-    """Seed-deterministic random formula with modal depth <= nesting and
-    roughly ``fuel`` AST nodes."""
-    leaves = [Letter(a) for a in alphabet] + [Top(), Bottom()]
-    if fuel <= 1:
-        return rng.choice(leaves)
-    kind = rng.randrange(8)
-    if kind == 0:
-        return rng.choice(leaves)
-    if kind == 1:
-        return Not(random_formula(rng, alphabet, nesting, fuel - 1))
-    if kind in (2, 3) and nesting > 0:
-        wrap = Box if kind == 2 else Diamond
-        return wrap(random_formula(rng, alphabet, nesting - 1, fuel - 1))
-    op = rng.choice([And, Or, Implies, Iff])
-    half = (fuel - 1) // 2
-    return op(
-        random_formula(rng, alphabet, nesting, half),
-        random_formula(rng, alphabet, nesting, fuel - 1 - half),
-    )

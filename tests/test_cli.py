@@ -266,3 +266,40 @@ def test_json_output_byte_identical_across_processes(argv):
     second = _run_subprocess(argv, "1")
     assert first == second
     assert json.loads(first)["schema"] == 1
+
+
+_BAD_ARGUMENTS = {
+    "translate-arity-0": ["translate", "p", "--arity", "0"],
+    "sat-max-worlds-0": ["sat", "p", "--arity", "1", "--max-worlds", "0"],
+    "unravel-negative-depth": ["unravel", fixture("cycle.json"), "w", "--depth", "-1"],
+    "interp-n-1": ["interp", "demo", "--n", "1"],
+    "bisim-check-empty-pairs": [
+        "bisim", "check", fixture("m2.json"), fixture("n2.json"), "{relation}",
+    ],
+    "tptp-bad-name": [
+        "translate", "p", "--arity", "1", "--format", "tptp",
+        "--ground", "c0", "--name", "Bad-Name",
+    ],
+    "tptp-bad-ground": [
+        "translate", "p", "--arity", "1", "--format", "tptp", "--ground", "Cx",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", _BAD_ARGUMENTS.values(), ids=_BAD_ARGUMENTS.keys())
+def test_argument_errors_exit_2_without_traceback(argv, tmp_path, capsys):
+    relation = tmp_path / "empty.json"
+    relation.write_text('{"pairs": []}')
+    argv = [str(relation) if a == "{relation}" else str(a) for a in argv]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option", [["--seed", "1"], ["--budget", "3"]])
+def test_unread_options_are_rejected(option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", str(fixture("m2.json")), "w", "p", *option])
+    assert exc.value.code == 2

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from wamlkit.bisim import PairRelation
@@ -6,8 +8,8 @@ from wamlkit.interp import (
     build_counterexample,
     verify_counterexample,
 )
-from wamlkit.model import load, restrict_valuation
-from wamlkit.proof import binary_tag, tag_width
+from wamlkit.model import load, restrict_valuation, save
+from wamlkit.proof import binary_tag, save_script, tag_width
 from wamlkit.semantics import valid_on_model
 from wamlkit.syntax import letters, parse
 
@@ -143,3 +145,16 @@ def test_transitivity_axiom_valid_on_fixture_models():
 def test_report_note_mentions_soundness():
     report = verify_counterexample(build_counterexample(2), 2)
     assert "soundness" in report.note
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bundle_serializes_to_fixture_bytes(n):
+    # the same serialization as scripts/make_fixtures.py
+    b = build_counterexample(n)
+    relation = {"pairs": [list(p) for p in sorted(b.z.pairs)]}
+    assert save(b.left.model) == fixture(f"m{n}.json").read_bytes()
+    assert save(b.right.model) == fixture(f"n{n}.json").read_bytes()
+    assert (json.dumps(relation, indent=2, sort_keys=True) + "\n").encode() == (
+        fixture(f"z{n}.json").read_bytes()
+    )
+    assert save_script(b.refutation) == fixture(f"proof{n}.json").read_bytes()

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -27,9 +28,21 @@ from wamlkit.proof import (
     script_to_dict,
 )
 from wamlkit.semantics import bounded_sat, valid_on_model
-from wamlkit.syntax import And, Implies, Letter, Not, parse
+from wamlkit.syntax import (
+    And,
+    Bottom,
+    Box,
+    Iff,
+    Implies,
+    Letter,
+    Not,
+    Or,
+    Top,
+    parse,
+    print_formula,
+)
 
-from conftest import fixture
+from conftest import fixture, random_formula
 
 
 def _id_subst(arity):
@@ -246,3 +259,60 @@ def test_script_json_errors():
         script_from_dict(
             {"arity": 1, "lines": [{"formula": "p", "just": {}}]}
         )
+
+
+def _reference_tautology(f):
+    """Row-by-row truth table over the letters and maximal boxes of f
+    after diamond expansion, one recursive evaluation per row."""
+    g = expand_diamonds(f)
+    atoms = []
+
+    def collect(h):
+        match h:
+            case Letter() | Box():
+                if h not in atoms:
+                    atoms.append(h)
+            case Not(a):
+                collect(a)
+            case And(a, b) | Or(a, b) | Implies(a, b) | Iff(a, b):
+                collect(a)
+                collect(b)
+
+    def value(h, row):
+        match h:
+            case Letter() | Box():
+                return row[h]
+            case Top():
+                return True
+            case Bottom():
+                return False
+            case Not(a):
+                return not value(a, row)
+            case And(a, b):
+                return value(a, row) and value(b, row)
+            case Or(a, b):
+                return value(a, row) or value(b, row)
+            case Implies(a, b):
+                return not value(a, row) or value(b, row)
+            case Iff(a, b):
+                return value(a, row) == value(b, row)
+
+    collect(g)
+    return all(
+        value(g, dict(zip(atoms, row)))
+        for row in itertools.product((False, True), repeat=len(atoms))
+    )
+
+
+def test_is_tautology_matches_row_by_row_reference():
+    rng = random.Random(5150)
+    verdicts = []
+    for i in range(400):
+        f = random_formula(rng, ["p", "q", "r"], 2, fuel=rng.randint(3, 10))
+        g = random_formula(rng, ["p", "q"], 2, fuel=rng.randint(1, 6))
+        # every other formula has a shape that is often a tautology
+        if i % 2:
+            f = rng.choice([Or(f, Not(f)), Implies(And(f, g), f), Iff(f, g)])
+        verdicts.append(is_tautology(f))
+        assert verdicts[-1] == _reference_tautology(f), print_formula(f)
+    assert 100 <= sum(verdicts) <= 300
