@@ -236,23 +236,24 @@ def greatest_bisim(
 # ---------------------------------------------------------------------------
 # Distinguishing formulas
 
+def _flatten(g: Formula, cls) -> list[Formula]:
+    if isinstance(g, cls):
+        return _flatten(g.left, cls) + _flatten(g.right, cls)
+    return [simplify_boolean(g)]
+
+
 def simplify_boolean(f: Formula) -> Formula:
     """Flatten and/or chains, drop duplicate and neutral operands.  Purely
     structural; preserves truth at every world."""
 
-    def flatten(g: Formula, cls) -> list[Formula]:
-        if isinstance(g, cls):
-            return flatten(g.left, cls) + flatten(g.right, cls)
-        return [simplify_boolean(g)]
-
     match f:
         case And():
-            parts = _dedupe([p for p in flatten(f, And) if not isinstance(p, Top)])
+            parts = _dedupe([p for p in _flatten(f, And) if not isinstance(p, Top)])
             if any(isinstance(p, Bottom) for p in parts):
                 return Bottom()
             return conj(parts)
         case Or():
-            parts = _dedupe([p for p in flatten(f, Or) if not isinstance(p, Bottom)])
+            parts = _dedupe([p for p in _flatten(f, Or) if not isinstance(p, Bottom)])
             if any(isinstance(p, Top) for p in parts):
                 return Top()
             return disj(parts)

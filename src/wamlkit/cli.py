@@ -9,6 +9,7 @@ produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -398,7 +399,10 @@ def _add_budget(sub, default: int, unit: str) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    ``main`` call (argparse builds leave reference cycles behind)."""
     parser = argparse.ArgumentParser(
         prog="wamlkit",
         description="workbench for weakly aggregative modal logic over n-ary models",
@@ -454,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     un.add_argument("--depth", type=int, required=True)
     un.add_argument("--out", default=None)
     un.add_argument("--emit-rmap", default=None)
-    _add_budget(un, unravel.DEFAULT_NODE_BUDGET, "node")
+    _add_budget(un, unravel.DEFAULT_NODE_BUDGET, "node and tuple")
     _add_common(un)
     un.set_defaults(handler=_cmd_unravel)
 
@@ -491,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     loc.add_argument("world")
     loc.add_argument("formula")
     loc.add_argument("--max-depth", type=int, default=4)
-    _add_budget(loc, unravel.DEFAULT_NODE_BUDGET, "node")
+    _add_budget(loc, unravel.DEFAULT_NODE_BUDGET, "node and tuple")
     _add_common(loc)
     loc.set_defaults(handler=_cmd_experiment_locality)
 

@@ -164,7 +164,7 @@ def is_tautology(f: Formula) -> bool:
     rows = 1 << len(atoms)
     cache = {g: bit_pattern(b, rows) for b, g in enumerate(atoms)}
     full = (1 << rows) - 1
-    return fold_mask(expanded, full, cache.__getitem__, cache) == full
+    return fold_mask(expanded, full, None, cache) == full
 
 
 def tautological_consequence(premises: list[Formula], conclusion: Formula) -> bool:

@@ -9,26 +9,46 @@ every box and no diamond.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from functools import cached_property
+from typing import Iterable, Iterator
 
 from . import syntax
 from .errors import BudgetExceededError, InvalidArgumentError, UnknownWorldError
 from .model import NModel, PointedModel, make_model
-from .syntax import (
-    And,
-    Bottom,
-    Box,
-    Diamond,
-    Formula,
-    Iff,
-    Implies,
-    Letter,
-    Not,
-    Or,
-    Top,
-)
+from .syntax import Box, Diamond, Formula, Letter
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
+
+
+def _slot_index(edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Group tuples given as (source world bit, slot set) pairs, where a
+    slot set is the mask of the worlds in a tuple's successor vector:
+    each distinct slot set with the mask of the worlds having a tuple of
+    that slot set."""
+    sources: dict[int, int] = {}
+    for source, slots in edges:
+        sources[slots] = sources.get(slots, 0) | source
+    return list(sources.items())
+
+
+def _modal_mask(
+    is_box: bool, operand: int, full: int, slot_index: list[tuple[int, int]]
+) -> int:
+    """The mask of ``box g`` (or ``dia g``) from the mask of g: box holds
+    where no tuple has a slot set missing g, dia where some tuple has its
+    slot set inside g."""
+    if is_box:
+        bits = full
+        for slots, sources in slot_index:
+            if not slots & operand:
+                bits &= ~sources
+        return bits
+    outside = full ^ operand
+    bits = 0
+    for slots, sources in slot_index:
+        if not slots & outside:
+            bits |= sources
+    return bits
 
 
 class ModelEvaluator:
@@ -46,21 +66,22 @@ class ModelEvaluator:
     def mask(self, f: Formula) -> int:
         return syntax.fold_mask(f, self.full, self._leaf, self._cache)
 
-    def _leaf(self, f: Formula) -> int:
+    @cached_property
+    def _slots(self) -> list[tuple[int, int]]:
+        pos = self.pos
+        return _slot_index(
+            (1 << pos[w], sum({1 << pos[v] for v in vector}))
+            for w, vectors in self.model.successors.items()
+            for vector in vectors
+        )
+
+    def _leaf(self, f: Formula, operand: int | None) -> int:
         m = self.model
-        if isinstance(f, Letter):
+        if operand is None:  # a letter
             return sum(
                 1 << i for i, w in enumerate(m.worlds) if f.name in m.valuation[w]
             )
-        # box: every tuple has some slot true; dia: some tuple has all true
-        every, some = (all, any) if isinstance(f, Box) else (any, all)
-        child = self.mask(f.operand)
-        true = {w for w, i in self.pos.items() if child >> i & 1}
-        bits = 0
-        for i, w in enumerate(m.worlds):
-            if every(some(v in true for v in vec) for vec in m.successors[w]):
-                bits |= 1 << i
-        return bits
+        return _modal_mask(isinstance(f, Box), operand, self.full, self._slots)
 
     def holds(self, world: str, f: Formula) -> bool:
         if world not in self.pos:
@@ -108,22 +129,7 @@ class _Budget:
 
 
 def _modal_subformulas(f: Formula) -> list[Formula]:
-    found: dict[Formula, None] = {}
-
-    def walk(g: Formula) -> None:
-        match g:
-            case Letter() | Top() | Bottom():
-                pass
-            case Not(h):
-                walk(h)
-            case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-                walk(l)
-                walk(r)
-            case Box(h) | Diamond(h):
-                found.setdefault(g)
-                walk(h)
-
-    walk(f)
+    found = [g for g, op, _, _ in syntax.compile_formula(f) if op in (Box, Diamond)]
     return sorted(found, key=syntax.formula_key)
 
 
@@ -160,9 +166,7 @@ class _TypeSpace:
         ]
 
     def truth(self, g: Formula) -> int:
-        return syntax.fold_mask(
-            g, self.all_types, self._truth.__getitem__, self._truth
-        )
+        return syntax.fold_mask(g, self.all_types, None, self._truth)
 
     def demands(self, t: int) -> list[tuple[int, list[int]]]:
         """Existential successor demands of type t: for each, the slot pool
@@ -278,78 +282,116 @@ def _min_support(
         return None
     for k in range(1, max_size + 1):
         seen: set[frozenset[int]] = set()
-
-        def grow(chosen: frozenset[int]) -> bool:
-            if chosen in seen:
-                return False
-            seen.add(chosen)
-            budget.spend()
-            u_mask = 0
-            for t in chosen:
-                u_mask |= 1 << t
-            for t in sorted(chosen):
-                for inside, constraints in space.demands(t):
-                    if _demand_satisfiable(
-                        inside, constraints, u_mask, space.arity, budget, memo
-                    ):
-                        continue
-                    if len(chosen) == k:
-                        return False
-                    for cand in _iter_bits(star_mask & inside & ~u_mask):
-                        if grow(chosen | {cand}):
-                            return True
-                    return False
-            return True
-
         for root in root_types:
-            if grow(frozenset({root})):
+            if _grow(space, star_mask, k, frozenset({root}), seen, budget, memo):
                 return k
     return None
 
 
+def _grow(
+    space: _TypeSpace,
+    star_mask: int,
+    k: int,
+    chosen: frozenset[int],
+    seen: set[frozenset[int]],
+    budget: _Budget,
+    memo: dict,
+) -> bool:
+    """Can ``chosen`` be extended, one unmet demand at a time, to a
+    self-supporting set of at most k types?"""
+    if chosen in seen:
+        return False
+    seen.add(chosen)
+    budget.spend()
+    u_mask = 0
+    for t in chosen:
+        u_mask |= 1 << t
+    for t in sorted(chosen):
+        for inside, constraints in space.demands(t):
+            if _demand_satisfiable(
+                inside, constraints, u_mask, space.arity, budget, memo
+            ):
+                continue
+            if len(chosen) == k:
+                return False
+            for cand in _iter_bits(star_mask & inside & ~u_mask):
+                if _grow(space, star_mask, k, chosen | {cand}, seen, budget, memo):
+                    return True
+            return False
+    return True
+
+
 def _letter_subsets(letters: list[str]) -> list[tuple[str, ...]]:
     # subsets in lexicographic order of their sorted element lists
-    out: list[tuple[str, ...]] = []
-
-    def extend(prefix: tuple[str, ...], start: int) -> None:
-        out.append(prefix)
-        for i in range(start, len(letters)):
-            extend(prefix + (letters[i],), i + 1)
-
-    extend((), 0)
-    return out
+    return sorted(
+        itertools.chain.from_iterable(
+            itertools.combinations(letters, r)
+            for r in range(len(letters) + 1)
+        )
+    )
 
 
 def _relation_subsets(
     candidates: list[tuple[str, ...]]
 ) -> Iterator[tuple[tuple[str, ...], ...]]:
-    # subsets in lexicographic order of their sorted tuple lists
-    def extend(prefix: tuple, start: int) -> Iterator[tuple]:
-        yield prefix
-        for i in range(start, len(candidates)):
-            yield from extend(prefix + (candidates[i],), i + 1)
-
-    yield from extend((), 0)
+    # subsets in lexicographic order of their sorted tuple lists: extend
+    # by the next candidate while there is one, else drop the last and
+    # advance the one before it (no recursion, so no depth limit)
+    chosen: list[int] = []
+    yield ()
+    while True:
+        nxt = chosen[-1] + 1 if chosen else 0
+        if nxt < len(candidates):
+            chosen.append(nxt)
+        elif len(chosen) > 1:
+            chosen.pop()
+            chosen[-1] += 1
+        else:
+            return
+        yield tuple(candidates[i] for i in chosen)
 
 
 def _walk_witness(
     f: Formula, arity: int, num_worlds: int, letters: list[str], budget: _Budget
 ) -> PointedModel:
+    # f is compiled once; each candidate model is only its slot index and
+    # its letter masks, and a model is built for the witness alone
     worlds = tuple(f"w{i}" for i in range(num_worlds))
+    full = (1 << num_worlds) - 1
+    bit = {w: 1 << i for i, w in enumerate(worlds)}
     candidates = sorted(itertools.product(worlds, repeat=arity + 1))
+    edge = {t: (bit[t[0]], sum({bit[v] for v in t[1:]})) for t in candidates}
+    program = syntax.compile_formula(f)
+    letter_at = {name: j for j, name in enumerate(letters)}
     subsets = _letter_subsets(letters)
+    # per world, per letter subset: each letter's bit at that world
+    columns = [
+        [tuple(bit[w] if name in s else 0 for name in letters) for s in subsets]
+        for w in worlds
+    ]
+    slot_index: list[tuple[int, int]] = []
+    letter_masks: list[int] = []
+
+    # reads the candidate's slot index and letter masks, rebound below
+    def leaf(g: Formula, operand: int | None) -> int:
+        if operand is None:
+            return letter_masks[letter_at[g.name]]
+        return _modal_mask(type(g) is Box, operand, full, slot_index)
+
     for relation in _relation_subsets(candidates):
-        for assignment in itertools.product(subsets, repeat=num_worlds):
+        slot_index = _slot_index(edge[t] for t in relation)
+        # the two products run in step: a valuation and its letter bits
+        valuations = zip(
+            itertools.product(subsets, repeat=num_worlds),
+            itertools.product(*columns),
+        )
+        for assignment, bits_by_world in valuations:
             budget.spend()
-            m = make_model(
-                arity, worlds, relation, dict(zip(worlds, assignment))
-            )
-            ev = ModelEvaluator(m)
-            bits = ev.mask(f)
+            letter_masks = [sum(col) for col in zip(*bits_by_world)]
+            bits = syntax.run_program(program, full, leaf)[-1]
             if bits:
-                for w in worlds:
-                    if bits >> ev.pos[w] & 1:
-                        return PointedModel(m, w)
+                m = make_model(arity, worlds, relation, dict(zip(worlds, assignment)))
+                return PointedModel(m, worlds[(bits & -bits).bit_length() - 1])
     raise AssertionError("decision phase promised a witness at this size")
 
 

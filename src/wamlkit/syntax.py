@@ -13,66 +13,87 @@ import random
 import re
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Container, Iterable, Iterator, Mapping
 
 from .errors import FormulaParseError
 
 
 @dataclass(frozen=True)
 class Formula:
-    pass
+    def __hash__(self) -> int:
+        # computed once per node and tagged with the class, so that
+        # ``Top()``/``Bottom()`` and ``Not``/``Box``/``Diamond`` of one
+        # operand hash apart; before the first call the instance dict holds
+        # exactly the dataclass fields
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((type(self), *self.__dict__.values()))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # a cached hash is only meaningful in the process that computed it
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass formula node with the cached, class-tagged hash
+    of ``Formula`` (the dataclass decorator would generate its own)."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
 class Letter(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Box(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Diamond(Formula):
     operand: Formula
 
@@ -331,43 +352,112 @@ def formula_key(f: Formula) -> tuple[int, str]:
 #
 # A mask is an integer whose bit i is the truth value in row i (a world of
 # a model, a type of a type space, a row of a truth table); ``full`` has
-# every row bit set.
+# every row bit set.  A formula is folded through its program: its
+# distinct subformulas in post-order, each with the program indices of its
+# operands, so that a formula evaluated many times (once per candidate
+# model of a search) is compiled once.
+
+Instruction = tuple[Formula, type | None, int, int]
+
+
+def _operands(g: Formula) -> tuple[Formula, ...]:
+    match g:
+        case Not(h) | Box(h) | Diamond(h):
+            return (h,)
+        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
+            return (l, r)
+        case Letter() | Top() | Bottom():
+            return ()
+    raise TypeError(f"not a formula: {g!r}")
+
+
+def compile_formula(f: Formula, known: Container[Formula] = ()) -> list[Instruction]:
+    """The program of f: its distinct subformulas in post-order (operands
+    before the formulas they occur in, f last), each as ``(node,
+    connective, left, right)`` with the node's class as connective and the
+    program indices of its operands, -1 where there is none.  Subformulas
+    in ``known`` are not descended into and get connective None.  Built
+    without recursion, so nesting depth is no limit."""
+    index: dict[Formula, int] = {}
+    program: list[Instruction] = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in index:
+            continue
+        if g in known:
+            op, slots = None, []
+        else:
+            op, operands = type(g), _operands(g)
+            slots = []
+            for h in operands:
+                i = index.get(h)
+                if i is None and h in known:
+                    i = index[h] = len(program)
+                    program.append((h, None, -1, -1))
+                slots.append(i)
+            if None in slots:
+                # revisit g once its operands are in, the left one first
+                stack.append(g)
+                stack.extend(h for h, i in zip(operands[::-1], slots[::-1]) if i is None)
+                continue
+        index[g] = len(program)
+        a, b = (*slots, -1, -1)[:2]
+        program.append((g, op, a, b))
+    return program
+
+
+def run_program(
+    program: list[Instruction],
+    full: int,
+    leaf: Callable[[Formula, int | None], int] | None,
+    known: Mapping[Formula, int] | None = None,
+) -> list[int]:
+    """The mask of every instruction of a program, in order.  This is the
+    one table of the boolean connectives.  A known instruction takes its
+    mask from ``known``; ``leaf(node, operand)`` gives the mask of a letter
+    (operand None) and of a box or diamond (operand: the mask of its
+    operand).  Every mask lies within ``full``."""
+    masks: list[int] = []
+    push = masks.append
+    for node, op, a, b in program:
+        if op is And:
+            push(masks[a] & masks[b])
+        elif op is Or:
+            push(masks[a] | masks[b])
+        elif op is Not:
+            push(full ^ masks[a])
+        elif op is Implies:
+            push((full ^ masks[a]) | masks[b])
+        elif op is Iff:
+            push(full ^ masks[a] ^ masks[b])
+        elif op is Top:
+            push(full)
+        elif op is Bottom:
+            push(0)
+        elif op is None:
+            push(known[node])
+        else:
+            push(leaf(node, masks[a] if a >= 0 else None))
+    return masks
 
 
 def fold_mask(
-    f: Formula, full: int, leaf: Callable[[Formula], int], cache: dict
+    f: Formula,
+    full: int,
+    leaf: Callable[[Formula, int | None], int] | None,
+    cache: dict,
 ) -> int:
-    """The mask of f: the boolean connectives are folded here, and ``leaf``
-    is asked for the mask of each letter and modal formula not yet in
-    ``cache``.  Every mask computed is stored in ``cache``."""
-
-    def fold(g: Formula) -> int:
-        bits = cache.get(g)
-        if bits is not None:
-            return bits
-        match g:
-            case Top():
-                bits = full
-            case Bottom():
-                bits = 0
-            case Not(h):
-                bits = ~fold(h) & full
-            case And(l, r):
-                bits = fold(l) & fold(r)
-            case Or(l, r):
-                bits = fold(l) | fold(r)
-            case Implies(l, r):
-                bits = (~fold(l) & full) | fold(r)
-            case Iff(l, r):
-                bits = ~(fold(l) ^ fold(r)) & full
-            case Letter() | Box() | Diamond():
-                bits = leaf(g)
-            case _:
-                raise TypeError(f"not a formula: {g!r}")
-        cache[g] = bits
-        return bits
-
-    return fold(f)
+    """The mask of f.  Subformulas already in ``cache`` are taken from
+    it; the rest are folded by ``run_program`` (so ``leaf`` may be None
+    when every letter and modal subformula is cached).  Every mask
+    computed is stored in ``cache``."""
+    program = compile_formula(f, cache)
+    masks = run_program(program, full, leaf, cache)
+    for (node, op, _, _), bits in zip(program, masks):
+        if op is not None:
+            cache[node] = bits
+    return masks[-1]
 
 
 def bit_pattern(b: int, count: int) -> int:

@@ -13,6 +13,7 @@ original relation tuple.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import semantics
@@ -57,7 +58,8 @@ def unravel(
     """The bounded unraveling of (m, w) to the given level, as an n-model
     over canonical path ids, together with the root id and the projection
     map.  Nodes at the last level have no outgoing tuples.  Refuses to
-    build more than ``max_nodes`` nodes."""
+    build more than ``max_nodes`` nodes, or more than ``max_nodes``
+    relation tuples."""
     if w not in m.valuation:
         raise UnknownWorldError(f"unknown world {w!r}")
     if depth < 0:
@@ -88,6 +90,7 @@ def unravel(
     projection = {ids[path]: _focus(path) for path in nodes}
 
     relation = set()
+    tuples = 0
     for level in range(depth):
         for path in levels[level]:
             by_world: dict[str, list[Path]] = {}
@@ -95,9 +98,14 @@ def unravel(
                 by_world.setdefault(_focus(child), []).append(child)
             for vector in succ[_focus(path)]:
                 pools = [by_world.get(world, []) for world in vector]
-                if all(pools):
-                    for combo in itertools.product(*pools):
-                        relation.add((ids[path], *(ids[c] for c in combo)))
+                tuples += math.prod(map(len, pools))
+                if tuples > max_nodes:
+                    raise BudgetExceededError(
+                        f"unraveling to depth {depth} exceeds the "
+                        f"{max_nodes}-tuple budget"
+                    )
+                for combo in itertools.product(*pools):
+                    relation.add((ids[path], *(ids[c] for c in combo)))
 
     valuation = {ids[path]: m.valuation[_focus(path)] for path in nodes}
     unravelled = make_model(

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from wamlkit.cli import main
+from wamlkit.cli import build_parser, main
+from wamlkit.model import random_model, save
 
 from conftest import fixture
 
@@ -219,6 +221,39 @@ def test_interp_demo_cli(capsys, tmp_path):
         assert (bundle_dir / name).exists()
     formulas = json.loads((bundle_dir / "formulas.json").read_text())
     assert formulas["n"] == 4 and formulas["alphabet"] == ["p"]
+
+
+def test_unravel_cli_tuple_budget_exits_2(capsys, tmp_path):
+    out = tmp_path / "unravelled.json"
+    # 51 nodes and 222 tuples: over a budget of 221
+    small = tmp_path / "small.json"
+    small.write_bytes(save(random_model(2, 3, 0.4, {"p"}, seed=1)))
+    argv = ["unravel", str(small), "w0", "--depth", "2", "--out", str(out)]
+    assert main(argv + ["--budget", "221"]) == 2
+    assert main(argv + ["--budget", "222"]) == 0
+    # within the default node budget, but 350,933,942 tuples
+    dense = tmp_path / "dense.json"
+    dense.write_bytes(save(random_model(3, 7, 0.2, {"p", "q"}, seed=0)))
+    out.unlink()
+    assert main(["unravel", str(dense), "w0", "--depth", "2", "--out", str(out)]) == 2
+    assert "tuple budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_interp_demo_leaves_no_cyclic_garbage(capsys):
+    # with per-call reference cycles (a new argument parser, the fold's
+    # closures) one run left 43,039 objects to the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(["interp", "demo", "--n", "8"])
+    finally:
+        freed = gc.collect()
+        gc.enable()
+    assert code == 0
+    assert freed < 403
+    # the parser is built once per process, not once per call
+    assert build_parser() is build_parser()
 
 
 def test_experiment_locality_cli(capsys):

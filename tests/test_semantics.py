@@ -1,10 +1,12 @@
+import gc
+import itertools
 import random
 
 import pytest
 
-from wamlkit import interp
+from wamlkit import interp, semantics
 from wamlkit.errors import BudgetExceededError, UnknownWorldError
-from wamlkit.model import load, make_model, random_model
+from wamlkit.model import PointedModel, load, make_model, random_model
 from wamlkit.proof import kn_axiom
 from wamlkit.semantics import bounded_sat, check, valid_on_model
 from wamlkit.syntax import (
@@ -13,6 +15,8 @@ from wamlkit.syntax import (
     Diamond,
     Letter,
     Not,
+    ast_size,
+    enumerate_formulas,
     letters,
     parse,
 )
@@ -183,3 +187,106 @@ def test_bounded_sat_rejects_bad_bounds():
         bounded_sat(parse("p"), 0, 3)
     with pytest.raises(ValueError):
         bounded_sat(parse("p"), 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# The witness walk against the walk as first written: a fresh model and a
+# model check per candidate, candidates in canonical order
+
+
+def _reference_walk(f, arity, num_worlds, letter_list, budget):
+    worlds = tuple(f"w{i}" for i in range(num_worlds))
+    candidates = sorted(itertools.product(worlds, repeat=arity + 1))
+    subsets = []
+
+    def letter_subsets(prefix, start):
+        subsets.append(prefix)
+        for i in range(start, len(letter_list)):
+            letter_subsets(prefix + (letter_list[i],), i + 1)
+
+    def relation_subsets(prefix, start):
+        yield prefix
+        for i in range(start, len(candidates)):
+            yield from relation_subsets(prefix + (candidates[i],), i + 1)
+
+    letter_subsets((), 0)
+    for relation in relation_subsets((), 0):
+        for assignment in itertools.product(subsets, repeat=num_worlds):
+            budget.spend()
+            m = make_model(arity, worlds, relation, dict(zip(worlds, assignment)))
+            for w in worlds:
+                if check(m, w, f):
+                    return PointedModel(m, w)
+    raise AssertionError("decision phase promised a witness at this size")
+
+
+def test_witness_walk_matches_reference_walk(monkeypatch):
+    rng = random.Random(2024)
+    formulas = []
+    while len(formulas) < 150:
+        f = random_formula(rng, ["p", "q"], 2, fuel=rng.randint(1, 5))
+        if ast_size(f) <= 5:
+            formulas.append(f)
+    cases = [(f, arity, rng.randint(1, 3)) for arity in (1, 2) for f in formulas]
+    # and every canonical formula of size <= 5: the random sample alone
+    # does not tell the canonical valuation order from others
+    canonical = list(enumerate_formulas({"p", "q"}, 2, 5))
+    cases += [(f, arity, 3) for arity in (1, 2) for f in canonical]
+    # no formula of size <= 5 over two letters needs three worlds
+    chain = parse("~p & ~q & dia (p & ~q & dia (q & ~p))")
+    cases += [(chain, 1, 3), (chain, 2, 3)]
+    found = [bounded_sat(f, arity, k) for f, arity, k in cases]
+    monkeypatch.setattr(semantics, "_walk_witness", _reference_walk)
+    expected = [bounded_sat(f, arity, k) for f, arity, k in cases]
+    for case, got, want in zip(cases, found, expected):
+        assert got == want, case
+    sizes = [len(w.model.worlds) for w in found if w is not None]
+    # the sample reaches witnesses of every size and unsatisfiable cases
+    assert {1, 2, 3} <= set(sizes) and len(sizes) < len(cases)
+
+
+def test_relation_subsets_canonical_order_without_recursion():
+    def nested(items, prefix=(), start=0):
+        yield prefix
+        for i in range(start, len(items)):
+            yield from nested(items, prefix + (items[i],), i + 1)
+
+    for n in range(8):
+        items = [f"t{i}" for i in range(n)]
+        assert list(semantics._relation_subsets(items)) == list(nested(items))
+    # the walk reaches a relation of k tuples after k steps; a recursive
+    # generator overflowed the stack here
+    deep = itertools.islice(semantics._relation_subsets(list(range(1500))), 1200)
+    assert len(list(deep)[-1]) == 1199
+
+
+@pytest.mark.parametrize(
+    "text, arity, max_worlds, budget",
+    [
+        ("~p & ~q & dia (p & ~q & dia(q & ~p & dia (p&q)))", 2, 5, 8_808),
+        ("dia p & dia q & dia r & box ~(p&q) & box ~(p&r) & box ~(q&r)", 2, 4, 13_905),
+        ("box p & box q & ~box(p&q)", 3, 4, 2_308),
+    ],
+)
+def test_bounded_sat_budget_pins(text, arity, max_worlds, budget):
+    # N is the search's exact step count: the decision phase's steps plus
+    # one per witness-walk candidate
+    f = parse(text)
+    assert bounded_sat(f, arity, max_worlds, budget=budget) is not None
+    with pytest.raises(BudgetExceededError):
+        bounded_sat(f, arity, max_worlds, budget=budget - 1)
+
+
+def test_bounded_sat_leaves_no_cyclic_garbage():
+    # every allocation of the search is freed by reference counting; with
+    # per-call reference cycles this query left 310,699 objects to the
+    # cyclic collector
+    f = parse("dia p & dia q & dia r & box ~(p&q) & box ~(p&r) & box ~(q&r)")
+    gc.collect()
+    gc.disable()
+    try:
+        assert bounded_sat(f, 2, 4) is not None
+    finally:
+        freed = gc.collect()
+        gc.enable()
+    assert freed < 72

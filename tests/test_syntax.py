@@ -16,7 +16,9 @@ from wamlkit.syntax import (
     Or,
     Top,
     ast_size,
+    compile_formula,
     enumerate_formulas,
+    fold_mask,
     formula_key,
     letters,
     modal_depth,
@@ -227,3 +229,59 @@ def test_enumerate_order_deterministic():
 def test_formula_key_orders_by_size_then_text():
     assert formula_key(Letter("p")) < formula_key(Not(Letter("p")))
     assert formula_key(Letter("p")) < formula_key(Letter("q"))
+
+
+def test_hash_is_tagged_with_the_class():
+    p, q = Letter("p"), Letter("q")
+    assert hash(Top()) != hash(Bottom())
+    assert len({hash(c(p)) for c in (Not, Box, Diamond)}) == 3
+    assert len({hash(c(p, q)) for c in (And, Or, Implies, Iff)}) == 4
+    formulas = set(enumerate_formulas({"p", "q"}, 2, 7))
+    assert len(formulas) == 22_566
+    assert len({hash(f) for f in formulas}) >= 22_000
+
+
+def test_cached_hash_stays_in_its_process():
+    import pickle
+
+    f = parse("box (p & q) -> dia ~(p <-> true)")
+    assert {f: 1}[parse(print_formula(f))] == 1
+    # another process hashes differently, so the cache is not pickled
+    g = pickle.loads(pickle.dumps(f))
+    assert "_hash" not in vars(g) and "_hash" not in vars(g.left)
+    assert g == f and hash(g) == hash(f)
+
+
+def test_compile_lists_distinct_subformulas_operands_first():
+    f = parse("(p & q) | ~(p & q) -> box p")
+    program = compile_formula(f)
+    nodes = [node for node, _, _, _ in program]
+    assert nodes[-1] == f
+    assert len(nodes) == len(set(nodes)) == 7
+    for k, (node, op, a, b) in enumerate(program):
+        assert op is type(node)
+        operands = [i for i in (a, b) if i >= 0]
+        assert all(i < k for i in operands)
+        assert [nodes[i] for i in operands] == [
+            getattr(node, name) for name in ("left", "right", "operand") if hasattr(node, name)
+        ]
+
+
+def test_compile_stops_at_known_subformulas():
+    f = parse("box (p & q) & r")
+    program = compile_formula(f, {parse("box (p & q)"): 0})
+    assert [(node, op) for node, op, _, _ in program] == [
+        (parse("box (p & q)"), None),
+        (Letter("r"), Letter),
+        (f, And),
+    ]
+
+
+def test_fold_mask_caches_every_new_mask():
+    # rows: the four valuations of p (bit 0) and q (bit 1)
+    cache = {Letter("p"): 0b1010, Letter("q"): 0b1100}
+    assert fold_mask(parse("p <-> q"), 0b1111, None, cache) == 0b1001
+    assert cache[parse("p <-> q")] == 0b1001
+    assert fold_mask(parse("~(p <-> q) -> p & q"), 0b1111, None, cache) == 0b1001
+    assert cache[parse("p & q")] == 0b1000
+    assert fold_mask(parse("true | false"), 0b1111, None, cache) == 0b1111

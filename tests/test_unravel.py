@@ -58,6 +58,20 @@ def test_unravel_node_budget(cyclic):
         unravel(cyclic, "w", 12, max_nodes=50)
 
 
+def test_unravel_tuple_budget():
+    # the budget bounds nodes and tuples alike: 51 nodes, 222 tuples here
+    small = random_model(2, 3, 0.4, {"p"}, seed=1)
+    assert len(unravel(small, "w0", 2, max_nodes=222).model.relation) == 222
+    with pytest.raises(BudgetExceededError, match="tuple"):
+        unravel(small, "w0", 2, max_nodes=221)
+    # 38,530 nodes at depth 2, inside the default budget, but already
+    # 1,346,285 relation tuples at depth 1
+    m = random_model(3, 7, 0.2, {"p", "q"}, seed=0)
+    for depth in (1, 2):
+        with pytest.raises(BudgetExceededError, match="tuple"):
+            unravel(m, "w0", depth)
+
+
 def test_tree_skeleton_unique_parents(cyclic):
     r = unravel(cyclic, "w", 3)
     parents: dict[str, set[str]] = {}
