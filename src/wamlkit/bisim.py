@@ -12,6 +12,7 @@ slot-to-some-slot, mirroring the forall/exists alternation of box.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 from . import semantics
@@ -48,15 +49,7 @@ class BisimViolation:
 
 def _require_same_arity(left: NModel, right: NModel) -> None:
     if left.arity != right.arity:
-        raise ArityMismatchError(
-            f"arities differ: {left.arity} vs {right.arity}"
-        )
-
-
-def _pair_order(left: NModel, right: NModel):
-    lpos = {w: i for i, w in enumerate(left.worlds)}
-    rpos = {w: i for i, w in enumerate(right.worlds)}
-    return lambda pair: (lpos[pair[0]], rpos[pair[1]])
+        raise ArityMismatchError(f"arities differ: {left.arity} vs {right.arity}")
 
 
 def _forth_failure(a, b, z, lsucc, rsucc):
@@ -91,7 +84,9 @@ def check_bisim(z: PairRelation) -> BisimViolation | None:
             raise UnknownWorldError(f"unknown right world {b!r}")
     lsucc = z.left.successors
     rsucc = z.right.successors
-    for a, b in sorted(z.pairs, key=_pair_order(z.left, z.right)):
+    lpos = {w: i for i, w in enumerate(z.left.worlds)}
+    rpos = {w: i for i, w in enumerate(z.right.worlds)}
+    for a, b in sorted(z.pairs, key=lambda p: (lpos[p[0]], rpos[p[1]])):
         if z.left.valuation[a] & z.alphabet != z.right.valuation[b] & z.alphabet:
             return BisimViolation((a, b), "inv", None)
         lt = _forth_failure(a, b, z.pairs, lsucc, rsucc)
@@ -106,110 +101,118 @@ def check_bisim(z: PairRelation) -> BisimViolation | None:
 # ---------------------------------------------------------------------------
 # Stratified refinement
 #
-# Stage 0 relates all pairs agreeing on the alphabet; stage k+1 keeps the
-# stage-k pairs whose forth/back obligations can be answered within stage
-# k.  The chain decreases on a finite lattice, so it stabilizes at the
-# greatest bisimulation.  While refining we record, for every pair that
-# dies, a formula true on the left world and false on the right one,
-# assembled from the certificates of the previous stage.
+# wa^n-bisimulations contain the identity and are closed under converse and
+# composition, so each stage is a partition of the disjoint union of the two
+# models (Kanellakis & Smolka 1990).  Stage 0 groups worlds by their letters
+# in the alphabet; a world's stage-k+1 signature is its stage-k block and
+# the ⊆-minimal stage-k block sets of its successor tuples, which agree
+# exactly when forth and back hold within stage k.
 
 
 def _dedupe(parts: list[Formula]) -> list[Formula]:
-    seen = set()
-    out = []
-    for p in parts:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+    return list(dict.fromkeys(parts))
 
 
-class _Refinement:
-    def __init__(self, left: NModel, right: NModel, alphabet: frozenset[str]):
+def _number(keys: list) -> list[int]:
+    """Block ids, numbered by first appearance."""
+    ids: dict = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
+
+
+def _minimal(masks: set[int]) -> frozenset[int]:
+    """The ⊆-minimal members of a set of block bitmasks."""
+    kept: list[int] = []
+    for m in sorted(masks, key=int.bit_count):
+        if all(k & m != k for k in kept):
+            kept.append(m)
+    return frozenset(kept)
+
+
+class _Partition:
+    def __init__(
+        self, left: NModel, right: NModel, alphabet: frozenset[str], max_stage=None
+    ):
         _require_same_arity(left, right)
-        self.left = left
-        self.right = right
-        self.alphabet = alphabet
-        self.lsucc = left.successors
-        self.rsucc = right.successors
-        self.order = _pair_order(left, right)
-        self.certificates: dict[Pair, Formula] = {}
-        self.stages = [self._stage_zero()]
-
-    def _stage_zero(self) -> frozenset[Pair]:
-        pairs = set()
-        for a in self.left.worlds:
-            for b in self.right.worlds:
-                la = self.left.valuation[a] & self.alphabet
-                lb = self.right.valuation[b] & self.alphabet
-                if la == lb:
-                    pairs.add((a, b))
-                else:
-                    name = min(la ^ lb)
-                    cert = Letter(name) if name in la else Not(Letter(name))
-                    self.certificates[(a, b)] = cert
-        return frozenset(pairs)
-
-    def _forth_certificate(self, a, b, lt, z) -> Formula:
-        # some left tuple is unanswered: every right tuple contains a
-        # successor unrelated to every slot of lt, so a diamond over lt's
-        # slot certificates separates a from b
-        bad = sorted(
-            {
-                u
-                for rt in self.rsucc[b]
-                for u in rt
-                if all((v, u) not in z for v in lt)
-            }
+        self.left, self.right, self.alphabet = left, right, alphabet
+        # left world i is number i of the union, right world j is |W| + j
+        self.lpos = {w: i for i, w in enumerate(left.worlds)}
+        self.rpos = {w: len(left.worlds) + j for j, w in enumerate(right.worlds)}
+        succ = [
+            [[pos[v] for v in t] for t in m.successors[w]]
+            for m, pos in ((left, self.lpos), (right, self.rpos))
+            for w in m.worlds
+        ]
+        blocks = _number(
+            [m.valuation[w] & alphabet for m in (left, right) for w in m.worlds]
         )
-        disjuncts = _dedupe(
-            [
-                conj(_dedupe([self.certificates[(v, u)] for u in bad]))
-                for v in lt
-            ]
-        )
-        return Diamond(disj(disjuncts))
-
-    def _back_certificate(self, a, b, rt, z) -> Formula:
-        bad = sorted(
-            {
-                v
-                for lt in self.lsucc[a]
-                for v in lt
-                if all((v, u) not in z for u in rt)
-            }
-        )
-        disjuncts = _dedupe(
-            [
-                conj(_dedupe([Not(self.certificates[(v, u)]) for v in bad]))
-                for u in rt
-            ]
-        )
-        return Not(Diamond(disj(disjuncts)))
-
-    def refine_once(self) -> bool:
-        """Run one stage; False when already stable."""
-        z = self.stages[-1]
-        survivors = set()
-        for a, b in sorted(z, key=self.order):
-            lt = _forth_failure(a, b, z, self.lsucc, self.rsucc)
-            if lt is not None:
-                self.certificates[(a, b)] = self._forth_certificate(a, b, lt, z)
-                continue
-            rt = _back_failure(a, b, z, self.lsucc, self.rsucc)
-            if rt is not None:
-                self.certificates[(a, b)] = self._back_certificate(a, b, rt, z)
-                continue
-            survivors.add((a, b))
-        if len(survivors) == len(z):
-            return False
-        self.stages.append(frozenset(survivors))
-        return True
-
-    def run(self, max_stage: int | None = None) -> None:
-        while max_stage is None or len(self.stages) - 1 < max_stage:
-            if not self.refine_once():
+        self.stages = [blocks]  # one block list per stage, by union number
+        # stable once the block count stops growing
+        while max_stage is None or len(self.stages) <= max_stage:
+            bits = [1 << b for b in blocks]
+            refined = _number([
+                (blocks[x], _minimal({sum({bits[v] for v in t}) for t in tuples}))
+                for x, tuples in enumerate(succ)
+            ])
+            if len(set(refined)) == len(set(blocks)):
                 break
+            self.stages.append(blocks := refined)
+
+    def relation(self, blocks: list[int]) -> PairRelation:
+        """The cross pairs sharing a block, grouped per block."""
+        group = defaultdict(list)
+        for a, x in self.lpos.items():
+            group[blocks[x]].append(a)
+        pairs = [(a, b) for b, y in self.rpos.items() for a in group[blocks[y]]]
+        return PairRelation(self.left, self.right, frozenset(pairs), self.alphabet)
+
+    def certificate(self, pair: Pair) -> Formula | None:
+        """A formula true at the left world and false at the right one, or
+        None when the pair never dies.  A pair dying at stage d answers its
+        first forth or back failure within stage d-1 with certificates of
+        pairs that died earlier (Cleaveland 1990); only the pairs needed
+        get one, found by a worklist and built by increasing death stage."""
+        lsucc, rsucc = self.left.successors, self.right.successors
+        certs: dict[Pair, Formula] = {}
+        plans: dict[Pair, tuple] = {}
+        todo = [pair]
+        while todo:
+            a, b = p = todo.pop()
+            if p in certs or p in plans:
+                continue
+            x, y = self.lpos[a], self.rpos[b]
+            d = next((k for k, s in enumerate(self.stages) if s[x] != s[y]), None)
+            if d is None:
+                return None
+            if d == 0:
+                la = self.left.valuation[a] & self.alphabet
+                name = min(la ^ (self.right.valuation[b] & self.alphabet))
+                certs[p] = Letter(name) if name in la else Not(Letter(name))
+                continue
+            # the stage-(d-1) pairs among the successors of a and b
+            vs = {v for lt in lsucc[a] for v in lt}
+            us = {u for rt in rsucc[b] for u in rt}
+            s = self.stages[d - 1]
+            z = {(v, u) for v in vs for u in us if s[self.lpos[v]] == s[self.rpos[u]]}
+            lt = _forth_failure(a, b, z, lsucc, rsucc)
+            if lt is not None:
+                # every right tuple contains a successor unrelated to every
+                # slot of lt, so a diamond over lt's slot certificates
+                # separates a from b
+                bad = sorted(u for u in us if all((v, u) not in z for v in lt))
+                groups = [[(v, u) for u in bad] for v in lt]
+            else:
+                rt = _back_failure(a, b, z, lsucc, rsucc)
+                bad = sorted(v for v in vs if all((v, u) not in z for u in rt))
+                groups = [[(v, u) for v in bad] for u in rt]
+            plans[p] = (d, lt is not None, groups)
+            todo.extend(q for g in groups for q in g)
+        for p, (_, forth, groups) in sorted(plans.items(), key=lambda i: i[1][0]):
+            f = Diamond(disj(_dedupe([
+                conj(_dedupe([certs[q] if forth else Not(certs[q]) for q in g]))
+                for g in groups
+            ])))
+            certs[p] = f if forth else Not(f)
+        return certs[pair]
 
 
 def k_bisim(
@@ -217,10 +220,10 @@ def k_bisim(
 ) -> PairRelation:
     """The stage-k relation of the refinement: decreasing in k, equal to
     the greatest bisimulation once k reaches the pair count."""
-    refinement = _Refinement(left, right, frozenset(alphabet))
-    refinement.run(max_stage=k)
-    stage = refinement.stages[min(k, len(refinement.stages) - 1)]
-    return PairRelation(left, right, stage, frozenset(alphabet))
+    if k < 0:
+        raise InvalidArgumentError("k must be >= 0")
+    partition = _Partition(left, right, frozenset(alphabet), max_stage=k)
+    return partition.relation(partition.stages[min(k, len(partition.stages) - 1)])
 
 
 def greatest_bisim(
@@ -228,9 +231,8 @@ def greatest_bisim(
 ) -> PairRelation:
     """Union of all wa^n-bisimulations between the two models over the
     alphabet (possibly empty)."""
-    refinement = _Refinement(left, right, frozenset(alphabet))
-    refinement.run()
-    return PairRelation(left, right, refinement.stages[-1], frozenset(alphabet))
+    partition = _Partition(left, right, frozenset(alphabet))
+    return partition.relation(partition.stages[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +284,9 @@ def distinguishing_formula(
         raise UnknownWorldError(f"unknown left world {w!r}")
     if v not in right.valuation:
         raise UnknownWorldError(f"unknown right world {v!r}")
-    refinement = _Refinement(left, right, frozenset(alphabet))
-    refinement.run()
-    if (w, v) in refinement.stages[-1]:
+    raw = _Partition(left, right, frozenset(alphabet)).certificate((w, v))
+    if raw is None:
         return None
-    raw = refinement.certificates[(w, v)]
     lev = semantics.ModelEvaluator(left)
     rev = semantics.ModelEvaluator(right)
     for candidate in (simplify_boolean(raw), raw):

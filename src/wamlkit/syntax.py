@@ -112,6 +112,7 @@ def disj(parts: list[Formula]) -> Formula:
 # Parsing
 
 _KEYWORDS = {"true", "false", "box", "dia"}
+_PREFIX = {"not": Not, "box": Box, "dia": Diamond}
 
 _TOKEN_RE = re.compile(
     r"""
@@ -147,10 +148,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Formulas deeper than this are rejected: the parser recurses per
+# parenthesis and prefix operator, and printing, hashing and the
+# evaluators recurse per level of the formula tree.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.open = 0  # enclosing parentheses and prefix operators
+        # id of a built node -> its height; every built node stays in the
+        # tree, so no id is reused while parsing
+        self.height: dict[int, int] = {}
 
     def peek(self):
         return self.tokens[self.i]
@@ -168,46 +179,56 @@ class _Parser:
             )
         return tok
 
+    def enter(self, pos: int) -> None:
+        self.open += 1
+        if self.open > MAX_NESTING:
+            raise FormulaParseError(f"nesting deeper than {MAX_NESTING}", pos)
+
+    def node(self, cls, pos: int, *operands: Formula) -> Formula:
+        height = 1 + max(self.height.get(id(g), 0) for g in operands)
+        if height > MAX_NESTING:
+            raise FormulaParseError(f"nesting deeper than {MAX_NESTING}", pos)
+        f = cls(*operands)
+        self.height[id(f)] = height
+        return f
+
     def formula(self) -> Formula:
         left = self.implication()
         if self.peek()[0] == "iff":
-            self.take()
-            return Iff(left, self.formula())
+            pos = self.take()[2]
+            return self.node(Iff, pos, left, self.formula())
         return left
 
     def implication(self) -> Formula:
         left = self.disjunction()
         if self.peek()[0] == "implies":
-            self.take()
-            return Implies(left, self.implication())
+            pos = self.take()[2]
+            return self.node(Implies, pos, left, self.implication())
         return left
 
     def disjunction(self) -> Formula:
         f = self.conjunction()
         while self.peek()[0] == "or":
-            self.take()
-            f = Or(f, self.conjunction())
+            pos = self.take()[2]
+            f = self.node(Or, pos, f, self.conjunction())
         return f
 
     def conjunction(self) -> Formula:
         f = self.unary()
         while self.peek()[0] == "and":
-            self.take()
-            f = And(f, self.unary())
+            pos = self.take()[2]
+            f = self.node(And, pos, f, self.unary())
         return f
 
     def unary(self) -> Formula:
         kind, _, pos = self.peek()
-        if kind == "not":
-            self.take()
-            return Not(self.unary())
-        if kind == "box":
-            self.take()
-            return Box(self.unary())
-        if kind == "dia":
-            self.take()
-            return Diamond(self.unary())
-        return self.atom()
+        if kind not in _PREFIX:
+            return self.atom()
+        self.take()
+        self.enter(pos)
+        f = self.node(_PREFIX[kind], pos, self.unary())
+        self.open -= 1
+        return f
 
     def atom(self) -> Formula:
         kind, value, pos = self.take()
@@ -218,8 +239,10 @@ class _Parser:
         if kind == "false":
             return Bottom()
         if kind == "lparen":
+            self.enter(pos)
             f = self.formula()
             self.expect("rparen")
+            self.open -= 1
             return f
         raise FormulaParseError(
             f"expected a formula, found {value or 'end of input'!r}", pos
@@ -229,7 +252,9 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse formula text into its AST.
 
-    Raises FormulaParseError (with position) on malformed input.
+    Raises FormulaParseError (with position) on malformed input, and on
+    input nested deeper than ``MAX_NESTING`` parentheses and prefix
+    operators or with a formula tree higher than ``MAX_NESTING``.
     """
     parser = _Parser(_tokenize(text))
     f = parser.formula()

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wamlkit import interp
+from wamlkit import bisim, interp
 from wamlkit.bisim import (
     PairRelation,
     check_bisim,
@@ -14,11 +14,21 @@ from wamlkit.bisim import (
     distinguishing_formula,
     greatest_bisim,
     k_bisim,
+    simplify_boolean,
 )
 from wamlkit.errors import ArityMismatchError, UnknownWorldError
 from wamlkit.model import load, make_model, random_model, restrict_valuation
 from wamlkit.semantics import ModelEvaluator, check
-from wamlkit.syntax import Letter, enumerate_formulas, modal_depth
+from wamlkit.syntax import (
+    Diamond,
+    Letter,
+    Not,
+    conj,
+    disj,
+    enumerate_formulas,
+    modal_depth,
+    print_formula,
+)
 
 from conftest import fixture
 
@@ -287,3 +297,166 @@ def test_triangle_inequality(seed, arity, num_worlds):
         for y in m.worlds:
             for z in m.worlds:
                 assert distance(m, x, z) + distance(m, z, y) >= distance(m, x, y)
+
+
+# ---------------------------------------------------------------------------
+# partition refinement against the pairwise refinement it replaced
+#
+# The reference re-checks every cross pair of the previous stage at every
+# stage and records a certificate for each pair that dies, assembled from
+# the certificates of the previous stage.
+
+
+def _dedupe(parts):
+    seen = set()
+    out = []
+    for p in parts:
+        if p not in seen:
+            seen.add(p)
+            out.append(p)
+    return out
+
+
+class _Refinement:
+    def __init__(self, left, right, alphabet):
+        bisim._require_same_arity(left, right)
+        self.left = left
+        self.right = right
+        self.alphabet = alphabet
+        self.lsucc = left.successors
+        self.rsucc = right.successors
+        lpos = {w: i for i, w in enumerate(left.worlds)}
+        rpos = {w: i for i, w in enumerate(right.worlds)}
+        self.order = lambda pair: (lpos[pair[0]], rpos[pair[1]])
+        self.certificates = {}
+        self.stages = [self._stage_zero()]
+
+    def _stage_zero(self):
+        pairs = set()
+        for a in self.left.worlds:
+            for b in self.right.worlds:
+                la = self.left.valuation[a] & self.alphabet
+                lb = self.right.valuation[b] & self.alphabet
+                if la == lb:
+                    pairs.add((a, b))
+                else:
+                    name = min(la ^ lb)
+                    cert = Letter(name) if name in la else Not(Letter(name))
+                    self.certificates[(a, b)] = cert
+        return frozenset(pairs)
+
+    def _forth_certificate(self, a, b, lt, z):
+        bad = sorted(
+            {
+                u
+                for rt in self.rsucc[b]
+                for u in rt
+                if all((v, u) not in z for v in lt)
+            }
+        )
+        disjuncts = _dedupe(
+            [
+                conj(_dedupe([self.certificates[(v, u)] for u in bad]))
+                for v in lt
+            ]
+        )
+        return Diamond(disj(disjuncts))
+
+    def _back_certificate(self, a, b, rt, z):
+        bad = sorted(
+            {
+                v
+                for lt in self.lsucc[a]
+                for v in lt
+                if all((v, u) not in z for u in rt)
+            }
+        )
+        disjuncts = _dedupe(
+            [
+                conj(_dedupe([Not(self.certificates[(v, u)]) for v in bad]))
+                for u in rt
+            ]
+        )
+        return Not(Diamond(disj(disjuncts)))
+
+    def refine_once(self):
+        z = self.stages[-1]
+        survivors = set()
+        for a, b in sorted(z, key=self.order):
+            lt = bisim._forth_failure(a, b, z, self.lsucc, self.rsucc)
+            if lt is not None:
+                self.certificates[(a, b)] = self._forth_certificate(a, b, lt, z)
+                continue
+            rt = bisim._back_failure(a, b, z, self.lsucc, self.rsucc)
+            if rt is not None:
+                self.certificates[(a, b)] = self._back_certificate(a, b, rt, z)
+                continue
+            survivors.add((a, b))
+        if len(survivors) == len(z):
+            return False
+        self.stages.append(frozenset(survivors))
+        return True
+
+    def run(self):
+        while self.refine_once():
+            pass
+
+
+def _assert_matches_reference(left, right, alphabet):
+    """Every stage, the greatest bisimulation and every printed
+    certificate agree with the reference; returns the reference."""
+    ref = _Refinement(left, right, alphabet)
+    ref.run()
+    stable = len(ref.stages) - 1
+    for k in range(stable + 2):
+        assert k_bisim(left, right, alphabet, k).pairs == ref.stages[min(k, stable)]
+    assert greatest_bisim(left, right, alphabet).pairs == ref.stages[-1]
+    for a in left.worlds:
+        for b in right.worlds:
+            want = None
+            if (a, b) not in ref.stages[-1]:
+                raw = ref.certificates[(a, b)]
+                want = next(
+                    print_formula(g)
+                    for g in (simplify_boolean(raw), raw)
+                    if check(left, a, g) and not check(right, b, g)
+                )
+            got = distinguishing_formula(left, a, right, b, alphabet)
+            assert (got and print_formula(got)) == want, (a, b)
+    return ref
+
+
+def test_partition_refinement_matches_pairwise_reference():
+    rng = random.Random(4242)
+    alphabets = [frozenset(), frozenset({"p"}), frozenset({"p", "q"})]
+    deaths = set()
+    for i in range(150):
+        arity = 1 + i % 3
+        alphabet = alphabets[i // 3 % 3]
+        density = rng.uniform(0, 0.6) / arity**2
+        left = random_model(arity, rng.randint(1, 5), density, alphabet, seed=7000 + i)
+        right = random_model(arity, rng.randint(1, 5), density, alphabet, seed=8000 + i)
+        ref = _assert_matches_reference(left, right, alphabet)
+        deaths.add(len(ref.stages) - 1)
+    # the sample reaches pairs that die at several stages
+    assert {0, 1, 2} <= deaths
+
+
+def test_partition_refinement_self_pair_and_late_death():
+    # one file loaded twice: two equal models that are distinct objects
+    m = load(fixture("m3.json").read_bytes())
+    _assert_matches_reference(m, load(fixture("m3.json").read_bytes()), frozenset({"p", "q"}))
+    # chains of four and three steps: the heads die at stage 3
+    long = make_model(1, "abcd", [("a", "b"), ("b", "c"), ("c", "d")], {})
+    short = make_model(1, "xyz", [("x", "y"), ("y", "z")], {})
+    ref = _assert_matches_reference(long, short, frozenset())
+    assert ("a", "x") in ref.stages[2] and ("a", "x") not in ref.stages[3]
+
+
+def test_partition_signature_uses_minimal_block_sets():
+    # a's tuple {x, y} is answered by c's {z} and adds nothing forth or
+    # back: a and c are bisimilar although their full block sets differ
+    left = make_model(2, "axy", [("a", "x", "x"), ("a", "x", "y")], {"x": ["p"], "y": ["q"]})
+    right = make_model(2, "cz", [("c", "z", "z")], {"z": ["p"]})
+    _assert_matches_reference(left, right, frozenset({"p", "q"}))
+    assert ("a", "c") in greatest_bisim(left, right, frozenset({"p", "q"})).pairs

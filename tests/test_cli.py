@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
@@ -6,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wamlkit.cli import build_parser, main
 from wamlkit.model import random_model, save
+from wamlkit.syntax import MAX_NESTING, parse, print_formula
 
 from conftest import fixture
 
@@ -318,6 +322,13 @@ _BAD_ARGUMENTS = {
     "tptp-bad-ground": [
         "translate", "p", "--arity", "1", "--format", "tptp", "--ground", "Cx",
     ],
+    "bisim-max-negative-k": [
+        "bisim", "max", fixture("m2.json"), fixture("n2.json"), "--k", "-1",
+    ],
+    "mc-3000-negations": ["mc", fixture("cycle.json"), "w", "~" * 3000 + "p"],
+    "mc-1200-parentheses": [
+        "mc", fixture("cycle.json"), "w", "(" * 1200 + "p" + ")" * 1200,
+    ],
 }
 
 
@@ -338,3 +349,114 @@ def test_unread_options_are_rejected(option, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mc", str(fixture("m2.json")), "w", "p", *option])
     assert exc.value.code == 2
+
+
+_NESTED_IDS = ["negations", "parentheses", "conjunction", "box-or"]
+
+
+def _nested(levels):
+    half = (levels + 1) // 2
+    return [
+        "~" * levels + "p",
+        "(" * levels + "p" + ")" * levels,
+        " & ".join(["p"] * (levels + 1)),
+        "box (q | " * half + "p" + ")" * half,
+    ]
+
+
+@pytest.mark.parametrize("text", _nested(MAX_NESTING), ids=_NESTED_IDS)
+def test_formulas_at_the_nesting_limit_are_answered(text):
+    assert main(["mc", str(fixture("cycle.json")), "w", text]) in (0, 1)
+    assert main(["translate", text, "--arity", "1"]) == 0
+    f = parse(text)
+    assert parse(print_formula(f)) == f
+
+
+@pytest.mark.parametrize("text", _nested(MAX_NESTING + 1), ids=_NESTED_IDS)
+def test_formulas_past_the_nesting_limit_exit_2(text, capsys):
+    assert main(["mc", str(fixture("cycle.json")), "w", text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: nesting deeper than") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the exit-code contract: every argv drawn from the subcommand
+# grammar, with junk tokens, bad numbers and deep formulas mixed in, exits
+# 0, 1 or 2 and never prints a traceback
+
+_MODELS = [str(fixture(name)) for name in ("m2.json", "n2.json", "cycle.json", "m3.json")]
+_FILES = _MODELS + [
+    str(fixture(name)) for name in ("z2.json", "proof2.json")
+] + ["no-such-file.json", str(ROOT / "README.md"), ""]
+_WORLDS = ["w", "v", "w1", "v2", "u", "nosuch", "", "-"]
+_FORMULAS = [
+    "p", "box(~p|~q) & dia q", "dia p -> box q", "p <-> ~q", "true", "false",
+    "~" * 3000 + "p", "(" * 1200 + "p" + ")" * 1200, " & ".join(["p"] * 200),
+    "~" * 100 + "p", "p &", "(p", "p)", "P", "box", "", "p && q", "dia dia dia r",
+]
+_NUMBERS = ["-2", "-1", "0", "1", "2", "3", "x", "1.5", ""]
+_JUNK = ["--json", "--nope", "-", "--", "--k", "x", "p", "--letters"]
+
+_file = st.sampled_from(_FILES)
+_model = st.sampled_from(_MODELS + _FILES[-3:])
+_world = st.sampled_from(_WORLDS)
+_formula = st.sampled_from(_FORMULAS)
+_small = st.sampled_from(_NUMBERS)
+
+
+def _opt(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+_letters = _opt("--letters", st.sampled_from(["p", "p,q", "", "q,,p", "P", "p q"]))
+_ARGVS = st.one_of(
+    st.tuples(st.just(["mc"]), _model, _world, _formula),
+    st.tuples(
+        st.just(["sat"]), _formula, _opt("--arity", _small),
+        _opt("--max-worlds", _small), _opt("--budget", st.sampled_from(["0", "5", "-1", "x"])),
+    ),
+    st.tuples(st.just(["bisim", "check"]), _model, _model, _file, _letters),
+    st.tuples(st.just(["bisim", "max"]), _model, _model, _letters, _opt("--k", _small)),
+    st.tuples(st.just(["bisim", "distinguish"]), _model, _world, _model, _world, _letters),
+    st.tuples(
+        st.just(["unravel"]), _model, _world, _opt("--depth", _small),
+        _opt("--budget", st.sampled_from(["0", "3", "-1"])),
+    ),
+    st.tuples(
+        st.just(["translate"]), _formula, _opt("--arity", _small),
+        _opt("--format", st.sampled_from(["text", "tptp", "x"])),
+        _opt("--ground", st.sampled_from(["c0", "Cx", ""])),
+        _opt("--name", st.sampled_from(["ok", "Bad-Name", ""])),
+        _opt("--role", st.sampled_from(["axiom", "conjecture", "x"])),
+    ),
+    st.tuples(st.just(["proof", "check"]), _file),
+    st.tuples(
+        st.just(["interp", "demo"]), _opt("--n", st.sampled_from(["-1", "0", "1", "2", "x"])),
+        _opt("--sat-bound", st.sampled_from(["-1", "0", "1", "2", "x"])),
+    ),
+    st.tuples(
+        st.just(["experiment", "locality"]), _model, _world, _formula,
+        _opt("--max-depth", _small), _opt("--budget", st.sampled_from(["0", "50", "-1"])),
+    ),
+).map(lambda parts: [t for part in parts for t in (part if isinstance(part, list) else [part])])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    _ARGVS,
+    st.lists(st.tuples(st.integers(0, 12), st.sampled_from(_JUNK)), max_size=2),
+    st.booleans(),
+)
+def test_cli_fuzz_exits_0_1_or_2_without_traceback(argv, junk, as_json):
+    for position, token in junk:
+        argv.insert(min(position, len(argv)), token)
+    if as_json:
+        argv.append("--json")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse's usage errors
+            code = e.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -11,14 +11,20 @@ from wamlkit.proof import kn_axiom
 from wamlkit.semantics import bounded_sat, check, valid_on_model
 from wamlkit.syntax import (
     And,
+    Bottom,
     Box,
     Diamond,
+    Iff,
+    Implies,
     Letter,
     Not,
+    Or,
+    Top,
     ast_size,
     enumerate_formulas,
     letters,
     parse,
+    print_formula,
 )
 
 from conftest import fixture, random_formula
@@ -290,3 +296,143 @@ def test_bounded_sat_leaves_no_cyclic_garbage():
         freed = gc.collect()
         gc.enable()
     assert freed < 72
+
+
+# ---------------------------------------------------------------------------
+# bounded_sat against brute-force model enumeration
+#
+# All models with k worlds over the letters of a formula are listed in
+# canonical order (relation as a sorted tuple list, then valuation as a
+# tuple of sorted letter lists) and evaluated at once: bit m of a world's
+# mask is the truth there in model m.  The evaluator shares no code with
+# the package's.
+
+
+class _Universe:
+    def __init__(self, arity, k, letter_list):
+        self.arity = arity
+        self.worlds = tuple(f"w{i}" for i in range(k))
+        self.candidates = sorted(itertools.product(range(k), repeat=arity + 1))
+        self.relations = sorted(
+            list(c)
+            for r in range(len(self.candidates) + 1)
+            for c in itertools.combinations(self.candidates, r)
+        )
+        subsets = sorted(
+            c
+            for r in range(len(letter_list) + 1)
+            for c in itertools.combinations(letter_list, r)
+        )
+        self.valuations = list(itertools.product(subsets, repeat=k))
+        # model m = relation index * len(valuations) + valuation index
+        width = len(self.valuations)
+        block = (1 << width) - 1
+        repeat = sum(1 << (r * width) for r in range(len(self.relations)))
+        self.full = block * repeat
+        self.tuple_mask = {
+            t: sum(block << (r * width) for r, rel in enumerate(self.relations) if t in rel)
+            for t in self.candidates
+        }
+        self.letter_mask = {
+            a: [
+                repeat * sum(1 << v for v, val in enumerate(self.valuations) if a in val[i])
+                for i in range(k)
+            ]
+            for a in letter_list
+        }
+
+    def masks(self, f, memo):
+        """Per world index, the models where f holds there."""
+        if f in memo:
+            return memo[f]
+        full, k = self.full, len(self.worlds)
+        match f:
+            case Letter(name):
+                out = self.letter_mask[name]
+            case Top():
+                out = [full] * k
+            case Bottom():
+                out = [0] * k
+            case Not(g):
+                out = [full & ~x for x in self.masks(g, memo)]
+            case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
+                op = {
+                    And: lambda x, y: x & y,
+                    Or: lambda x, y: x | y,
+                    Implies: lambda x, y: (full & ~x) | y,
+                    Iff: lambda x, y: full & ~(x ^ y),
+                }[type(f)]
+                out = [op(x, y) for x, y in zip(self.masks(l, memo), self.masks(r, memo))]
+            case Box(g) | Diamond(g):
+                gm = self.masks(g, memo)
+                out = []
+                for i in range(k):
+                    tuples = [t for t in self.candidates if t[0] == i]
+                    if isinstance(f, Box):
+                        # every tuple from i has some slot where g holds
+                        bits = full
+                        for t in tuples:
+                            some = 0
+                            for j in t[1:]:
+                                some |= gm[j]
+                            bits &= (full & ~self.tuple_mask[t]) | some
+                    else:
+                        # some tuple from i has g at every slot
+                        bits = 0
+                        for t in tuples:
+                            every = self.tuple_mask[t]
+                            for j in t[1:]:
+                                every &= gm[j]
+                            bits |= every
+                    out.append(bits)
+        memo[f] = out
+        return out
+
+    def model(self, m, world):
+        relation, valuation = divmod(m, len(self.valuations))
+        ws = self.worlds
+        pointed = make_model(
+            self.arity,
+            ws,
+            [tuple(ws[i] for i in t) for t in self.relations[relation]],
+            dict(zip(ws, self.valuations[valuation])),
+        )
+        return PointedModel(pointed, ws[world])
+
+
+def _brute_force_sat(f, arity, max_worlds, universes):
+    """The least point satisfying f with at most max_worlds worlds, or None."""
+    letter_list = tuple(sorted(letters(f)))
+    for k in range(1, max_worlds + 1):
+        key = (arity, k, letter_list)
+        if key not in universes:
+            universes[key] = (_Universe(arity, k, letter_list), {})
+        universe, memo = universes[key]
+        masks = universe.masks(f, memo)
+        first = 0
+        for x in masks:
+            first |= x
+        if first:
+            m = (first & -first).bit_length() - 1
+            return universe.model(m, next(i for i, x in enumerate(masks) if x >> m & 1))
+    return None
+
+
+def test_bounded_sat_matches_brute_force_enumeration():
+    formulas = list(enumerate_formulas({"p", "q"}, 2, 5))
+    # no formula above has a first model true at two worlds; this one's
+    # is the two-cycle w0 (no p) <-> w1 (p)
+    two_points = parse("((p & dia ~p) | (~p & dia p)) & box dia true")
+    # and none needs three worlds; this chain does at arity 1
+    chain = parse("~p & ~q & dia (p & ~q & dia (q & ~p))")
+    universes = {}
+    for arity, max_worlds in ((1, 3), (2, 2)):
+        sizes = []
+        for f in formulas + [chain, two_points]:
+            want = _brute_force_sat(f, arity, max_worlds, universes)
+            assert bounded_sat(f, arity, max_worlds) == want, (print_formula(f), arity)
+            sizes.append(want and len(want.model.worlds))
+        m = want.model
+        assert [w for w in m.worlds if check(m, w, two_points)] == ["w0", "w1"]
+        # unsatisfiable answers and witnesses of every size are checked
+        assert set(sizes) == {None, *range(1, max_worlds + 1)}

@@ -285,3 +285,17 @@ def test_fold_mask_caches_every_new_mask():
     assert fold_mask(parse("~(p <-> q) -> p & q"), 0b1111, None, cache) == 0b1001
     assert cache[parse("p & q")] == 0b1000
     assert fold_mask(parse("true | false"), 0b1111, None, cache) == 0b1111
+
+
+def test_parse_rejects_deep_nesting_at_the_first_excess_level():
+    # the 101st prefix operator or parenthesis, and the operator that
+    # makes the formula tree 101 high
+    for text, position in [
+        ("~" * 3000 + "p", 100),
+        ("(" * 1200 + "p" + ")" * 1200, 100),
+        ("dia (" * 60 + "p" + ")" * 60, 5 * 50),
+        (" & ".join(["p"] * 3000), 4 * 100 + 2),
+    ]:
+        with pytest.raises(FormulaParseError) as exc:
+            parse(text)
+        assert exc.value.position == position
