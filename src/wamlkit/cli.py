@@ -74,15 +74,11 @@ def _cmd_mc(args) -> int:
     m = model.load(_read(args.model))
     f = syntax.parse(args.formula)
     value = semantics.check(m, args.world, f)
+    text = syntax.print_formula(f)
     _emit(
         args,
-        {
-            "command": "mc",
-            "world": args.world,
-            "formula": syntax.print_formula(f),
-            "value": value,
-        },
-        [f"{'true' if value else 'false'} at {args.world}: {syntax.print_formula(f)}"],
+        {"command": "mc", "world": args.world, "formula": text, "value": value},
+        [f"{'true' if value else 'false'} at {args.world}: {text}"],
     )
     return 0 if value else 1
 
@@ -181,15 +177,16 @@ def _cmd_bisim_distinguish(args) -> int:
             [f"{args.w} and {args.v} are bisimilar over the alphabet"],
         )
         return 1
+    text = syntax.print_formula(f)
     _emit(
         args,
         {
             "command": "bisim-distinguish",
             "alphabet": sorted(alphabet),
             "distinguishable": True,
-            "formula": syntax.print_formula(f),
+            "formula": text,
         },
-        [f"true at {args.w}, false at {args.v}: {syntax.print_formula(f)}"],
+        [f"true at {args.w}, false at {args.v}: {text}"],
     )
     return 0
 
@@ -248,15 +245,16 @@ def _cmd_proof_check(args) -> int:
     script = proof.load_script(_read(args.script))
     report = proof.check_script(script)
     if report is None:
+        theorem = syntax.print_formula(script.theorem())
         _emit(
             args,
             {
                 "command": "proof-check",
                 "ok": True,
                 "arity": script.arity,
-                "theorem": syntax.print_formula(script.theorem()),
+                "theorem": theorem,
             },
-            [f"ok: derives {syntax.print_formula(script.theorem())}"],
+            [f"ok: derives {theorem}"],
         )
         return 0
     _emit(
@@ -354,9 +352,10 @@ def _cmd_experiment_locality(args) -> int:
         m, args.world, f, args.max_depth, max_nodes=args.budget
     )
     least = sweep.least_stable_depth
+    text = syntax.print_formula(f)
     lines = [
         "EXPERIMENT locality sweep (no optimality asserted)",
-        f"EXPERIMENT formula: {syntax.print_formula(f)}; "
+        f"EXPERIMENT formula: {text}; "
         f"value at {args.world}: {sweep.reference}",
     ]
     for depth, agree in enumerate(sweep.agree):
@@ -372,7 +371,7 @@ def _cmd_experiment_locality(args) -> int:
         args,
         {
             "command": "experiment-locality",
-            "formula": syntax.print_formula(f),
+            "formula": text,
             "world": args.world,
             "reference": sweep.reference,
             "sweep": [

@@ -33,11 +33,13 @@ from .syntax import (
     Or,
     Top,
     bit_pattern,
+    compile_formula,
     conj,
     disj,
-    fold_mask,
+    fold,
     parse,
     print_formula,
+    run_program,
 )
 
 MAX_TAUTOLOGY_ATOMS = 20
@@ -108,63 +110,43 @@ class LineReport:
 # ---------------------------------------------------------------------------
 # Normalization and propositional abstraction
 
+def _expand_step(node: Formula, op: type, *operands: Formula) -> Formula:
+    if op is Diamond:
+        return Not(Box(Not(*operands)))
+    return op(*operands) if operands else node
+
+
 def expand_diamonds(f: Formula) -> Formula:
     """Rewrite every diamond into its negated-box form."""
-    match f:
-        case Letter() | Top() | Bottom():
-            return f
-        case Not(g):
-            return Not(expand_diamonds(g))
-        case And(l, r):
-            return And(expand_diamonds(l), expand_diamonds(r))
-        case Or(l, r):
-            return Or(expand_diamonds(l), expand_diamonds(r))
-        case Implies(l, r):
-            return Implies(expand_diamonds(l), expand_diamonds(r))
-        case Iff(l, r):
-            return Iff(expand_diamonds(l), expand_diamonds(r))
-        case Box(g):
-            return Box(expand_diamonds(g))
-        case Diamond(g):
-            return Not(Box(Not(expand_diamonds(g))))
-    raise TypeError(f"not a formula: {f!r}")
+    return fold(f, _expand_step)
 
 
-def _atoms_of(f: Formula, acc: dict[Formula, None]) -> None:
-    # maximal boxed subformulas and letters, after diamond expansion
-    match f:
-        case Letter() | Box():
-            acc.setdefault(f)
-        case Top() | Bottom():
-            pass
-        case Not(g):
-            _atoms_of(g, acc)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            _atoms_of(l, acc)
-            _atoms_of(r, acc)
-        case _:
-            raise TypeError(f"unexpected formula: {f!r}")
+class _PropositionalAtoms:
+    """Letters and boxes: the atoms of the propositional abstraction."""
+
+    def __contains__(self, g: Formula) -> bool:
+        return type(g) is Letter or type(g) is Box
 
 
 def is_tautology(f: Formula) -> bool:
     """Exact truth-table check after abstracting maximal boxed subformulas
     (syntactically identical boxes share an atom, nothing else does).
 
-    The 2**k rows over k atoms are checked bit-parallel in one fold: atom
-    b takes ``bit_pattern(b, 2**k)`` and f must come out true in every
-    row."""
-    expanded = expand_diamonds(f)
-    atoms: dict[Formula, None] = {}
-    _atoms_of(expanded, atoms)
+    The diamond-free form of f is compiled once with its letters and
+    maximal boxes as known leaves, and its program is run once over all
+    2**k rows of the k atoms: atom b takes ``bit_pattern(b, 2**k)``, and
+    f must come out true in every row."""
+    program = compile_formula(expand_diamonds(f), _PropositionalAtoms())
+    atoms = [node for node, op, _, _ in program if op is None]
     if len(atoms) > MAX_TAUTOLOGY_ATOMS:
         raise BudgetExceededError(
             f"tautology check over {len(atoms)} atoms exceeds the cap of "
             f"{MAX_TAUTOLOGY_ATOMS}"
         )
     rows = 1 << len(atoms)
-    cache = {g: bit_pattern(b, rows) for b, g in enumerate(atoms)}
+    columns = {g: bit_pattern(b, rows) for b, g in enumerate(atoms)}
     full = (1 << rows) - 1
-    return fold_mask(expanded, full, None, cache) == full
+    return run_program(program, full, None, columns)[-1] == full
 
 
 def tautological_consequence(premises: list[Formula], conclusion: Formula) -> bool:
@@ -198,10 +180,6 @@ def kn_axiom(arity: int, substitution: Mapping[str, Formula]) -> Formula:
 # ---------------------------------------------------------------------------
 # Script checking
 
-def _norm(f: Formula) -> Formula:
-    return expand_diamonds(f)
-
-
 def check_script(script: ProofScript) -> LineReport | None:
     """None when every line validates; otherwise the first invalid line
     with the reason."""
@@ -211,7 +189,7 @@ def check_script(script: ProofScript) -> LineReport | None:
         return LineReport(0, "script has no lines")
     norms: list[Formula] = []
     for number, line in enumerate(script.lines, start=1):
-        current = _norm(line.formula)
+        current = expand_diamonds(line.formula)
 
         def cited(index: int) -> Formula | None:
             if not 1 <= index < number:
@@ -242,7 +220,7 @@ def _check_line(arity, current, just, cited) -> str | None:
                     "substitution domain must be exactly "
                     f"{{{', '.join(sorted(expected_names))}}}"
                 )
-            expected = _norm(kn_axiom(arity, subst))
+            expected = expand_diamonds(kn_axiom(arity, subst))
             if current != expected:
                 return (
                     "formula is not the stated axiom instance; expected "

@@ -222,29 +222,26 @@ def _demand_satisfiable(
     cached = memo.get(key)
     if cached is not None:
         return cached
-    # minimum number of slots covering all constraint pools (exact set cover)
+    # set cover by at most ``arity`` slots: the pool's types grouped by the
+    # set of constraint pools each one hits, one bit-parallel split per pool
     budget.spend()
-    coverages = set()
-    for t in _iter_bits(pool):
-        cov = 0
-        for j, hp in enumerate(hit_pools):
-            if hp >> t & 1:
-                cov |= 1 << j
-        coverages.add(cov)
+    groups = {0: pool}  # hit set -> the pool's types with exactly that hit set
+    for j, hp in enumerate(hit_pools):
+        split = {}
+        for hits, types in groups.items():
+            hit, missed = types & hp, types & ~hp
+            if hit:
+                split[hits | 1 << j] = hit
+            if missed:
+                split[hits] = missed
+        groups = split
     target = (1 << len(hit_pools)) - 1
-    best = {0: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for cov in coverages:
-                merged = state | cov
-                cost = best[state] + 1
-                if merged not in best or best[merged] > cost:
-                    best[merged] = cost
-                    nxt.append(merged)
-        frontier = nxt
-    ok = best.get(target, arity + 1) <= arity
+    reached = {0}
+    for _ in range(arity):
+        reached = {s | c for s in reached for c in groups}
+        if target in reached:
+            break
+    ok = target in reached
     memo[key] = ok
     return ok
 

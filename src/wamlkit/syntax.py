@@ -13,32 +13,36 @@ import random
 import re
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Container, Iterable, Iterator, Mapping
+from operator import attrgetter
+from typing import Callable, Container, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import FormulaParseError
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
 class Formula:
-    def __hash__(self) -> int:
-        # computed once per node and tagged with the class, so that
-        # ``Top()``/``Bottom()`` and ``Not``/``Box``/``Diamond`` of one
-        # operand hash apart; before the first call the instance dict holds
-        # exactly the dataclass fields
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((type(self), *self.__dict__.values()))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __post_init__(self) -> None:
+        # the hash is computed once, when the node is built, from operands
+        # that already carry theirs (so no hash recurses), and is tagged
+        # with the class, so that ``Top()``/``Bottom()`` and
+        # ``Not``/``Box``/``Diamond`` of one operand hash apart
+        attrs = self.__dict__  # the dataclass fields, in order
+        attrs["_hash"] = hash((type(self), *attrs.values()))
 
-    def __getstate__(self) -> dict:
-        # a cached hash is only meaningful in the process that computed it
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through the constructor: a hash is only meaningful in the
+        # process that computed it
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
 def _node(cls):
-    """A frozen dataclass formula node with the cached, class-tagged hash
-    of ``Formula`` (the dataclass decorator would generate its own)."""
+    """A frozen dataclass formula node with the build-time, class-tagged
+    hash of ``Formula`` (the dataclass decorator would generate its own)."""
     cls = dataclass(frozen=True)(cls)
     cls.__hash__ = Formula.__hash__
     return cls
@@ -149,8 +153,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 # Formulas deeper than this are rejected: the parser recurses per
-# parenthesis and prefix operator, and printing, hashing and the
-# evaluators recurse per level of the formula tree.
+# parenthesis and prefix operator, and ``translate.st``, ``==`` and
+# pickling per level of the formula tree.  Hashing, printing, the metrics
+# and the evaluators do not recurse, so they answer on formulas built
+# deeper through the API.
 MAX_NESTING = 100
 
 
@@ -265,135 +271,29 @@ def parse(text: str) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Printing
-
-_PREC_IFF = 1
-_PREC_IMPLIES = 2
-_PREC_OR = 3
-_PREC_AND = 4
-_PREC_UNARY = 5
-_PREC_ATOM = 6
-
-
-def _prec(f: Formula) -> int:
-    match f:
-        case Letter() | Top() | Bottom():
-            return _PREC_ATOM
-        case Not() | Box() | Diamond():
-            return _PREC_UNARY
-        case And():
-            return _PREC_AND
-        case Or():
-            return _PREC_OR
-        case Implies():
-            return _PREC_IMPLIES
-        case Iff():
-            return _PREC_IFF
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _render(f: Formula, min_prec: int) -> str:
-    match f:
-        case Letter(name):
-            s = name
-        case Top():
-            s = "true"
-        case Bottom():
-            s = "false"
-        case Not(g):
-            s = "~" + _render(g, _PREC_UNARY)
-        case Box(g):
-            s = "box " + _render(g, _PREC_UNARY)
-        case Diamond(g):
-            s = "dia " + _render(g, _PREC_UNARY)
-        case And(l, r):
-            s = _render(l, _PREC_AND) + " & " + _render(r, _PREC_AND + 1)
-        case Or(l, r):
-            s = _render(l, _PREC_OR) + " | " + _render(r, _PREC_OR + 1)
-        case Implies(l, r):
-            s = _render(l, _PREC_IMPLIES + 1) + " -> " + _render(r, _PREC_IMPLIES)
-        case Iff(l, r):
-            s = _render(l, _PREC_IFF + 1) + " <-> " + _render(r, _PREC_IFF)
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-    if _prec(f) < min_prec:
-        return "(" + s + ")"
-    return s
-
-
-def print_formula(f: Formula) -> str:
-    """Render with minimal parentheses; ``parse(print_formula(f)) == f``."""
-    return _render(f, _PREC_IFF)
-
-
-# ---------------------------------------------------------------------------
-# Structural metrics
-
-def modal_depth(f: Formula) -> int:
-    match f:
-        case Letter() | Top() | Bottom():
-            return 0
-        case Not(g):
-            return modal_depth(g)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return max(modal_depth(l), modal_depth(r))
-        case Box(g) | Diamond(g):
-            return modal_depth(g) + 1
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def letters(f: Formula) -> frozenset[str]:
-    """The set of letter names occurring in f."""
-    match f:
-        case Letter(name):
-            return frozenset({name})
-        case Top() | Bottom():
-            return frozenset()
-        case Not(g) | Box(g) | Diamond(g):
-            return letters(g)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return letters(l) | letters(r)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def ast_size(f: Formula) -> int:
-    match f:
-        case Letter() | Top() | Bottom():
-            return 1
-        case Not(g) | Box(g) | Diamond(g):
-            return ast_size(g) + 1
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return ast_size(l) + ast_size(r) + 1
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def formula_key(f: Formula) -> tuple[int, str]:
-    """Canonical ordering key: AST size first, rendered text second."""
-    return (ast_size(f), print_formula(f))
-
-
-# ---------------------------------------------------------------------------
-# Bit-parallel boolean folding
+# Programs and folds
 #
-# A mask is an integer whose bit i is the truth value in row i (a world of
-# a model, a type of a type space, a row of a truth table); ``full`` has
-# every row bit set.  A formula is folded through its program: its
-# distinct subformulas in post-order, each with the program indices of its
-# operands, so that a formula evaluated many times (once per candidate
-# model of a search) is compiled once.
+# A formula is walked through its program: its distinct subformulas in
+# post-order, each with the program indices of its operands.  Printing,
+# the metrics and diamond expansion are steps of ``fold`` over it, and the
+# bit-parallel evaluators run it through ``run_program``; none of them
+# recurses, so nesting depth is no limit.
 
 Instruction = tuple[Formula, type | None, int, int]
 
+# the operands of a node, by its class
+_OPERANDS: dict[type, Callable[[Formula], tuple[Formula, ...]]] = {
+    **dict.fromkeys((Letter, Top, Bottom), lambda g: ()),
+    **dict.fromkeys((Not, Box, Diamond), lambda g: (g.operand,)),
+    **dict.fromkeys((And, Or, Implies, Iff), attrgetter("left", "right")),
+}
+
 
 def _operands(g: Formula) -> tuple[Formula, ...]:
-    match g:
-        case Not(h) | Box(h) | Diamond(h):
-            return (h,)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return (l, r)
-        case Letter() | Top() | Bottom():
-            return ()
-    raise TypeError(f"not a formula: {g!r}")
+    try:
+        return _OPERANDS[type(g)](g)
+    except KeyError:
+        raise TypeError(f"not a formula: {g!r}") from None
 
 
 def compile_formula(f: Formula, known: Container[Formula] = ()) -> list[Instruction]:
@@ -401,8 +301,7 @@ def compile_formula(f: Formula, known: Container[Formula] = ()) -> list[Instruct
     before the formulas they occur in, f last), each as ``(node,
     connective, left, right)`` with the node's class as connective and the
     program indices of its operands, -1 where there is none.  Subformulas
-    in ``known`` are not descended into and get connective None.  Built
-    without recursion, so nesting depth is no limit."""
+    in ``known`` are not descended into and get connective None."""
     index: dict[Formula, int] = {}
     program: list[Instruction] = []
     stack = [f]
@@ -430,6 +329,92 @@ def compile_formula(f: Formula, known: Container[Formula] = ()) -> list[Instruct
         a, b = (*slots, -1, -1)[:2]
         program.append((g, op, a, b))
     return program
+
+
+def fold(f: Formula, step: Callable[..., _T]) -> _T:
+    """The value of f under ``step``: each distinct subformula g, operands
+    first, gets ``step(g, type(g), *operand_values)``, where the operand
+    values are the ones step gave g's operands."""
+    values: list = []
+    push = values.append
+    for node, op, a, b in compile_formula(f):
+        if b >= 0:
+            push(step(node, op, values[a], values[b]))
+        elif a >= 0:
+            push(step(node, op, values[a]))
+        else:
+            push(step(node, op))
+    return values[-1]
+
+
+# ---------------------------------------------------------------------------
+# Printing and structural metrics
+
+# connective -> (its precedence, prefix, infix, least precedence an operand
+# is printed with unparenthesised, per operand); letters have precedence 6,
+# and the arrows nest to the right
+_NOTATION = {
+    Top: (6, "true", "", ()),
+    Bottom: (6, "false", "", ()),
+    Not: (5, "~", "", (5,)),
+    Box: (5, "box ", "", (5,)),
+    Diamond: (5, "dia ", "", (5,)),
+    And: (4, "", " & ", (4, 5)),
+    Or: (3, "", " | ", (3, 4)),
+    Implies: (2, "", " -> ", (3, 2)),
+    Iff: (1, "", " <-> ", (2, 1)),
+}
+
+
+def _print_step(node: Formula, op: type, *operands: tuple[int, str]) -> tuple[int, str]:
+    # the precedence and text of a node from those of its operands
+    if op is Letter:
+        return 6, node.name
+    prec, prefix, infix, least = _NOTATION[op]
+    texts = [t if p >= m else f"({t})" for (p, t), m in zip(operands, least)]
+    return prec, prefix + infix.join(texts)
+
+
+def print_formula(f: Formula) -> str:
+    """Render with minimal parentheses; ``parse(print_formula(f)) == f``."""
+    return fold(f, _print_step)[1]
+
+
+def _depth_step(node: Formula, op: type, *depths: int) -> int:
+    return max(depths, default=0) + (op is Box or op is Diamond)
+
+
+def modal_depth(f: Formula) -> int:
+    return fold(f, _depth_step)
+
+
+def letters(f: Formula) -> frozenset[str]:
+    """The set of letter names occurring in f."""
+
+    def step(g: Formula, op: type, *names: frozenset[str]) -> frozenset[str]:
+        return frozenset((g.name,)) if op is Letter else frozenset().union(*names)
+
+    return fold(f, step)
+
+
+def ast_size(f: Formula) -> int:
+    """The number of nodes of f as a tree (a repeated subformula counts
+    once per occurrence)."""
+    return fold(f, lambda g, op, *sizes: 1 + sum(sizes))
+
+
+def formula_key(f: Formula) -> tuple[int, str]:
+    """Canonical ordering key: AST size first, rendered text second."""
+    return (ast_size(f), print_formula(f))
+
+
+# ---------------------------------------------------------------------------
+# Bit-parallel boolean folding
+#
+# A mask is an integer whose bit i is the truth value in row i (a world of
+# a model, a type of a type space, a row of a truth table); ``full`` has
+# every row bit set.  A formula evaluated many times (once per candidate
+# model of a search) is compiled once and its program run per candidate.
 
 
 def run_program(
@@ -514,37 +499,38 @@ def enumerate_formulas(
     """
     atoms: list[Formula] = [Letter(a) for a in sorted(set(alphabet))]
     atoms += [Top(), Bottom()]
-    by_size: dict[int, list[Formula]] = {}
-    depths: dict[Formula, int] = {}
+    # per size: (formula, modal depth, printed form), in text order; a new
+    # formula gets its depth and printed form from its operands' by the
+    # steps of ``modal_depth`` and ``print_formula``
+    Entry = tuple[Formula, int, tuple[int, str]]
+    by_size: dict[int, list[Entry]] = {}
+
+    def entry(op: type, *operands: Entry) -> Entry:
+        formulas, depths, printed = zip(*operands)
+        f = op(*formulas)
+        return f, _depth_step(f, op, *depths), _print_step(f, op, *printed)
 
     for size in range(1, size_budget + 1):
-        bucket: list[Formula] = []
         if size == 1:
-            bucket.extend(atoms)
-            for a in atoms:
-                depths[a] = 0
+            bucket = [(a, 0, _print_step(a, type(a))) for a in atoms]
         else:
-            for g in by_size.get(size - 1, ()):
-                if not isinstance(g, (Not, Top, Bottom)):
-                    bucket.append(Not(g))
-                    depths[Not(g)] = depths[g]
-                if depths[g] + 1 <= depth:
-                    for wrap in (Box, Diamond):
-                        bucket.append(wrap(g))
-                        depths[wrap(g)] = depths[g] + 1
-            for lsize in range(1, size - 1):
+            bucket = []
+            for e in by_size.get(size - 1, ()):
+                if not isinstance(e[0], (Not, Top, Bottom)):
+                    bucket.append(entry(Not, e))
+                if e[1] < depth:
+                    bucket += [entry(Box, e), entry(Diamond, e)]
+            # binary operands are ordered by (size, text), so the left one
+            # is never the larger
+            for lsize in range(1, (size - 1) // 2 + 1):
                 rsize = size - 1 - lsize
                 for a in by_size.get(lsize, ()):
-                    ka = formula_key(a)
                     for b in by_size.get(rsize, ()):
-                        if ka < formula_key(b):
-                            for comb in (And, Or):
-                                f = comb(a, b)
-                                bucket.append(f)
-                                depths[f] = max(depths[a], depths[b])
-        bucket.sort(key=print_formula)
+                        if lsize < rsize or a[2][1] < b[2][1]:
+                            bucket += [entry(And, a, b), entry(Or, a, b)]
+        bucket.sort(key=lambda e: e[2][1])
         by_size[size] = bucket
-        yield from bucket
+        yield from (f for f, _, _ in bucket)
 
 
 def random_formula(

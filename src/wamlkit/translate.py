@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import InvalidArgumentError
+from .errors import BudgetExceededError, InvalidArgumentError
 from .model import NModel
 from .syntax import (
     And,
@@ -26,7 +26,12 @@ from .syntax import (
     Not,
     Or,
     Top,
+    fold,
 )
+
+# The standard translation copies a modal operand once per slot, so its
+# size grows as arity**depth; larger translations are refused.
+MAX_TRANSLATION_NODES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -90,15 +95,38 @@ class Exists(FolFormula):
     body: FolFormula
 
 
+def st_size(f: Formula, arity: int) -> int:
+    """The number of nodes of ``st(f, arity)``, counted without building it."""
+
+    def step(node: Formula, op: type, *sizes: int) -> int:
+        if op is Box or op is Diamond:
+            # n copies of the operand under n - 1 binary connectives, the
+            # relation atom and its connective, and n quantifiers
+            return arity * sizes[0] + 2 * arity + 1
+        if op is Iff:
+            # two implications under a conjunction, each operand twice
+            return 3 + 2 * sum(sizes)
+        return 1 + sum(sizes)
+
+    return fold(f, step)
+
+
 def st(f: Formula, arity: int, free_var: str = "x") -> FolFormula:
     """Standard translation of f with the given free variable.
 
     Bound variables are y1..yn for the first modal operator reached and
     y1_c..yn_c (c = 1, 2, ...) for each later one, so no variable is ever
-    bound twice along a path.
+    bound twice along a path.  Raises BudgetExceededError when the
+    translation would have more than ``MAX_TRANSLATION_NODES`` nodes.
     """
     if arity < 1:
         raise InvalidArgumentError("arity must be >= 1")
+    size = st_size(f, arity)
+    if size > MAX_TRANSLATION_NODES:
+        raise BudgetExceededError(
+            f"the translation would have {size} nodes, more than the cap of "
+            f"{MAX_TRANSLATION_NODES}"
+        )
     counter = 0
 
     def fresh() -> list[str]:

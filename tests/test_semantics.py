@@ -283,6 +283,23 @@ def test_bounded_sat_budget_pins(text, arity, max_worlds, budget):
         bounded_sat(f, arity, max_worlds, budget=budget - 1)
 
 
+def test_demand_check_matches_brute_force():
+    # the set-cover check against trying every arity-slot tuple of the pool
+    rng = random.Random(8)
+    for _ in range(3000):
+        inside, u_mask = rng.getrandbits(10), rng.getrandbits(10)
+        constraints = [rng.getrandbits(10) for _ in range(rng.randint(0, 6))]
+        arity = rng.randint(1, 3)
+        pool = [t for t in range(10) if (inside & u_mask) >> t & 1]
+        want = any(
+            all(any(c >> t & 1 for t in slots) for c in constraints)
+            for slots in itertools.combinations_with_replacement(pool, arity)
+        )
+        budget = semantics._Budget(10**9)
+        got = semantics._demand_satisfiable(inside, constraints, u_mask, arity, budget, {})
+        assert got == want, (inside, constraints, u_mask, arity)
+
+
 def test_bounded_sat_leaves_no_cyclic_garbage():
     # every allocation of the search is freed by reference counting; with
     # per-call reference cycles this query left 310,699 objects to the

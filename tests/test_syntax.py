@@ -1,9 +1,12 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from wamlkit import proof, semantics
 from wamlkit.errors import FormulaParseError
+from wamlkit.model import make_model
 from wamlkit.syntax import (
     And,
     Bottom,
@@ -17,6 +20,7 @@ from wamlkit.syntax import (
     Top,
     ast_size,
     compile_formula,
+    conj,
     enumerate_formulas,
     fold_mask,
     formula_key,
@@ -247,8 +251,8 @@ def test_cached_hash_stays_in_its_process():
     f = parse("box (p & q) -> dia ~(p <-> true)")
     assert {f: 1}[parse(print_formula(f))] == 1
     # another process hashes differently, so the cache is not pickled
+    assert b"_hash" not in pickle.dumps(f)
     g = pickle.loads(pickle.dumps(f))
-    assert "_hash" not in vars(g) and "_hash" not in vars(g.left)
     assert g == f and hash(g) == hash(f)
 
 
@@ -299,3 +303,127 @@ def test_parse_rejects_deep_nesting_at_the_first_excess_level():
         with pytest.raises(FormulaParseError) as exc:
             parse(text)
         assert exc.value.position == position
+
+
+# The recursive printer that ``print_formula`` replaced, kept as its reference.
+_PREC_IFF = 1
+_PREC_IMPLIES = 2
+_PREC_OR = 3
+_PREC_AND = 4
+_PREC_UNARY = 5
+_PREC_ATOM = 6
+
+
+def _prec(f):
+    match f:
+        case Letter() | Top() | Bottom():
+            return _PREC_ATOM
+        case Not() | Box() | Diamond():
+            return _PREC_UNARY
+        case And():
+            return _PREC_AND
+        case Or():
+            return _PREC_OR
+        case Implies():
+            return _PREC_IMPLIES
+        case Iff():
+            return _PREC_IFF
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _render(f, min_prec):
+    match f:
+        case Letter(name):
+            s = name
+        case Top():
+            s = "true"
+        case Bottom():
+            s = "false"
+        case Not(g):
+            s = "~" + _render(g, _PREC_UNARY)
+        case Box(g):
+            s = "box " + _render(g, _PREC_UNARY)
+        case Diamond(g):
+            s = "dia " + _render(g, _PREC_UNARY)
+        case And(l, r):
+            s = _render(l, _PREC_AND) + " & " + _render(r, _PREC_AND + 1)
+        case Or(l, r):
+            s = _render(l, _PREC_OR) + " | " + _render(r, _PREC_OR + 1)
+        case Implies(l, r):
+            s = _render(l, _PREC_IMPLIES + 1) + " -> " + _render(r, _PREC_IMPLIES)
+        case Iff(l, r):
+            s = _render(l, _PREC_IFF + 1) + " <-> " + _render(r, _PREC_IFF)
+        case _:
+            raise TypeError(f"not a formula: {f!r}")
+    if _prec(f) < min_prec:
+        return "(" + s + ")"
+    return s
+
+
+def test_print_matches_the_reference_printer():
+    for f in enumerate_formulas({"p", "q"}, 2, 7):
+        assert print_formula(f) == _render(f, _PREC_IFF)
+    rng = random.Random(5)
+    formulas = [random_formula(rng, ["p", "q", "r"], 3, rng.randint(1, 30)) for _ in range(500)]
+    assert {type(f) for g in formulas for f, _, _, _ in compile_formula(g)} >= {Implies, Iff}
+    for f in formulas:
+        assert print_formula(f) == _render(f, _PREC_IFF)
+
+
+def test_enumeration_stream_frozen():
+    text = "".join(print_formula(f) + "\n" for f in enumerate_formulas({"p", "q"}, 2, 7))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "923adab525b803edb0e93b2b5075fe3d773702c687c1ce3d5df86b350c39787e"
+    )
+
+
+def _chain(wrap, n):
+    f = Letter("p")
+    for _ in range(n):
+        f = wrap(f)
+    return f
+
+
+_LOOP = make_model(1, ["w"], [("w", "w")], {"w": ["p"]})
+
+# the calls that must answer on formulas far deeper than the interpreter's
+# recursion limit, built through the API
+_CALLS = {
+    "hash": lambda f: type(hash(f)),
+    "compile_formula": lambda f: len(compile_formula(f)),
+    "print_formula": print_formula,
+    "modal_depth": modal_depth,
+    "letters": letters,
+    "ast_size": ast_size,
+    "check": lambda f: semantics.check(_LOOP, "w", f),
+    "is_tautology": proof.is_tautology,
+}
+
+
+def _deep(f, distinct, text, depth, names, size, value, tautology):
+    return f, dict(zip(_CALLS, (int, distinct, text, depth, names, size, value, tautology)))
+
+
+_DEEP = {
+    "not-chain": _deep(_chain(Not, 2000), 2001, "~" * 2000 + "p", 0, {"p"}, 2001, True, False),
+    "box-chain": _deep(
+        _chain(Box, 2000), 2001, "box " * 2000 + "p", 2000, {"p"}, 2001, True, False
+    ),
+    "conj": _deep(
+        conj([Implies(Letter(f"p{i % 5}"), Letter(f"p{i % 5}")) for i in range(3000)]),
+        5 + 5 + 2999,
+        " & ".join(f"(p{i % 5} -> p{i % 5})" for i in range(3000)),
+        0,
+        {f"p{i}" for i in range(5)},
+        3 * 3000 + 2999,
+        True,
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(_CALLS))
+@pytest.mark.parametrize("name", sorted(_DEEP))
+def test_deep_formula_calls_answer(name, call):
+    f, expected = _DEEP[name]
+    assert _CALLS[call](f) == expected[call]

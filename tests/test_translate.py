@@ -1,11 +1,15 @@
+import dataclasses
 import random
 
 import pytest
 
+from wamlkit.cli import main
+from wamlkit.errors import BudgetExceededError
 from wamlkit.model import random_model
 from wamlkit.semantics import check
 from wamlkit.syntax import Box, Diamond, Not, parse
 from wamlkit.translate import (
+    MAX_TRANSLATION_NODES,
     Exists,
     Forall,
     FolAnd,
@@ -18,6 +22,7 @@ from wamlkit.translate import (
     free_variables,
     render_text,
     st,
+    st_size,
     tptp_export,
 )
 
@@ -137,3 +142,34 @@ def test_render_text_keeps_variables():
     g = st(parse("box p"), 2, "x")
     assert render_text(g) == "! [y1,y2] : (r(x,y1,y2) => (p_p(y1) | p_p(y2)))"
     assert "$true" in render_text(st(parse("true"), 1, "x"))
+
+
+def _fol_nodes(g):
+    return 1 + sum(
+        _fol_nodes(v)
+        for v in (getattr(g, field.name) for field in dataclasses.fields(g))
+        if dataclasses.is_dataclass(v)
+    )
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_st_size_counts_the_translation(arity):
+    rng = random.Random(arity)
+    for _ in range(200):
+        f = random_formula(rng, ["p", "q"], 3, rng.randint(1, 16))
+        assert st_size(f, arity) == _fol_nodes(st(f, arity, "x"))
+
+
+def _boxes(k):
+    return parse("box " * k + "p")
+
+
+def test_translation_is_capped(capsys):
+    assert st_size(_boxes(16), 2) == 393_211 <= MAX_TRANSLATION_NODES
+    assert st_size(_boxes(18), 2) > MAX_TRANSLATION_NODES
+    with pytest.raises(BudgetExceededError):
+        st(_boxes(18), 2)
+    assert main(["translate", "box " * 30 + "p", "--arity", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
