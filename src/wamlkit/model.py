@@ -13,7 +13,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import InvalidArgumentError, ModelLoadError, UnknownWorldError
 
@@ -70,29 +70,39 @@ def make_model(
 
 def validate(m: NModel) -> list[str]:
     """Well-formedness check; the empty list means the model is valid."""
+    return _violations(m.arity, m.worlds, m.relation, m.valuation)
+
+
+def _violations(
+    arity: int,
+    worlds: Sequence[str],
+    relation: Iterable[tuple[str, ...]],
+    valuation: Collection[str],
+) -> list[str]:
+    # every violation, in the order validate reports them
     violations = []
-    if m.arity < 1:
-        violations.append(f"arity must be >= 1, got {m.arity}")
-    if not m.worlds:
+    if arity < 1:
+        violations.append(f"arity must be >= 1, got {arity}")
+    if not worlds:
         violations.append("worlds must be nonempty")
     seen = set()
-    for w in m.worlds:
+    for w in worlds:
         if w in seen:
             violations.append(f"duplicate world {w!r}")
         seen.add(w)
-    for t in sorted(m.relation):
-        if len(t) != m.arity + 1:
+    for t in sorted(relation):
+        if len(t) != arity + 1:
             violations.append(
-                f"tuple {list(t)} has length {len(t)}, expected {m.arity + 1}"
+                f"tuple {list(t)} has length {len(t)}, expected {arity + 1}"
             )
         for v in t:
             if v not in seen:
                 violations.append(f"tuple {list(t)} mentions undeclared world {v!r}")
-    for w in sorted(m.valuation):
+    for w in sorted(valuation):
         if w not in seen:
             violations.append(f"valuation mentions undeclared world {w!r}")
-    for w in m.worlds:
-        if w not in m.valuation:
+    for w in worlds:
+        if w not in valuation:
             violations.append(f"valuation missing for world {w!r}")
     return violations
 
@@ -109,39 +119,59 @@ def model_to_dict(m: NModel) -> dict:
     }
 
 
+def _all_of(cls: type, items: list) -> bool:
+    # isinstance for every item; the set of exact types settles the usual
+    # case in one pass at C speed
+    return set(map(type, items)) <= {cls} or all(isinstance(x, cls) for x in items)
+
+
+def _lists_of_strings(items: list) -> bool:
+    return _all_of(list, items) and _all_of(str, list(itertools.chain.from_iterable(items)))
+
+
 def model_from_dict(data: object) -> NModel:
+    """The model a JSON object describes: every tuple over declared worlds
+    with the declared arity, and a valuation entry for each world and for
+    nothing else."""
     if not isinstance(data, dict):
         raise ModelLoadError("model JSON must be an object")
     for key in ("arity", "worlds", "relation", "valuation"):
         if key not in data:
             raise ModelLoadError(f"model JSON missing key {key!r}")
     arity = data["arity"]
-    if not isinstance(arity, int) or arity < 1:
+    if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
         raise ModelLoadError(f"arity must be an integer >= 1, got {arity!r}")
     worlds = data["worlds"]
-    if not isinstance(worlds, list) or not all(isinstance(w, str) for w in worlds):
+    if not isinstance(worlds, list) or not _all_of(str, worlds):
         raise ModelLoadError("worlds must be a list of strings")
     relation = data["relation"]
     if not isinstance(relation, list):
         raise ModelLoadError("relation must be a list of tuples")
-    tuples = []
-    for i, t in enumerate(relation):
-        if not isinstance(t, list) or not all(isinstance(v, str) for v in t):
-            raise ModelLoadError(f"relation[{i}] must be a list of world-ids")
-        tuples.append(tuple(t))
+    if not _lists_of_strings(relation):
+        i = next(i for i, t in enumerate(relation) if not _lists_of_strings([t]))
+        raise ModelLoadError(f"relation[{i}] must be a list of world-ids")
     valuation = data["valuation"]
     if not isinstance(valuation, dict):
         raise ModelLoadError("valuation must be an object")
-    val = {}
-    for w, ls in valuation.items():
-        if not isinstance(ls, list) or not all(isinstance(x, str) for x in ls):
-            raise ModelLoadError(f"valuation[{w!r}] must be a list of letters")
-        val[w] = ls
-    m = make_model(arity, worlds, tuples, val)
-    violations = validate(m)
-    if violations:
+    if not _lists_of_strings(list(valuation.values())):
+        w = next(w for w, ls in valuation.items() if not _lists_of_strings([ls]))
+        raise ModelLoadError(f"valuation[{w!r}] must be a list of letters")
+    tuples = set(map(tuple, relation))
+    declared = set(worlds)
+    if not (
+        len(declared) == len(worlds) > 0
+        and set(map(len, tuples)) <= {arity + 1}
+        and declared.issuperset(itertools.chain.from_iterable(tuples))
+        and valuation.keys() == declared
+    ):
+        violations = _violations(arity, worlds, tuples, valuation)
         raise ModelLoadError("invalid model: " + "; ".join(violations))
-    return m
+    return NModel(
+        arity=arity,
+        worlds=tuple(worlds),
+        relation=frozenset(tuples),
+        valuation={w: frozenset(valuation[w]) for w in worlds},
+    )
 
 
 def load(text: bytes | str) -> NModel:

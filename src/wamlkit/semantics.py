@@ -83,6 +83,35 @@ class ModelEvaluator:
             )
         return _modal_mask(isinstance(f, Box), operand, self.full, self._slots)
 
+    def depth_masks(self, f: Formula, max_depth: int) -> list[int]:
+        """The mask of f under depth-d semantics for each d in
+        0..max_depth, where a box or diamond looks at successors through
+        the depth-(d-1) masks of its operand, and at depth 0 every box
+        holds and no diamond does.  A world's bit at depth d is the truth
+        of f at a node of its unraveling with d levels below it.  From the
+        modal depth of f on, every entry is ``mask(f)``."""
+        program = syntax.compile_formula(f)
+        full, slots = self.full, self._slots
+        shallower: dict[Formula, int] = {}  # the previous depth's masks
+
+        def leaf(g: Formula, operand: int | None) -> int:
+            if operand is None:
+                return self.mask(g)
+            if not shallower:
+                return full if type(g) is Box else 0
+            return _modal_mask(type(g) is Box, shallower[g.operand], full, slots)
+
+        out: list[int] = []
+        masks: list[int] = []
+        for _ in range(max_depth + 1):
+            deeper = syntax.run_program(program, full, leaf)
+            if deeper == masks:  # a fixed point: every later depth repeats it
+                break
+            masks = deeper
+            shallower = {node: bits for (node, *_), bits in zip(program, masks)}
+            out.append(masks[-1])
+        return out + [masks[-1]] * (max_depth + 1 - len(out))
+
     def holds(self, world: str, f: Formula) -> bool:
         if world not in self.pos:
             raise UnknownWorldError(f"unknown world {world!r}")
@@ -164,6 +193,7 @@ class _TypeSpace:
             (isinstance(g, Box), self.truth(g), self.truth(g.operand))
             for g in self.modals
         ]
+        self._demands: dict[int, list[tuple[int, list[int]]]] = {}
 
     def truth(self, g: Formula) -> int:
         return syntax.fold_mask(g, self.all_types, None, self._truth)
@@ -171,7 +201,13 @@ class _TypeSpace:
     def demands(self, t: int) -> list[tuple[int, list[int]]]:
         """Existential successor demands of type t: for each, the slot pool
         every slot of the witness tuple must come from, plus the pools the
-        tuple must additionally intersect (one per universal constraint)."""
+        tuple must additionally intersect (one per universal constraint).
+        They depend on the modal bits of t alone, so they are computed once
+        per assignment of those bits."""
+        modal_bits = t >> len(self.letters)
+        cached = self._demands.get(modal_bits)
+        if cached is not None:
+            return cached
         constraints = []  # every successor tuple must intersect these
         existential = []  # some successor tuple must live inside these
         for is_box, own, child in self.modal_info:
@@ -187,7 +223,10 @@ class _TypeSpace:
                     existential.append(child)
                 else:
                     constraints.append(inverse)
-        return [(inside, constraints) for inside in existential]
+        demands = self._demands[modal_bits] = [
+            (inside, constraints) for inside in existential
+        ]
+        return demands
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -412,6 +451,8 @@ def bounded_sat(
         raise InvalidArgumentError("arity must be >= 1")
     if max_worlds < 1:
         raise InvalidArgumentError("max_worlds must be >= 1")
+    if budget < 1:
+        raise InvalidArgumentError("budget must be >= 1")
     tracker = _Budget(budget)
     space = _TypeSpace(f, arity, tracker)
     if space.root_mask == 0:

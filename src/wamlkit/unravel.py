@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import semantics
 from .errors import (
@@ -52,6 +53,17 @@ def _focus(path: Path) -> str:
     return vector[index - 1]
 
 
+def _check_budget(max_nodes: int) -> None:
+    if max_nodes < 1:
+        raise InvalidArgumentError("budget must be >= 1")
+
+
+def _over_budget(depth: int, max_nodes: int, unit: str) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"unraveling to depth {depth} exceeds the {max_nodes}-{unit} budget"
+    )
+
+
 def unravel(
     m: NModel, w: str, depth: int, max_nodes: int = DEFAULT_NODE_BUDGET
 ) -> UnravelResult:
@@ -64,6 +76,7 @@ def unravel(
         raise UnknownWorldError(f"unknown world {w!r}")
     if depth < 0:
         raise InvalidArgumentError("depth must be >= 0")
+    _check_budget(max_nodes)
     succ = m.successors
 
     root: Path = (((w,) * m.arity, 1),)
@@ -80,9 +93,7 @@ def unravel(
             children_of[path] = kids
             nxt.extend(kids)
         if sum(len(l) for l in levels) + len(nxt) > max_nodes:
-            raise BudgetExceededError(
-                f"unraveling to depth {depth} exceeds the {max_nodes}-node budget"
-            )
+            raise _over_budget(depth, max_nodes, "node")
         levels.append(nxt)
 
     nodes = [path for level in levels for path in level]
@@ -100,10 +111,7 @@ def unravel(
                 pools = [by_world.get(world, []) for world in vector]
                 tuples += math.prod(map(len, pools))
                 if tuples > max_nodes:
-                    raise BudgetExceededError(
-                        f"unraveling to depth {depth} exceeds the "
-                        f"{max_nodes}-tuple budget"
-                    )
+                    raise _over_budget(depth, max_nodes, "tuple")
                 for combo in itertools.product(*pools):
                     relation.add((ids[path], *(ids[c] for c in combo)))
 
@@ -121,6 +129,44 @@ class LocalitySweep:
     least_stable_depth: int | None  # agreement holds from here on, if ever
 
 
+def unraveling_sizes(m: NModel, w: str, max_depth: int) -> Iterator[tuple[int, int]]:
+    """The number of nodes and of relation tuples of the bounded
+    unraveling of (m, w) to each depth 0..max_depth, counted per focus
+    world without building it.  A node focused on u has fan_u(x) children
+    focused on x, one per (vector, i) with vector_i = x among the
+    successor vectors of u, and one tuple per choice of a child for each
+    slot of each vector."""
+    if w not in m.valuation:
+        raise UnknownWorldError(f"unknown world {w!r}")
+    succ = m.successors
+    fans: dict[str, tuple[dict[str, int], int]] = {}
+
+    def fan(u: str) -> tuple[dict[str, int], int]:
+        # the children of a u-node by focus, and the tuples it sources
+        if u not in fans:
+            counts: dict[str, int] = {}
+            for vector in succ[u]:
+                for x in vector:
+                    counts[x] = counts.get(x, 0) + 1
+            tuples = sum(math.prod(counts[x] for x in vector) for vector in succ[u])
+            fans[u] = counts, tuples
+        return fans[u]
+
+    level = {w: 1}  # focus -> nodes at the deepest level
+    nodes, tuples = 1, 0
+    yield nodes, tuples
+    for _ in range(max_depth):
+        deeper: dict[str, int] = {}
+        for u, count in level.items():
+            children, sourced = fan(u)
+            tuples += count * sourced
+            for x, k in children.items():
+                deeper[x] = deeper.get(x, 0) + count * k
+        nodes += sum(deeper.values())
+        level = deeper
+        yield nodes, tuples
+
+
 def locality_sweep(
     m: NModel,
     w: str,
@@ -130,18 +176,32 @@ def locality_sweep(
 ) -> LocalitySweep:
     """Compare f at (m, w) with f at the root of the bounded unraveling of
     every depth up to ``max_depth``.  No optimality is asserted: agreement
-    is only guaranteed from the modal depth of f on."""
-    reference = semantics.check(m, w, f)
-    agree = []
+    is only guaranteed from the modal depth of f on.
+
+    The root of the depth-d unraveling satisfies f iff w does under
+    depth-d semantics, so no unraveling is built; the ``max_nodes`` budget
+    still bounds the unravelings' nodes and tuples, as ``unravel`` does."""
+    ev = semantics.ModelEvaluator(m)
+    reference = ev.holds(w, f)
+    if max_depth < 0:
+        raise InvalidArgumentError("max_depth must be >= 0")
+    _check_budget(max_nodes)
+    for depth, (nodes, tuples) in enumerate(unraveling_sizes(m, w, max_depth)):
+        if nodes > max_nodes:
+            raise _over_budget(depth, max_nodes, "node")
+        if tuples > max_nodes:
+            raise _over_budget(depth, max_nodes, "tuple")
+    bit = ev.pos[w]
+    agree = tuple(
+        bool(bits >> bit & 1) == reference for bits in ev.depth_masks(f, max_depth)
+    )
     least = None
-    for depth in range(max_depth + 1):
-        result = unravel(m, w, depth, max_nodes=max_nodes)
-        agree.append(semantics.check(result.model, result.root, f) == reference)
-        if not agree[-1]:
+    for depth, agrees in enumerate(agree):
+        if not agrees:
             least = None
         elif least is None:
             least = depth
-    return LocalitySweep(reference, tuple(agree), least)
+    return LocalitySweep(reference, agree, least)
 
 
 @dataclass(frozen=True)

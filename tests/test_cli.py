@@ -276,6 +276,41 @@ def test_experiment_locality_cli(capsys):
     assert "least depth agreeing through the sweep: 2" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["experiment", "locality", fixture("cycle.json"), "w", "p", "--max-depth", "-1"],
+         "max_depth must be >= 0"),
+        (["experiment", "locality", fixture("cycle.json"), "w", "p", "--budget", "0"],
+         "budget must be >= 1"),
+        (["unravel", fixture("cycle.json"), "w", "--depth", "0", "--budget", "0"],
+         "budget must be >= 1"),
+        (["sat", "p", "--arity", "1", "--max-worlds", "1", "--budget", "-1"],
+         "budget must be >= 1"),
+    ],
+)
+def test_out_of_range_depths_and_budgets_exit_2(argv, message, capsys):
+    assert main([str(a) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "valuation, message",
+    [
+        ({"w": [], "u": [], "t": [], "v": [], "ghost": ["p"]},
+         "valuation mentions undeclared world 'ghost'"),
+        ({"w": [], "u": [], "t": []}, "valuation missing for world 'v'"),
+    ],
+)
+def test_partial_or_stray_valuations_exit_2(valuation, message, tmp_path, capsys):
+    data = json.loads(fixture("cycle.json").read_text())
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**data, "valuation": valuation}))
+    for argv in (["mc", path, "w", "p"], ["experiment", "locality", path, "w", "p"]):
+        assert main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: invalid model: {message}\n"
+
+
 def _run_subprocess(argv, hashseed):
     env = {
         **os.environ,

@@ -100,6 +100,44 @@ def test_load_rejects_malformed_json():
         load(json.dumps({"arity": 1, "worlds": ["a"], "relation": [[1]], "valuation": {"a": []}}))
 
 
+def _model_text(**changes):
+    data = {"arity": 1, "worlds": ["a", "b"], "relation": [["a", "b"]],
+            "valuation": {"a": [], "b": ["p"]}}
+    return json.dumps({**data, **changes})
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"valuation": {"a": [], "b": [], "ghost": ["p"]}},
+         "invalid model: valuation mentions undeclared world 'ghost'"),
+        ({"valuation": {"a": []}}, "invalid model: valuation missing for world 'b'"),
+        ({"arity": True}, "arity must be an integer >= 1, got True"),
+        ({"arity": 2.0}, "arity must be an integer >= 1, got 2.0"),
+        ({"worlds": ["a", "b", 3]}, "worlds must be a list of strings"),
+        ({"relation": [["a", "b"], ["a", 1]]}, "relation[1] must be a list of world-ids"),
+        ({"relation": [["a", "b"], "ab"]}, "relation[1] must be a list of world-ids"),
+        ({"valuation": {"a": [], "b": "p"}}, "valuation['b'] must be a list of letters"),
+        ({"valuation": {"a": [], "b": [None]}}, "valuation['b'] must be a list of letters"),
+        # the first violation leads; the valuation ones come last
+        ({"worlds": ["a", "a"], "relation": [["a", "c"], ["b"]]},
+         "invalid model: duplicate world 'a'; tuple ['a', 'c'] mentions undeclared "
+         "world 'c'; tuple ['b'] has length 1, expected 2; tuple ['b'] mentions "
+         "undeclared world 'b'; valuation mentions undeclared world 'b'"),
+    ],
+)
+def test_load_rejects_each_violation_with_its_message(changes, message):
+    with pytest.raises(ModelLoadError) as caught:
+        load(_model_text(**changes))
+    assert str(caught.value) == message
+
+
+def test_load_accepts_a_total_valuation():
+    m = load(_model_text())
+    assert m.valuation == {"a": frozenset(), "b": frozenset({"p"})}
+    assert m.relation == {("a", "b")}
+
+
 def test_random_model_density_extremes():
     m = random_model(2, 1, 0.0, {"p"}, seed=7)
     assert m.worlds == ("w0",)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from wamlkit import interp, semantics
-from wamlkit.errors import BudgetExceededError, UnknownWorldError
+from wamlkit.errors import BudgetExceededError, InvalidArgumentError, UnknownWorldError
 from wamlkit.model import PointedModel, load, make_model, random_model
 from wamlkit.proof import kn_axiom
 from wamlkit.semantics import bounded_sat, check, valid_on_model
@@ -281,6 +281,27 @@ def test_bounded_sat_budget_pins(text, arity, max_worlds, budget):
     assert bounded_sat(f, arity, max_worlds, budget=budget) is not None
     with pytest.raises(BudgetExceededError):
         bounded_sat(f, arity, max_worlds, budget=budget - 1)
+
+
+def test_demands_are_cached_per_modal_bits():
+    f = parse("dia p & box (q | dia ~p) & ~box dia q")
+    budget = semantics._Budget(10**6)
+    space = semantics._TypeSpace(f, 2, budget)
+    low = len(space.letters)
+    for t in range(space.count):
+        # a fresh space computes t's demands; this one has them cached
+        fresh = semantics._TypeSpace(f, 2, budget).demands(t)
+        assert space.demands(t) == fresh
+        assert space.demands(t) is space.demands(t >> low << low)
+
+
+def test_bounded_sat_rejects_budgets_below_one():
+    for budget in (0, -1):
+        with pytest.raises(InvalidArgumentError, match="budget"):
+            bounded_sat(parse("p"), 1, 1, budget=budget)
+    # a budget of one is taken, and used up by the two types of p
+    with pytest.raises(BudgetExceededError):
+        bounded_sat(parse("p"), 1, 1, budget=1)
 
 
 def test_demand_check_matches_brute_force():

@@ -2,12 +2,24 @@ import random
 
 import pytest
 
+from wamlkit import semantics
 from wamlkit.bisim import distance, k_bisim
-from wamlkit.errors import BudgetExceededError, UnknownWorldError
+from wamlkit.errors import (
+    BudgetExceededError,
+    InvalidArgumentError,
+    UnknownWorldError,
+)
 from wamlkit.model import load, make_model, random_model, validate
 from wamlkit.semantics import ModelEvaluator
-from wamlkit.syntax import enumerate_formulas
-from wamlkit.unravel import check_pmorphism, unravel
+from wamlkit.syntax import enumerate_formulas, modal_depth, parse, random_formula
+from wamlkit.unravel import (
+    DEFAULT_NODE_BUDGET,
+    LocalitySweep,
+    check_pmorphism,
+    locality_sweep,
+    unravel,
+    unraveling_sizes,
+)
 
 from conftest import fixture
 
@@ -173,3 +185,99 @@ def test_unravel_distance_matches_tree_distance(cyclic):
     for a in r.model.worlds:
         for b in r.model.worlds:
             assert distance(r.model, a, b) == tree_distance(a, b)
+
+
+def built_sweep(m, w, f, max_depth, max_nodes=DEFAULT_NODE_BUDGET):
+    # the sweep by definition: build the unraveling of every depth and
+    # model-check its root
+    reference = semantics.check(m, w, f)
+    agree = []
+    least = None
+    for depth in range(max_depth + 1):
+        result = unravel(m, w, depth, max_nodes=max_nodes)
+        agree.append(semantics.check(result.model, result.root, f) == reference)
+        if not agree[-1]:
+            least = None
+        elif least is None:
+            least = depth
+    return LocalitySweep(reference, tuple(agree), least)
+
+
+def sweep_outcome(sweep, *args):
+    try:
+        return sweep(*args)
+    except BudgetExceededError as e:
+        return str(e)
+
+
+def test_locality_sweep_matches_built_unravelings():
+    rng = random.Random(6)
+    outcomes = []
+    for i in range(160):
+        arity = rng.randint(1, 3)
+        density = rng.uniform(0, 0.3 if arity < 3 else 0.1)
+        m = random_model(arity, rng.randint(1, 5), density, {"p", "q"}, seed=900 + i)
+        w = rng.choice(m.worlds)
+        f = random_formula(rng, ["p", "q"], rng.randint(0, 4))
+        args = (m, w, f, rng.randint(0, 5), rng.choice([1, 50, 500, DEFAULT_NODE_BUDGET]))
+        want = sweep_outcome(built_sweep, *args)
+        assert sweep_outcome(locality_sweep, *args) == want, args
+        outcomes.append(want)
+    # both budget errors and both verdicts occur
+    errors = [o for o in outcomes if isinstance(o, str)]
+    assert any("node budget" in e for e in errors)
+    assert any("tuple budget" in e for e in errors)
+    sweeps = [o for o in outcomes if not isinstance(o, str)]
+    assert any(not all(o.agree) for o in sweeps) and any(all(o.agree) for o in sweeps)
+
+
+def test_locality_sweep_tuple_budget_on_a_dense_model():
+    # 1,346,285 tuples at depth 1, under 50,000 nodes
+    m = random_model(3, 7, 0.2, {"p", "q"}, seed=0)
+    f = parse("box (p | dia q)")
+    for max_depth in (0, 1, 3):
+        want = sweep_outcome(built_sweep, m, "w0", f, max_depth)
+        assert sweep_outcome(locality_sweep, m, "w0", f, max_depth) == want
+    assert want == "unraveling to depth 1 exceeds the 50000-tuple budget"
+
+
+def test_unraveling_sizes_count_the_built_unraveling():
+    rng = random.Random(11)
+    for i in range(40):
+        arity = rng.randint(1, 3)
+        m = random_model(arity, rng.randint(1, 4), rng.uniform(0, 0.25), {"p"}, seed=i)
+        w = rng.choice(m.worlds)
+        sizes = list(unraveling_sizes(m, w, 3))
+        assert len(sizes) == 4
+        for depth, (nodes, tuples) in enumerate(sizes):
+            if max(nodes, tuples) > 5_000:
+                break
+            r = unravel(m, w, depth, max_nodes=5_000)
+            assert (nodes, tuples) == (len(r.model.worlds), len(r.model.relation))
+
+
+def test_locality_sweep_agrees_from_the_modal_depth_on():
+    rng = random.Random(23)
+    for i in range(200):
+        m = random_model(rng.randint(1, 3), rng.randint(1, 5), 0.15, {"p", "q"}, seed=i)
+        f = random_formula(rng, ["p", "q"], rng.randint(0, 4))
+        w = rng.choice(m.worlds)
+        sweep = locality_sweep(m, w, f, 6, max_nodes=10**40)
+        assert all(sweep.agree[modal_depth(f):])
+        assert sweep.least_stable_depth <= modal_depth(f)
+
+
+def test_locality_sweep_argument_errors(cyclic):
+    f = parse("box p")
+    with pytest.raises(UnknownWorldError):
+        locality_sweep(cyclic, "ghost", f, 1)
+    with pytest.raises(InvalidArgumentError, match="max_depth"):
+        locality_sweep(cyclic, "w", f, -1)
+    for budget in (0, -1):
+        with pytest.raises(InvalidArgumentError, match="budget"):
+            locality_sweep(cyclic, "w", f, 1, max_nodes=budget)
+        with pytest.raises(InvalidArgumentError, match="budget"):
+            unravel(cyclic, "w", 0, max_nodes=budget)
+    # the root alone fits a budget of one
+    assert len(unravel(cyclic, "w", 0, max_nodes=1).model.worlds) == 1
+    assert locality_sweep(cyclic, "w", f, 0, max_nodes=1).agree == (False,)
