@@ -18,6 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from wamlkit import syntax, unravel  # noqa: E402
+from wamlkit.errors import BudgetExceededError  # noqa: E402
 from wamlkit.model import random_model  # noqa: E402
 
 
@@ -31,18 +32,24 @@ def main() -> None:
     rng = random.Random(args.seed)
     print("EXPERIMENT least stable agreement depth vs modal depth")
     slack = []
+    exceeded = 0  # samples whose unraveling is over the node or tuple budget
     for i in range(args.samples):
         m = random_model(2, rng.randint(2, 4), rng.uniform(0.05, 0.25), {"p", "q"}, seed=i)
         w = m.worlds[rng.randrange(len(m.worlds))]
         nesting = rng.randint(1, args.max_depth)
         f = syntax.random_formula(rng, ["p", "q"], nesting)
         depth = syntax.modal_depth(f)
-        least = unravel.locality_sweep(m, w, f, args.max_depth).least_stable_depth
-        if least is None:
-            verdict = f"no stable depth within {args.max_depth}"
+        try:
+            least = unravel.locality_sweep(m, w, f, args.max_depth).least_stable_depth
+        except BudgetExceededError as e:
+            exceeded += 1
+            verdict = f"budget exceeded ({e})"
         else:
-            slack.append(depth - least)
-            verdict = f"stable from {least}"
+            if least is None:
+                verdict = f"no stable depth within {args.max_depth}"
+            else:
+                slack.append(depth - least)
+                verdict = f"stable from {least}"
         print(
             f"EXPERIMENT sample {i:3d}: modal depth {depth}, {verdict} "
             f"({syntax.print_formula(f)})"
@@ -51,6 +58,11 @@ def main() -> None:
         print(
             "EXPERIMENT mean slack (modal depth - least stable depth): "
             f"{sum(slack) / len(slack):.2f} over {len(slack)} settled samples"
+        )
+    if exceeded:
+        print(
+            f"EXPERIMENT budget exceeded in {exceeded} of {args.samples} samples "
+            "(no verdict for them)"
         )
     print("EXPERIMENT note: agreement at the modal depth is guaranteed;")
     print("EXPERIMENT note: anything earlier is opportunistic, not asserted.")

@@ -14,6 +14,7 @@ failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from . import bisim, proof, semantics, syntax
 from .bisim import PairRelation
@@ -151,6 +152,25 @@ _NOTE = (
 )
 
 
+def first_disagreement(
+    left: PointedModel, right: PointedModel, formulas: Iterable[Formula]
+) -> Formula | None:
+    """The first of ``formulas`` true at one point and false at the
+    other, or None.  Every operand of a formula must come before it, as
+    in ``syntax.enumerate_formulas``: the formulas are one program, run
+    once on each model."""
+    program = syntax.program_of(formulas)
+    sides = []
+    for pointed in (left, right):
+        ev = semantics.ModelEvaluator(pointed.model)
+        sides.append((ev.run(program), ev.pos[pointed.point]))
+    (left_masks, i), (right_masks, j) = sides
+    for (f, *_), x, y in zip(program, left_masks, right_masks):
+        if (x >> i ^ y >> j) & 1:
+            return f
+    return None
+
+
 def verify_counterexample(
     bundle: CounterexampleBundle, sat_bound: int
 ) -> InterpolationReport:
@@ -209,14 +229,11 @@ def verify_counterexample(
     elif (w, v) not in b.z.pairs:
         roots = ConditionReport(False, "relation does not link the two points")
     else:
-        disagreement = None
-        stream = syntax.enumerate_formulas(b.z.alphabet, _SWEEP_DEPTH, _SWEEP_SIZE)
-        lev = semantics.ModelEvaluator(b.left.model)
-        rev = semantics.ModelEvaluator(b.right.model)
-        for f in stream:
-            if lev.holds(w, f) != rev.holds(v, f):
-                disagreement = f
-                break
+        disagreement = first_disagreement(
+            b.left,
+            b.right,
+            syntax.enumerate_formulas(b.z.alphabet, _SWEEP_DEPTH, _SWEEP_SIZE),
+        )
         if disagreement is None:
             roots = ConditionReport(
                 True,

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Generator, Iterable, Iterator, Sequence, TypeVar
 
 from . import syntax
 from .errors import BudgetExceededError, InvalidArgumentError, UnknownWorldError
 from .model import NModel, PointedModel, make_model
-from .syntax import Box, Diamond, Formula, Letter
+from .syntax import And, Bottom, Box, Diamond, Formula, Implies, Letter, Not, Or, Top
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
+
+_T = TypeVar("_T")
 
 
 def _slot_index(edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -65,6 +67,10 @@ class ModelEvaluator:
 
     def mask(self, f: Formula) -> int:
         return syntax.fold_mask(f, self.full, self._leaf, self._cache)
+
+    def run(self, program: list[syntax.Instruction]) -> list[int]:
+        """The mask of every instruction of a program, in order."""
+        return syntax.run_program(program, self.full, self._leaf)
 
     @cached_property
     def _slots(self) -> list[tuple[int, int]]:
@@ -152,6 +158,9 @@ class _Budget:
     def spend(self, amount: int = 1) -> None:
         self.spent += amount
         if self.spent > self.limit:
+            # a search stops at the first step past the limit, however
+            # many steps one call stands for
+            self.spent = self.limit + 1
             raise BudgetExceededError(
                 f"search budget of {self.limit} steps exhausted"
             )
@@ -368,66 +377,240 @@ def _letter_subsets(letters: list[str]) -> list[tuple[str, ...]]:
 
 
 def _relation_subsets(
-    candidates: list[tuple[str, ...]]
-) -> Iterator[tuple[tuple[str, ...], ...]]:
-    # subsets in lexicographic order of their sorted tuple lists: extend
-    # by the next candidate while there is one, else drop the last and
-    # advance the one before it (no recursion, so no depth limit)
+    candidates: Sequence[_T],
+) -> Generator[tuple[_T, ...], bool | None, None]:
+    # subsets in lexicographic order of their sorted tuple lists, a
+    # depth-first preorder: extend by the next candidate while there is
+    # one, else drop the last and advance the one before it (no recursion,
+    # so no depth limit).  Sending True skips the extensions of the subset
+    # just yielded and goes on with its next sibling.
     chosen: list[int] = []
-    yield ()
+    skip = yield ()
     while True:
         nxt = chosen[-1] + 1 if chosen else 0
-        if nxt < len(candidates):
+        if not skip and nxt < len(candidates):
             chosen.append(nxt)
-        elif len(chosen) > 1:
-            chosen.pop()
-            chosen[-1] += 1
         else:
-            return
-        yield tuple(candidates[i] for i in chosen)
+            while chosen and chosen[-1] + 1 == len(candidates):
+                chosen.pop()
+            if not chosen:
+                return
+            chosen[-1] += 1
+        skip = yield tuple(candidates[i] for i in chosen)
+
+
+def _nnf(f: Formula) -> Formula:
+    """f in negation normal form: negation on letters alone, the arrows
+    expanded, and box and dia exchanged under negation (``~box g`` is
+    ``dia ~g``).  Every connective of the result is monotone in its
+    operands, box antitone and dia monotone in the relation."""
+
+    def step(g: Formula, op: type, *parts: tuple[Formula, Formula]):
+        # (g, ~g), both in negation normal form
+        if op is Letter:
+            return g, Not(g)
+        if op is Top or op is Bottom:
+            return g, Bottom() if op is Top else Top()
+        if op is Not:
+            return parts[0][::-1]
+        if op is Box or op is Diamond:
+            (pos, neg), dual = parts[0], Diamond if op is Box else Box
+            return op(pos), dual(neg)
+        (a, not_a), (b, not_b) = parts
+        if op is And:
+            return And(a, b), Or(not_a, not_b)
+        if op is Or:
+            return Or(a, b), And(not_a, not_b)
+        if op is Implies:
+            return Or(not_a, b), And(a, not_b)
+        return Or(And(a, b), And(not_a, not_b)), Or(And(a, not_b), And(not_a, b))
+
+    return syntax.fold(f, step)[0]
+
+
+# at most this many valuations share one run of the compiled query; a
+# power of two, so that it divides every valuation count above it
+_MAX_BLOCKS = 1 << 12
+
+
+def _ones(count: int, stride: int) -> int:
+    """``count`` set bits ``stride`` apart, from bit 0 on."""
+    return ((1 << count * stride) - 1) // ((1 << stride) - 1)
+
+
+def _spread(x: int, count: int, stride: int) -> int:
+    """Bits 0..count-1 of x moved to bits 0, stride, 2*stride, ...: the
+    binary digits of x with stride - 1 zeros put between them."""
+    return int(("0" * (stride - 1)).join(format(x, f"0{count}b")), 2)
+
+
+class _Blocks:
+    """Many valuations of a k-world candidate in one mask.  Valuation v
+    is the v-th of ``itertools.product(subsets, repeat=k)``: world i's
+    letter subset is digit i of v in base len(subsets), world 0's the most
+    significant.  The valuations are cut into chunks of ``count`` (a power
+    of two, as len(subsets) is); block b of chunk c holds valuation
+    c*count + b, in bits b*(k+1) .. b*(k+1)+k: k world bits and a guard
+    bit that stays 0 in every mask."""
+
+    def __init__(self, num_worlds: int, letters: list[str]):
+        k = self.k = num_worlds
+        self.subsets = _letter_subsets(letters)
+        self.width = k + 1
+        self.valuations = len(self.subsets) ** k
+        self.count = min(self.valuations, _MAX_BLOCKS)
+        self.low = _ones(self.count, self.width)
+        self.full = ((1 << k) - 1) * self.low
+        self.guard = (1 << k) * self.low
+        # per letter: bit d is set when letter subset d has the letter
+        self._members = [
+            sum(1 << d for d, s in enumerate(self.subsets) if name in s)
+            for name in letters
+        ]
+        self._first = self._letter_masks(0)
+
+    def _letter_masks(self, chunk: int) -> list[int]:
+        per_world, count, width = len(self.subsets), self.count, self.width
+        masks = []
+        for members in self._members:
+            mask = 0
+            for i in range(self.k):
+                # world i's subset changes every ``step`` valuations; the
+                # chunk sees ``digits`` of its subsets in turn, ``run``
+                # blocks each, repeated to fill the chunk
+                step = per_world ** (self.k - 1 - i)
+                run = min(step, count)
+                digits = min(per_world, max(1, count // step))
+                first = chunk * count // step % per_world
+                seen = members >> first & (1 << digits) - 1
+                column = _spread(seen, digits, run * width) * _ones(run, width)
+                repeat = _ones(count // (digits * run), digits * run * width)
+                mask |= column * repeat << i
+            masks.append(mask)
+        return masks
+
+    def chunks(self) -> Iterator[list[int]]:
+        """Per chunk, in order, each letter's mask."""
+        yield self._first
+        for chunk in range(1, self.valuations // self.count):
+            yield self._letter_masks(chunk)
+
+    def nonempty(self, x: int) -> int:
+        """Bit 0 of each block of x that has a world bit set: adding
+        2^k - 1 carries into the guard exactly there."""
+        return ((x + self.full) & self.guard) >> self.k
+
+    def modal(self, is_box: bool, operand: int, slot_index) -> int:
+        """``_modal_mask`` in every block at once, with each slot set of
+        ``slot_index`` repeated in every block."""
+        low = self.low
+        if is_box:
+            bits = self.full
+            for slots, sources in slot_index:
+                bits &= ~((low ^ self.nonempty(operand & slots)) * sources)
+            return bits
+        outside = self.full ^ operand
+        bits = 0
+        for slots, sources in slot_index:
+            bits |= (low ^ self.nonempty(outside & slots)) * sources
+        return bits
+
+    def assignment(self, chunk: int, block: int) -> list[tuple[str, ...]]:
+        """The letter subset of each world under the valuation of a block."""
+        index, digits = chunk * self.count + block, []
+        for _ in range(self.k):
+            index, d = divmod(index, len(self.subsets))
+            digits.append(self.subsets[d])
+        return digits[::-1]
 
 
 def _walk_witness(
     f: Formula, arity: int, num_worlds: int, letters: list[str], budget: _Budget
 ) -> PointedModel:
-    # f is compiled once; each candidate model is only its slot index and
-    # its letter masks, and a model is built for the witness alone
+    # The least (relation, valuation, world) satisfying f, with the budget
+    # spent as if every candidate before it had been tried one by one.
+    # One run of f's program checks a chunk of valuations of a relation
+    # (``_Blocks``).  The relations come in a depth-first preorder, so a
+    # relation R with last tuple l heads the subtree of the relations that
+    # extend R by tuples after l.  Before R is run, the program is run
+    # once for an upper bound over that whole subtree: f is put in
+    # negation normal form, where every connective is monotone, so a box
+    # read over R and a dia read over R plus every later tuple bound f
+    # from above (Kleene's three-valued reading, with negation swapping
+    # the bounds).  A subtree whose bound is empty holds no witness and is
+    # skipped with one ``spend``.
     worlds = tuple(f"w{i}" for i in range(num_worlds))
-    full = (1 << num_worlds) - 1
     bit = {w: 1 << i for i, w in enumerate(worlds)}
     candidates = sorted(itertools.product(worlds, repeat=arity + 1))
-    edge = {t: (bit[t[0]], sum({bit[v] for v in t[1:]})) for t in candidates}
-    program = syntax.compile_formula(f)
+    last_index = len(candidates) - 1
+    edges = [(bit[t[0]], sum({bit[v] for v in t[1:]})) for t in candidates]
+    blocks = _Blocks(num_worlds, letters)
+    repeated: dict[int, int] = {}  # slot set -> the slot set in every block
+    for _, slots in edges:
+        repeated[slots] = slots * blocks.low
+    # per tuple position i: the slot index of the candidates from i on
+    later: list[dict[int, int]] = [{}]
+    for source, slots in reversed(edges):
+        after = dict(later[-1])
+        after[slots] = after.get(slots, 0) | source
+        later.append(after)
+    later.reverse()
+    program = syntax.compile_formula(_nnf(f))
     letter_at = {name: j for j, name in enumerate(letters)}
-    subsets = _letter_subsets(letters)
-    # per world, per letter subset: each letter's bit at that world
-    columns = [
-        [tuple(bit[w] if name in s else 0 for name in letters) for s in subsets]
-        for w in worlds
-    ]
-    slot_index: list[tuple[int, int]] = []
     letter_masks: list[int] = []
+    boxes: list[tuple[int, int]] = []
+    diamonds: list[tuple[int, int]] = []
 
-    # reads the candidate's slot index and letter masks, rebound below
+    # reads the chunk's letter masks and the slot indices, rebound below
     def leaf(g: Formula, operand: int | None) -> int:
         if operand is None:
             return letter_masks[letter_at[g.name]]
-        return _modal_mask(type(g) is Box, operand, full, slot_index)
+        is_box = type(g) is Box
+        return blocks.modal(is_box, operand, boxes if is_box else diamonds)
 
-    for relation in _relation_subsets(candidates):
-        slot_index = _slot_index(edge[t] for t in relation)
-        # the two products run in step: a valuation and its letter bits
-        valuations = zip(
-            itertools.product(subsets, repeat=num_worlds),
-            itertools.product(*columns),
-        )
-        for assignment, bits_by_world in valuations:
-            budget.spend()
-            letter_masks = [sum(col) for col in zip(*bits_by_world)]
-            bits = syntax.run_program(program, full, leaf)[-1]
-            if bits:
-                m = make_model(arity, worlds, relation, dict(zip(worlds, assignment)))
-                return PointedModel(m, worlds[(bits & -bits).bit_length() - 1])
+    def run() -> int:
+        return syntax.run_program(program, blocks.full, leaf)[-1]
+
+    relations = _relation_subsets(range(len(candidates)))
+    relation = next(relations)
+    while True:
+        last = relation[-1] if relation else -1
+        own = _slot_index(edges[i] for i in relation)
+        boxes = [(repeated[slots], sources) for slots, sources in own]
+        upper = dict(later[last + 1])
+        for slots, sources in own:
+            upper[slots] = upper.get(slots, 0) | sources
+        bound_diamonds = [(repeated[s], sources) for s, sources in upper.items()]
+        pruned = True
+        for chunk, letter_masks in enumerate(blocks.chunks()):
+            diamonds = bound_diamonds
+            found = run()
+            if not found:
+                budget.spend(blocks.count)
+                continue
+            pruned = False
+            if last < last_index:  # else the bound is exact
+                diamonds = boxes
+                found = run()
+            if found:
+                block, world = divmod((found & -found).bit_length() - 1, blocks.width)
+                budget.spend(block + 1)
+                assignment = blocks.assignment(chunk, block)
+                m = make_model(
+                    arity,
+                    worlds,
+                    [candidates[i] for i in relation],
+                    dict(zip(worlds, assignment)),
+                )
+                return PointedModel(m, worlds[world])
+            budget.spend(blocks.count)
+        if pruned:
+            # the rest of the subtree: the extensions of the relation
+            budget.spend(((1 << last_index - last) - 1) * blocks.valuations)
+        try:
+            relation = relations.send(pruned)
+        except StopIteration:
+            break
     raise AssertionError("decision phase promised a witness at this size")
 
 

@@ -331,6 +331,20 @@ def compile_formula(f: Formula, known: Container[Formula] = ()) -> list[Instruct
     return program
 
 
+def program_of(formulas: Iterable[Formula]) -> list[Instruction]:
+    """The program of distinct formulas each of whose operands comes
+    before it, as ``enumerate_formulas`` yields them: one instruction per
+    formula, in the given order, so that running it gives every formula's
+    mask at once."""
+    index: dict[Formula, int] = {}
+    program: list[Instruction] = []
+    for f in formulas:
+        a, b = (*(index[h] for h in _operands(f)), -1, -1)[:2]
+        index[f] = len(program)
+        program.append((f, type(f), a, b))
+    return program
+
+
 def fold(f: Formula, step: Callable[..., _T]) -> _T:
     """The value of f under ``step``: each distinct subformula g, operands
     first, gets ``step(g, type(g), *operand_values)``, where the operand

@@ -40,11 +40,17 @@ class UnravelResult:
     projection: dict[str, str]  # node id -> original world
 
 
+# the separators of node ids, and ``%`` itself, percent-escaped in world
+# ids, so that distinct paths get distinct ids
+_ESCAPES = str.maketrans({c: f"%{ord(c):02X}" for c in "%,:#"})
+
+
 def _node_id(path: Path) -> str:
     root_vector, _ = path[0]
-    parts = [root_vector[0]]
+    parts = [root_vector[0].translate(_ESCAPES)]
     for vector, index in path[1:]:
-        parts.append(",".join(vector) + ":" + str(index))
+        escaped = (u.translate(_ESCAPES) for u in vector)
+        parts.append(",".join(escaped) + ":" + str(index))
     return "#".join(parts)
 
 

@@ -73,6 +73,18 @@ def test_sat_budget_exhaustion_exits_2(capsys):
     assert code == 2
 
 
+def test_aggregation_query_at_arity_three_exits_2_on_the_budget(capsys):
+    # three worlds support it, and the witness walk faces 2^81 relations;
+    # the walk skips the subtrees that hold no witness but counts them in
+    # full, so it stops on the budget as a walk of one step per candidate
+    # (relation and valuation) does
+    text = "box p & box q & box r & ~box((p&q)|(p&r)|(q&r))"
+    assert main(["sat", text, "--arity", "3", "--max-worlds", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: search budget of 2000000 steps exhausted\n"
+
+
 def test_bisim_check_cli(capsys):
     code, out = run(
         capsys,

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -6,12 +7,13 @@ from wamlkit.bisim import PairRelation
 from wamlkit.interp import (
     CounterexampleBundle,
     build_counterexample,
+    first_disagreement,
     verify_counterexample,
 )
-from wamlkit.model import load, restrict_valuation, save
+from wamlkit.model import PointedModel, load, random_model, restrict_valuation, save
 from wamlkit.proof import binary_tag, save_script, tag_width
-from wamlkit.semantics import valid_on_model
-from wamlkit.syntax import letters, parse
+from wamlkit.semantics import ModelEvaluator, valid_on_model
+from wamlkit.syntax import enumerate_formulas, letters, modal_depth, parse
 
 from conftest import fixture
 
@@ -45,6 +47,42 @@ def test_arity_three_bundle_matches_fixtures():
         ("w3", "v1"),
         ("w3", "v2"),
     }
+
+
+def _first_disagreement_by_formula(left, right, formulas):
+    # the root sweep as first written: one model check per formula
+    lev, rev = ModelEvaluator(left.model), ModelEvaluator(right.model)
+    for f in formulas:
+        if lev.holds(left.point, f) != rev.holds(right.point, f):
+            return f
+    return None
+
+
+def test_root_sweep_matches_the_per_formula_loop():
+    rng = random.Random(31)
+    found = []
+    for i in range(200):
+        alphabet, size = (["p"], 5) if i % 2 else (["p", "q"], 4)
+        arity = rng.randint(1, 3)
+        left, right = (
+            random_model(arity, rng.randint(1, 4), rng.uniform(0, 0.4), {*alphabet}, seed)
+            for seed in (i, 1000 + i)
+        )
+        w = rng.choice(left.worlds)
+        # a point with w's letters where there is one, so that most
+        # disagreements are modal
+        alike = [v for v in right.worlds if right.valuation[v] == left.valuation[w]]
+        v = rng.choice(alike or list(right.worlds))
+        pointed = PointedModel(left, w), PointedModel(right, v)
+        want = _first_disagreement_by_formula(
+            *pointed, enumerate_formulas(alphabet, 2, size)
+        )
+        got = first_disagreement(*pointed, enumerate_formulas(alphabet, 2, size))
+        assert got == want, (i, w, v)
+        found.append(want)
+    modal = [f for f in found if f is not None and modal_depth(f) > 0]
+    # most pairs disagree, many on modal formulas, and some agree on all
+    assert None in found and len(modal) > 50
 
 
 def test_binary_tags_for_arity_four():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from wamlkit import interp, semantics
+from wamlkit import interp, semantics, syntax
 from wamlkit.errors import BudgetExceededError, InvalidArgumentError, UnknownWorldError
 from wamlkit.model import PointedModel, load, make_model, random_model
 from wamlkit.proof import kn_axiom
@@ -251,6 +251,125 @@ def test_witness_walk_matches_reference_walk(monkeypatch):
     assert {1, 2, 3} <= set(sizes) and len(sizes) < len(cases)
 
 
+# ---------------------------------------------------------------------------
+# The witness walk against the compiled walk it replaced: f compiled once,
+# one program run per (relation, valuation) candidate in canonical order,
+# one budget step per candidate
+
+
+def _compiled_walk(f, arity, num_worlds, letter_list, budget):
+    worlds = tuple(f"w{i}" for i in range(num_worlds))
+    full = (1 << num_worlds) - 1
+    bit = {w: 1 << i for i, w in enumerate(worlds)}
+    candidates = sorted(itertools.product(worlds, repeat=arity + 1))
+    edge = {t: (bit[t[0]], sum({bit[v] for v in t[1:]})) for t in candidates}
+    program = syntax.compile_formula(f)
+    letter_at = {name: j for j, name in enumerate(letter_list)}
+    subsets = semantics._letter_subsets(letter_list)
+    columns = [
+        [tuple(bit[w] if name in s else 0 for name in letter_list) for s in subsets]
+        for w in worlds
+    ]
+    slot_index = []
+    letter_masks = []
+
+    def leaf(g, operand):
+        if operand is None:
+            return letter_masks[letter_at[g.name]]
+        return semantics._modal_mask(type(g) is Box, operand, full, slot_index)
+
+    for relation in semantics._relation_subsets(candidates):
+        slot_index = semantics._slot_index(edge[t] for t in relation)
+        valuations = zip(
+            itertools.product(subsets, repeat=num_worlds),
+            itertools.product(*columns),
+        )
+        for assignment, bits_by_world in valuations:
+            budget.spend()
+            letter_masks = [sum(col) for col in zip(*bits_by_world)]
+            bits = syntax.run_program(program, full, leaf)[-1]
+            if bits:
+                m = make_model(arity, worlds, relation, dict(zip(worlds, assignment)))
+                return PointedModel(m, worlds[(bits & -bits).bit_length() - 1])
+    raise AssertionError("decision phase promised a witness at this size")
+
+
+_Budget = semantics._Budget
+
+
+def _sat_outcome(monkeypatch, f, arity, max_worlds, budget):
+    """The witness (or None, or the budget error's message) and the steps
+    the search spent."""
+    trackers = []
+
+    class Recorded(_Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            trackers.append(self)
+
+    monkeypatch.setattr(semantics, "_Budget", Recorded)
+    try:
+        outcome = bounded_sat(f, arity, max_worlds, budget=budget)
+    except BudgetExceededError as e:
+        outcome = str(e)
+    return outcome, trackers[0].spent
+
+
+# the five satisfiability families of the benchmark's sat queries; the
+# last one is the negated axiom of the arity it is asked at
+_SAT_FAMILIES = [
+    "~p & ~q & dia (p & ~q & dia (q & ~p & dia (p & q)))",
+    "box p & box q & ~box (p & q)",
+    "dia p & dia q & box ~(p & q)",
+    "dia p & dia q & dia r & box ~(p & q) & box ~(p & r) & box ~(q & r)",
+]
+_NEGATED_AXIOMS = {
+    1: "~(box p & box q -> box (p & q))",
+    2: "~(box p & box q & box r -> box (p & q | p & r | q & r))",
+    3: "~(box p & box q & box r & box s -> "
+    "box (p & q | p & r | p & s | q & r | q & s | r & s))",
+}
+
+
+def test_witness_walk_matches_compiled_walk(monkeypatch):
+    rng = random.Random(77)
+    cases = [
+        (parse(t), arity, 4)
+        for arity in (1, 2, 3)
+        for t in _SAT_FAMILIES + [_NEGATED_AXIOMS[arity]]
+    ]
+    for f in enumerate_formulas({"p", "q"}, 2, 5):
+        cases += [(f, 1, 3), (f, 2, 2)]
+    for _ in range(200):
+        alphabet = ["p", "q", "r"][: rng.randint(1, 3)]
+        f = random_formula(rng, alphabet, 2, fuel=rng.randint(3, 9))
+        cases.append((f, rng.choice((2, 3)), rng.randint(1, 3)))
+    budgets = (semantics.DEFAULT_SEARCH_BUDGET, 300, 50)
+    # one run checks every valuation of a relation at once here; smaller
+    # chunks check them a few at a time (splitting one world's letter
+    # subsets when there are more of them), or one by one
+    runs = [
+        (semantics._MAX_BLOCKS, cases),
+        (4, cases[::7]),
+        (2, cases[3::7]),
+        (1, cases[5::7]),
+    ]
+    outcomes = []
+    for max_blocks, chunked in runs:
+        monkeypatch.setattr(semantics, "_MAX_BLOCKS", max_blocks)
+        with monkeypatch.context() as patch:
+            got = [_sat_outcome(patch, *case, b) for case in chunked for b in budgets]
+            patch.setattr(semantics, "_walk_witness", _compiled_walk)
+            want = [_sat_outcome(patch, *case, b) for case in chunked for b in budgets]
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g == w, (chunked[i // len(budgets)], budgets[i % len(budgets)])
+        outcomes += [o for o, _ in want]
+    # witnesses, unsatisfiable answers and budget errors are all compared
+    assert None in outcomes
+    assert any(isinstance(o, PointedModel) for o in outcomes)
+    assert "search budget of 50 steps exhausted" in outcomes
+
+
 def test_relation_subsets_canonical_order_without_recursion():
     def nested(items, prefix=(), start=0):
         yield prefix
@@ -260,6 +379,26 @@ def test_relation_subsets_canonical_order_without_recursion():
     for n in range(8):
         items = [f"t{i}" for i in range(n)]
         assert list(semantics._relation_subsets(items)) == list(nested(items))
+    # sending True skips the extensions of the subset just yielded
+    def pruned(items, skip, prefix=(), start=0):
+        yield prefix
+        if skip(prefix):
+            return
+        for i in range(start, len(items)):
+            yield from pruned(items, skip, prefix + (items[i],), i + 1)
+
+    for n in range(8):
+        # the last skips the root: the walk ends there
+        for skip in (lambda s: sum(s) % 3 == 1, lambda s: len(s) == 2, lambda s: True):
+            walk = semantics._relation_subsets(range(n))
+            got, subset = [], next(walk)
+            while True:
+                got.append(subset)
+                try:
+                    subset = walk.send(skip(subset))
+                except StopIteration:
+                    break
+            assert got == list(pruned(range(n), skip)), n
     # the walk reaches a relation of k tuples after k steps; a recursive
     # generator overflowed the stack here
     deep = itertools.islice(semantics._relation_subsets(list(range(1500))), 1200)

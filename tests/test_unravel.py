@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +59,30 @@ def test_depth_two_expands_through_the_cycle(cyclic):
     sources = {t[0] for t in r.model.relation}
     assert frontier and not (set(frontier) & sources)
     assert validate(r.model) == []
+
+
+def test_node_ids_escape_the_separators_in_world_ids():
+    # unescaped, both children below are "w#a,b,c:1", and the unraveling
+    # has duplicate worlds and makes dia (p | ~p) & box p true at its root
+    m = make_model(
+        2,
+        ["w", "a,b", "c", "a", "b,c"],
+        [("w", "a,b", "c"), ("w", "a", "b,c")],
+        {"a,b": ["p"]},
+    )
+    r = unravel(m, "w", 1)
+    assert validate(r.model) == []
+    assert len(set(r.model.worlds)) == 5
+    assert r.projection["w#a%2Cb,c:1"] == "a,b"
+    assert r.projection["w#a,b%2Cc:2"] == "b,c"
+    f = parse("dia (p | ~p) & box p")
+    assert not semantics.check(m, "w", f)
+    assert not semantics.check(r.model, r.root, f)
+    # "%" is escaped too, so an escaped-looking world id stays apart
+    m = make_model(1, ["a%2Cb", "a,b", "#:"], [("a%2Cb", "a,b"), ("a,b", "#:")], {})
+    r = unravel(m, "a%2Cb", 2)
+    assert r.root == "a%252Cb"
+    assert sorted(r.projection.values()) == ["#:", "a%2Cb", "a,b"]
 
 
 def test_unravel_unknown_world_and_depth(cyclic):
@@ -265,6 +292,26 @@ def test_locality_sweep_agrees_from_the_modal_depth_on():
         sweep = locality_sweep(m, w, f, 6, max_nodes=10**40)
         assert all(sweep.agree[modal_depth(f):])
         assert sweep.least_stable_depth <= modal_depth(f)
+
+
+def test_locality_sweep_script_reports_budget_errors_per_sample():
+    # samples 20 and 101 need unravelings of over 50,000 tuples
+    script = Path(__file__).resolve().parent.parent / "scripts" / "locality_sweep.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--samples", "200"],
+        capture_output=True,
+        text=True,
+        check=False,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert (
+        "EXPERIMENT sample  20: modal depth 1, budget exceeded (unraveling to "
+        "depth 4 exceeds the 50000-tuple budget)"
+    ) in proc.stdout
+    assert "EXPERIMENT budget exceeded in 2 of 200 samples" in proc.stdout
+    assert "over 198 settled samples" in proc.stdout
 
 
 def test_locality_sweep_argument_errors(cyclic):
