@@ -84,8 +84,7 @@ def check_bisim(z: PairRelation) -> BisimViolation | None:
             raise UnknownWorldError(f"unknown right world {b!r}")
     lsucc = z.left.successors
     rsucc = z.right.successors
-    lpos = {w: i for i, w in enumerate(z.left.worlds)}
-    rpos = {w: i for i, w in enumerate(z.right.worlds)}
+    lpos, rpos = z.left.index, z.right.index
     for a, b in sorted(z.pairs, key=lambda p: (lpos[p[0]], rpos[p[1]])):
         if z.left.valuation[a] & z.alphabet != z.right.valuation[b] & z.alphabet:
             return BisimViolation((a, b), "inv", None)
@@ -135,8 +134,8 @@ class _Partition:
         _require_same_arity(left, right)
         self.left, self.right, self.alphabet = left, right, alphabet
         # left world i is number i of the union, right world j is |W| + j
-        self.lpos = {w: i for i, w in enumerate(left.worlds)}
-        self.rpos = {w: len(left.worlds) + j for j, w in enumerate(right.worlds)}
+        self.lpos = left.index
+        self.rpos = {w: len(left.worlds) + j for w, j in right.index.items()}
         succ = [
             [[pos[v] for v in t] for t in m.successors[w]]
             for m, pos in ((left, self.lpos), (right, self.rpos))

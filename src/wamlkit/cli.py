@@ -118,7 +118,11 @@ def _cmd_sat(args) -> int:
 def _cmd_bisim_check(args) -> int:
     left = model.load(_read(args.left))
     right = model.load(_read(args.right))
-    pairs = _relation_pairs(json.loads(_read(args.relation)))
+    try:
+        data = json.loads(_read(args.relation))
+    except UnicodeDecodeError as e:
+        raise WamlError(f"relation JSON cannot be decoded: {e}") from e
+    pairs = _relation_pairs(data)
     alphabet = _letters_arg(args.letters, [left, right])
     z = bisim.PairRelation(left, right, pairs, alphabet)
     violation = bisim.check_bisim(z)

@@ -163,7 +163,7 @@ def first_disagreement(
     sides = []
     for pointed in (left, right):
         ev = semantics.ModelEvaluator(pointed.model)
-        sides.append((ev.run(program), ev.pos[pointed.point]))
+        sides.append((ev.run(program), pointed.model.index[pointed.point]))
     (left_masks, i), (right_masks, j) = sides
     for (f, *_), x, y in zip(program, left_masks, right_masks):
         if (x >> i ^ y >> j) & 1:

@@ -25,11 +25,6 @@ class NModel:
     relation: frozenset[tuple[str, ...]]
     valuation: Mapping[str, frozenset[str]]
 
-    def letters_at(self, world: str) -> frozenset[str]:
-        if world not in self.valuation:
-            raise UnknownWorldError(f"unknown world {world!r}")
-        return self.valuation[world]
-
     @cached_property
     def successors(self) -> dict[str, tuple[tuple[str, ...], ...]]:
         """World -> successor vectors of its tuples, in sorted relation
@@ -38,6 +33,46 @@ class NModel:
         for t in sorted(self.relation):
             succ[t[0]].append(t[1:])
         return {w: tuple(vectors) for w, vectors in succ.items()}
+
+    # The integer view of the model: a set of worlds is a mask whose bit i
+    # stands for ``worlds[i]``, and a tuple is its source bit plus its slot
+    # set, the mask of the worlds in its successor vector.
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """World -> its position in ``worlds``, the bit it owns in a mask."""
+        return {w: i for i, w in enumerate(self.worlds)}
+
+    @cached_property
+    def slot_index(self) -> list[tuple[int, int]]:
+        """Each distinct slot set of the relation, with the mask of the
+        worlds having a tuple of that slot set."""
+        index = self.index
+        return _slot_index(
+            (1 << index[w], sum({1 << index[v] for v in vector}))
+            for w, vectors in self.successors.items()
+            for vector in vectors
+        )
+
+    @cached_property
+    def letter_masks(self) -> dict[str, int]:
+        """Letter -> mask of the worlds where it holds; a letter that holds
+        nowhere has no entry."""
+        masks: dict[str, int] = {}
+        for i, w in enumerate(self.worlds):
+            for name in self.valuation[w]:
+                masks[name] = masks.get(name, 0) | 1 << i
+        return masks
+
+
+def _slot_index(edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Group tuples given as (source world bit, slot set) pairs: each
+    distinct slot set with the mask of the worlds having a tuple of that
+    slot set."""
+    sources: dict[int, int] = {}
+    for source, slots in edges:
+        sources[slots] = sources.get(slots, 0) | source
+    return list(sources.items())
 
 
 @dataclass(frozen=True)
@@ -176,10 +211,12 @@ def model_from_dict(data: object) -> NModel:
 
 def load(text: bytes | str) -> NModel:
     """Parse model JSON; the file's world order becomes the model's order."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         data = json.loads(text)
+    except UnicodeDecodeError as e:
+        raise ModelLoadError(f"model JSON is not UTF-8: {e}") from e
     except json.JSONDecodeError as e:
         raise ModelLoadError(f"malformed JSON: {e}") from e
     return model_from_dict(data)

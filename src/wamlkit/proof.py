@@ -331,7 +331,7 @@ def _just_from_dict(data: object, where: str) -> Justification:
         raise ModelLoadError(f"{where}: justification must carry a kind")
     kind = data["kind"]
     refs = data.get("from", [])
-    if not isinstance(refs, list) or not all(isinstance(i, int) for i in refs):
+    if not isinstance(refs, list) or not all(type(i) is int for i in refs):
         raise ModelLoadError(f"{where}: 'from' must be a list of line numbers")
     if kind == "Taut":
         return TautJust()
@@ -339,6 +339,8 @@ def _just_from_dict(data: object, where: str) -> Justification:
         subst = data.get("subst")
         if not isinstance(subst, dict):
             raise ModelLoadError(f"{where}: KnAxiom needs a 'subst' object")
+        if not all(isinstance(text, str) for text in subst.values()):
+            raise ModelLoadError(f"{where}: 'subst' values must be formula strings")
         pairs = tuple(
             sorted((name, parse(text)) for name, text in subst.items())
         )
@@ -368,7 +370,7 @@ def script_from_dict(data: object) -> ProofScript:
     if not isinstance(data, dict):
         raise ModelLoadError("proof JSON must be an object")
     arity = data.get("arity")
-    if not isinstance(arity, int) or arity < 1:
+    if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
         raise ModelLoadError(f"arity must be an integer >= 1, got {arity!r}")
     raw_lines = data.get("lines")
     if not isinstance(raw_lines, list) or not raw_lines:
@@ -378,6 +380,8 @@ def script_from_dict(data: object) -> ProofScript:
         where = f"lines[{i}]"
         if not isinstance(raw, dict) or "formula" not in raw or "just" not in raw:
             raise ModelLoadError(f"{where}: each line needs formula and just")
+        if not isinstance(raw["formula"], str):
+            raise ModelLoadError(f"{where}: formula must be a string")
         lines.append(
             ProofLine(parse(raw["formula"]), _just_from_dict(raw["just"], where))
         )
@@ -385,10 +389,12 @@ def script_from_dict(data: object) -> ProofScript:
 
 
 def load_script(text: bytes | str) -> ProofScript:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         data = json.loads(text)
+    except UnicodeDecodeError as e:
+        raise ModelLoadError(f"proof JSON is not UTF-8: {e}") from e
     except json.JSONDecodeError as e:
         raise ModelLoadError(f"malformed JSON: {e}") from e
     return script_from_dict(data)

@@ -9,28 +9,16 @@ every box and no diamond.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
-from typing import Generator, Iterable, Iterator, Sequence, TypeVar
+from typing import Generator, Iterator, Sequence, TypeVar
 
 from . import syntax
 from .errors import BudgetExceededError, InvalidArgumentError, UnknownWorldError
-from .model import NModel, PointedModel, make_model
+from .model import NModel, PointedModel, _slot_index, make_model
 from .syntax import And, Bottom, Box, Diamond, Formula, Implies, Letter, Not, Or, Top
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
 _T = TypeVar("_T")
-
-
-def _slot_index(edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Group tuples given as (source world bit, slot set) pairs, where a
-    slot set is the mask of the worlds in a tuple's successor vector:
-    each distinct slot set with the mask of the worlds having a tuple of
-    that slot set."""
-    sources: dict[int, int] = {}
-    for source, slots in edges:
-        sources[slots] = sources.get(slots, 0) | source
-    return list(sources.items())
 
 
 def _modal_mask(
@@ -56,12 +44,12 @@ def _modal_mask(
 class ModelEvaluator:
     """Bit-mask evaluator for one model; caches per-formula truth masks.
 
-    Bit i of a mask is the truth value at ``model.worlds[i]``.
+    Bit i of a mask is the truth value at ``model.worlds[i]``; letters and
+    tuples are read from the model's integer view.
     """
 
     def __init__(self, m: NModel):
         self.model = m
-        self.pos = {w: i for i, w in enumerate(m.worlds)}
         self.full = (1 << len(m.worlds)) - 1
         self._cache: dict[Formula, int] = {}
 
@@ -72,22 +60,11 @@ class ModelEvaluator:
         """The mask of every instruction of a program, in order."""
         return syntax.run_program(program, self.full, self._leaf)
 
-    @cached_property
-    def _slots(self) -> list[tuple[int, int]]:
-        pos = self.pos
-        return _slot_index(
-            (1 << pos[w], sum({1 << pos[v] for v in vector}))
-            for w, vectors in self.model.successors.items()
-            for vector in vectors
-        )
-
     def _leaf(self, f: Formula, operand: int | None) -> int:
         m = self.model
         if operand is None:  # a letter
-            return sum(
-                1 << i for i, w in enumerate(m.worlds) if f.name in m.valuation[w]
-            )
-        return _modal_mask(isinstance(f, Box), operand, self.full, self._slots)
+            return m.letter_masks.get(f.name, 0)
+        return _modal_mask(isinstance(f, Box), operand, self.full, m.slot_index)
 
     def depth_masks(self, f: Formula, max_depth: int) -> list[int]:
         """The mask of f under depth-d semantics for each d in
@@ -97,7 +74,7 @@ class ModelEvaluator:
         of f at a node of its unraveling with d levels below it.  From the
         modal depth of f on, every entry is ``mask(f)``."""
         program = syntax.compile_formula(f)
-        full, slots = self.full, self._slots
+        full, slots = self.full, self.model.slot_index
         shallower: dict[Formula, int] = {}  # the previous depth's masks
 
         def leaf(g: Formula, operand: int | None) -> int:
@@ -119,9 +96,10 @@ class ModelEvaluator:
         return out + [masks[-1]] * (max_depth + 1 - len(out))
 
     def holds(self, world: str, f: Formula) -> bool:
-        if world not in self.pos:
+        index = self.model.index
+        if world not in index:
             raise UnknownWorldError(f"unknown world {world!r}")
-        return bool(self.mask(f) >> self.pos[world] & 1)
+        return bool(self.mask(f) >> index[world] & 1)
 
 
 def check(m: NModel, w: str, f: Formula) -> bool:

@@ -75,14 +75,21 @@ def unravel(
 ) -> UnravelResult:
     """The bounded unraveling of (m, w) to the given level, as an n-model
     over canonical path ids, together with the root id and the projection
-    map.  Nodes at the last level have no outgoing tuples.  Refuses to
-    build more than ``max_nodes`` nodes, or more than ``max_nodes``
-    relation tuples."""
+    map.  Nodes at the last level have no outgoing tuples.  Refuses,
+    before building anything, an unraveling of more than ``max_nodes``
+    nodes or more than ``max_nodes`` relation tuples."""
     if w not in m.valuation:
         raise UnknownWorldError(f"unknown world {w!r}")
     if depth < 0:
         raise InvalidArgumentError("depth must be >= 0")
     _check_budget(max_nodes)
+    # node counts grow with depth, exponentially along a cycle, so the
+    # count stops at the first depth over the budget
+    for node_count, tuple_count in unraveling_sizes(m, w, depth):
+        if node_count > max_nodes:
+            raise _over_budget(depth, max_nodes, "node")
+    if tuple_count > max_nodes:  # the tuples at the requested depth
+        raise _over_budget(depth, max_nodes, "tuple")
     succ = m.successors
 
     root: Path = (((w,) * m.arity, 1),)
@@ -98,8 +105,6 @@ def unravel(
             ]
             children_of[path] = kids
             nxt.extend(kids)
-        if sum(len(l) for l in levels) + len(nxt) > max_nodes:
-            raise _over_budget(depth, max_nodes, "node")
         levels.append(nxt)
 
     nodes = [path for level in levels for path in level]
@@ -107,7 +112,6 @@ def unravel(
     projection = {ids[path]: _focus(path) for path in nodes}
 
     relation = set()
-    tuples = 0
     for level in range(depth):
         for path in levels[level]:
             by_world: dict[str, list[Path]] = {}
@@ -115,9 +119,6 @@ def unravel(
                 by_world.setdefault(_focus(child), []).append(child)
             for vector in succ[_focus(path)]:
                 pools = [by_world.get(world, []) for world in vector]
-                tuples += math.prod(map(len, pools))
-                if tuples > max_nodes:
-                    raise _over_budget(depth, max_nodes, "tuple")
                 for combo in itertools.product(*pools):
                     relation.add((ids[path], *(ids[c] for c in combo)))
 
@@ -197,7 +198,7 @@ def locality_sweep(
             raise _over_budget(depth, max_nodes, "node")
         if tuples > max_nodes:
             raise _over_budget(depth, max_nodes, "tuple")
-    bit = ev.pos[w]
+    bit = m.index[w]
     agree = tuple(
         bool(bits >> bit & 1) == reference for bits in ev.depth_masks(f, max_depth)
     )

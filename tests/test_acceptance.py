@@ -171,7 +171,7 @@ def test_criterion_05_bisimulation_invariance_sweep():
         if not g.pairs:
             continue
         lev, rev = ModelEvaluator(left), ModelEvaluator(right)
-        positions = [(lev.pos[a], rev.pos[b]) for a, b in g.pairs]
+        positions = [(left.index[a], right.index[b]) for a, b in g.pairs]
         checked_pairs += len(positions)
         for f in formulas:
             lm, rm = lev.mask(f), rev.mask(f)

@@ -243,7 +243,7 @@ def test_invariance_under_bisimulation_sampled():
         for f in formulas:
             lm, rm = lev.mask(f), rev.mask(f)
             for a, b in g.pairs:
-                assert (lm >> lev.pos[a] & 1) == (rm >> rev.pos[b] & 1)
+                assert (lm >> left.index[a] & 1) == (rm >> right.index[b] & 1)
 
 
 def test_self_bisimilarity_is_equivalence():

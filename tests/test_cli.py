@@ -376,14 +376,45 @@ _BAD_ARGUMENTS = {
     "mc-1200-parentheses": [
         "mc", fixture("cycle.json"), "w", "(" * 1200 + "p" + ")" * 1200,
     ],
+    "mc-not-utf8": ["mc", "{not-utf8}", "w", "p"],
+    "unravel-not-utf8": ["unravel", "{not-utf8}", "w", "--depth", "1"],
+    "proof-check-not-utf8": ["proof", "check", "{not-utf8}"],
+    "bisim-check-relation-not-utf8": [
+        "bisim", "check", fixture("m2.json"), fixture("n2.json"), "{not-utf8}",
+    ],
+    "proof-check-formula-5": ["proof", "check", "{formula-5}"],
+    "proof-check-subst-5": ["proof", "check", "{subst-5}"],
+    "proof-check-arity-true": ["proof", "check", "{arity-true}"],
+    "proof-check-boolean-refs": ["proof", "check", "{boolean-refs}"],
+}
+
+
+def _script(*lines, arity=2):
+    return json.dumps({"arity": arity, "lines": [
+        {"formula": formula, "just": just} for formula, just in lines
+    ]}).encode()
+
+
+# the files named in braces above, written to a temporary directory
+_BAD_FILES = {
+    "relation": b'{"pairs": []}',
+    "not-utf8": b"\xff\xfe{",
+    "formula-5": _script((5, {"kind": "Taut"})),
+    "subst-5": _script(("p", {"kind": "KnAxiom", "subst": {"p": 5}})),
+    "arity-true": _script(("p | ~p", {"kind": "Taut"}), arity=True),
+    "boolean-refs": _script(
+        ("p -> p", {"kind": "Taut"}), ("p", {"kind": "MP", "from": [True, True]})
+    ),
 }
 
 
 @pytest.mark.parametrize("argv", _BAD_ARGUMENTS.values(), ids=_BAD_ARGUMENTS.keys())
 def test_argument_errors_exit_2_without_traceback(argv, tmp_path, capsys):
-    relation = tmp_path / "empty.json"
-    relation.write_text('{"pairs": []}')
-    argv = [str(relation) if a == "{relation}" else str(a) for a in argv]
+    paths = {}
+    for name, data in _BAD_FILES.items():
+        paths["{" + name + "}"] = path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+    argv = [str(paths.get(a, a)) for a in argv]
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2

@@ -187,3 +187,31 @@ def test_model_to_dict_sorted():
     d = model_to_dict(m)
     assert d["worlds"] == ["a", "b"]
     assert d["valuation"]["b"] == ["p", "q"]
+
+
+def test_integer_view_matches_its_definition():
+    for arity in (1, 2, 3):
+        for seed in range(8):
+            drawn = random_model(arity, 1 + seed % 5, 0.3 / arity, {"p", "q"}, seed=seed)
+            # one more world, with no tuples and no letters
+            m = make_model(
+                arity, drawn.worlds + ("idle",), drawn.relation, drawn.valuation
+            )
+
+            def bit(w):
+                return 1 << m.worlds.index(w)
+
+            assert m.index == {w: m.worlds.index(w) for w in m.worlds}
+            sources = {}
+            for t in m.relation:
+                slots = 0
+                for v in t[1:]:
+                    slots |= bit(v)
+                sources[slots] = sources.get(slots, 0) | bit(t[0])
+            assert sorted(m.slot_index) == sorted(sources.items())
+            assert all(not s & bit("idle") for _, s in m.slot_index)
+            for name in ("p", "q", "never"):
+                want = sum(bit(w) for w in m.worlds if name in m.valuation[w])
+                assert m.letter_masks.get(name, 0) == want
+            assert "never" not in m.letter_masks
+            assert m.slot_index is m.slot_index  # computed once per model

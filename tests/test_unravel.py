@@ -111,6 +111,20 @@ def test_unravel_tuple_budget():
             unravel(m, "w0", depth)
 
 
+def test_a_refused_unravel_builds_no_node(cyclic, monkeypatch):
+    def build_node(path):
+        raise AssertionError("a refused unraveling built a node")
+
+    monkeypatch.setattr("wamlkit.unravel._node_id", build_node)
+    m = random_model(3, 7, 0.2, {"p", "q"}, seed=0)
+    with pytest.raises(BudgetExceededError) as refused:
+        unravel(m, "w0", 2)
+    assert str(refused.value) == "unraveling to depth 2 exceeds the 50000-tuple budget"
+    # the node count stops at the first depth over the budget
+    with pytest.raises(BudgetExceededError, match="depth 1000000 exceeds the 50000-node"):
+        unravel(cyclic, "w", 1_000_000)
+
+
 def test_tree_skeleton_unique_parents(cyclic):
     r = unravel(cyclic, "w", 3)
     parents: dict[str, set[str]] = {}
