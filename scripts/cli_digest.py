@@ -1,0 +1,214 @@
+#!/usr/bin/env python3
+"""Digest of the CLI's behaviour on a fixed seeded corpus.
+
+Runs 1,064 argvs through ``wamlkit.cli.main`` in-process, each in
+text mode and with ``--json``, and prints one line per run: the run
+number, the exit code, the sha256 of stdout, the sha256 of stderr and the
+argv.  The corpus covers ``mc``, ``sat`` at arity 1-3, ``bisim
+max``/``distinguish``/``check``, ``unravel`` (refusals included),
+``experiment locality``, ``interp demo --n 2..8``, ``translate`` and
+``proof check``.  Its models, relations and scripts are generated here,
+from the seed alone, and written to a temporary directory under relative
+names, so two source trees can be compared line by line:
+
+    python3 scripts/cli_digest.py --src src > new.txt
+    python3 scripts/cli_digest.py --src ../parent/src > old.txt
+    diff old.txt new.txt
+
+Usage: python3 scripts/cli_digest.py [--src DIR] [--seed S]
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import shutil
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# world ids, some with the separators of unraveling node ids in them
+_WORLD_NAMES = ["w", "v", "u", "t", "a,b", "c:1", "#", "%2C", "x%"]
+_LETTERS = ["p", "q"]
+
+
+def _formula(rng: random.Random, nesting: int, fuel: int) -> str:
+    """A random formula text over p, q with modal depth <= nesting."""
+    leaves = _LETTERS + ["true", "false"]
+    kind = rng.randrange(8)
+    if fuel <= 1 or kind == 0:
+        return rng.choice(leaves)
+    if kind == 1:
+        return "~" + _formula(rng, nesting, fuel - 1)
+    if kind in (2, 3) and nesting > 0:
+        op = "box " if kind == 2 else "dia "
+        return op + _formula(rng, nesting - 1, fuel - 1)
+    op = rng.choice(["&", "|", "->", "<->"])
+    half = (fuel - 1) // 2
+    left = _formula(rng, nesting, half)
+    right = _formula(rng, nesting, fuel - 1 - half)
+    return f"({left} {op} {right})"
+
+
+def _model(rng: random.Random, arity: int, size: int, density: float) -> dict:
+    worlds = rng.sample(_WORLD_NAMES, size)
+    relation = [
+        [w, *vector]
+        for w in worlds
+        for vector in _vectors(worlds, arity)
+        if rng.random() < density
+    ]
+    valuation = {w: sorted(x for x in _LETTERS if rng.random() < 0.5) for w in worlds}
+    return {"arity": arity, "worlds": worlds, "relation": relation, "valuation": valuation}
+
+
+def _vectors(worlds: list[str], arity: int) -> list[list[str]]:
+    vectors: list[list[str]] = [[]]
+    for _ in range(arity):
+        vectors = [v + [w] for v in vectors for w in worlds]
+    return vectors
+
+
+def _write(directory: Path, name: str, data) -> str:
+    raw = data if isinstance(data, bytes) else json.dumps(data).encode()
+    (directory / name).write_bytes(raw)
+    return name
+
+
+def corpus(rng: random.Random, directory: Path) -> list[list[str]]:
+    """The argvs (without ``--json``), with their input files written
+    to ``directory``."""
+    for name in ("m2.json", "n2.json", "z2.json", "m3.json", "n3.json", "z3.json",
+                 "cycle.json", "proof2.json", "proof3.json"):
+        shutil.copyfile(ROOT / "fixtures" / name, directory / name)
+    models: dict[int, list[tuple[str, dict]]] = {1: [], 2: [], 3: []}
+    for i in range(60):
+        arity = 1 + i % 3
+        size = rng.randint(1, 5 if arity < 3 else 4)
+        data = _model(rng, arity, size, rng.uniform(0, 0.6) / arity**2)
+        models[arity].append((_write(directory, f"model{i}.json", data), data))
+    dead_end = {"arity": 2, "worlds": ["w", "u"], "relation": [["w", "u", "u"]],
+                "valuation": {"w": [], "u": ["p"]}}
+    models[2].append((_write(directory, "dead_end.json", dead_end), dead_end))
+    everything = [m for ms in models.values() for m in ms]
+
+    def world(data: dict) -> str:
+        if rng.random() < 0.03:
+            return "ghost"
+        return rng.choice(data["worlds"])
+
+    argvs: list[list[str]] = []
+    for _ in range(300):
+        name, data = rng.choice(everything)
+        argvs.append(["mc", name, world(data), _formula(rng, rng.randint(0, 3), 10)])
+    for i in range(240):
+        arity = 1 + i % 3
+        formula = _formula(rng, rng.randint(1, 2), 8 if arity < 3 else 6)
+        argvs.append([
+            "sat", formula, "--arity", str(arity),
+            "--max-worlds", str(rng.randint(1, 3)),
+            "--budget", str(rng.choice([4, 16, 64, 5_000, 200_000])),
+        ])
+    for i in range(80):
+        arity = 1 + i % 3
+        (left, _), (right, _) = rng.choice(models[arity]), rng.choice(models[arity])
+        argv = ["bisim", "max", left, right]
+        argv += rng.choice([[], ["--letters", "p"], ["--letters", ""], ["--k", "1"]])
+        argvs.append(argv)
+    for i in range(80):
+        arity = 1 + i % 3
+        (left, ldata), (right, rdata) = rng.choice(models[arity]), rng.choice(models[arity])
+        argv = ["bisim", "distinguish", left, world(ldata), right, world(rdata)]
+        argvs.append(argv + rng.choice([[], ["--letters", "q"], ["--letters", "p,q"]]))
+    for i in range(70):
+        arity = 1 + i % 3
+        (left, ldata), (right, rdata) = rng.choice(models[arity]), rng.choice(models[arity])
+        pairs = [[a, b] for a in ldata["worlds"] for b in rdata["worlds"] if rng.random() < 0.5]
+        relation = _write(directory, f"relation{i}.json", {"pairs": pairs or [[world(ldata), world(rdata)]]})
+        argvs.append(["bisim", "check", left, right, relation])
+    # the relation files of the fixtures, and some that are no JSON text
+    argvs.append(["bisim", "check", "m2.json", "n2.json", "z2.json", "--letters", "p"])
+    argvs.append(["bisim", "check", "m3.json", "n3.json", "z3.json", "--letters", "p"])
+    text = '{"pairs": [["w", "v"]]}'
+    for name, raw in [
+        ("utf16.json", text.encode("utf-16")),
+        ("utf8_bom.json", b"\xef\xbb\xbf" + text.encode()),
+        ("not_utf8.json", b"\xff\xfe{"),
+        ("malformed.json", b'{"pairs": [["w", "v"]'),
+    ]:
+        argvs.append(["bisim", "check", "m2.json", "n2.json", _write(directory, name, raw)])
+        argvs.append(["mc", _write(directory, "model_" + name, raw), "w", "p"])
+        argvs.append(["proof", "check", _write(directory, "proof_" + name, raw)])
+    for _ in range(150):
+        name, data = rng.choice(everything)
+        argvs.append([
+            "unravel", name, world(data), "--depth", str(rng.randint(0, 5)),
+            "--budget", str(rng.choice([1, 10, 100, 1_000, 50_000])),
+        ])
+    for depth in ("1000000", "-1"):
+        argvs.append(["unravel", "dead_end.json", "w", "--depth", depth])
+        argvs.append(["unravel", "cycle.json", "w", "--depth", depth])
+    for _ in range(100):
+        name, data = rng.choice(everything)
+        argvs.append([
+            "experiment", "locality", name, world(data),
+            _formula(rng, rng.randint(0, 3), 8),
+            "--max-depth", str(rng.randint(0, 5)),
+            "--budget", str(rng.choice([1, 10, 1_000, 50_000])),
+        ])
+    for n in range(2, 9):
+        for bound in ("3", "2"):
+            argvs.append(["interp", "demo", "--n", str(n), "--sat-bound", bound])
+    for _ in range(10):
+        argvs.append(["translate", _formula(rng, 2, 8), "--arity", str(rng.randint(1, 3))])
+    argvs += [["proof", "check", "proof2.json"], ["proof", "check", "proof3.json"]]
+    return argvs
+
+
+def run(main, argv: list[str]) -> tuple[str, bytes, bytes]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = str(main(argv))
+        except SystemExit as e:
+            code = str(e.code)
+        except Exception as e:  # a traceback: its text goes into stderr's digest
+            code = f"raised-{type(e).__name__}"
+            traceback.print_exc()
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="the source tree whose wamlkit is run (default: this repo's)")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    from wamlkit.cli import main as cli_main
+
+    if not Path(sys.modules["wamlkit"].__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"wamlkit was not imported from {src}")
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            argvs = corpus(random.Random(args.seed), Path(tmp))
+            runs = [argv + mode for argv in argvs for mode in ([], ["--json"])]
+            for number, argv in enumerate(runs):
+                code, out, err = run(cli_main, argv)
+                digests = [hashlib.sha256(x).hexdigest() for x in (out, err)]
+                print(number, code, *digests, json.dumps(argv))
+        finally:
+            os.chdir(home)
+
+
+if __name__ == "__main__":
+    main()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import semantics
 from .errors import ArityMismatchError, InvalidArgumentError, UnknownWorldError
 from .model import NModel
-from .syntax import And, Bottom, Box, Diamond, Formula, Letter, Not, Or, Top, conj, disj
+from .syntax import Diamond, Formula, Letter, Not, conj, disj
 
 Pair = tuple[str, str]
 
@@ -237,37 +237,6 @@ def greatest_bisim(
 # ---------------------------------------------------------------------------
 # Distinguishing formulas
 
-def _flatten(g: Formula, cls) -> list[Formula]:
-    if isinstance(g, cls):
-        return _flatten(g.left, cls) + _flatten(g.right, cls)
-    return [simplify_boolean(g)]
-
-
-def simplify_boolean(f: Formula) -> Formula:
-    """Flatten and/or chains, drop duplicate and neutral operands.  Purely
-    structural; preserves truth at every world."""
-
-    match f:
-        case And():
-            parts = _dedupe([p for p in _flatten(f, And) if not isinstance(p, Top)])
-            if any(isinstance(p, Bottom) for p in parts):
-                return Bottom()
-            return conj(parts)
-        case Or():
-            parts = _dedupe([p for p in _flatten(f, Or) if not isinstance(p, Bottom)])
-            if any(isinstance(p, Top) for p in parts):
-                return Top()
-            return disj(parts)
-        case Not(g):
-            return Not(simplify_boolean(g))
-        case Box(g):
-            return Box(simplify_boolean(g))
-        case Diamond(g):
-            return Diamond(simplify_boolean(g))
-        case _:
-            return f
-
-
 def distinguishing_formula(
     left: NModel,
     w: str,
@@ -283,15 +252,12 @@ def distinguishing_formula(
         raise UnknownWorldError(f"unknown left world {w!r}")
     if v not in right.valuation:
         raise UnknownWorldError(f"unknown right world {v!r}")
-    raw = _Partition(left, right, frozenset(alphabet)).certificate((w, v))
-    if raw is None:
+    f = _Partition(left, right, frozenset(alphabet)).certificate((w, v))
+    if f is None:
         return None
-    lev = semantics.ModelEvaluator(left)
-    rev = semantics.ModelEvaluator(right)
-    for candidate in (simplify_boolean(raw), raw):
-        if lev.holds(w, candidate) and not rev.holds(v, candidate):
-            return candidate
-    raise AssertionError("refinement produced an unverifiable certificate")
+    if not semantics.check(left, w, f) or semantics.check(right, v, f):
+        raise AssertionError("refinement produced an unverifiable certificate")
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -118,11 +118,7 @@ def _cmd_sat(args) -> int:
 def _cmd_bisim_check(args) -> int:
     left = model.load(_read(args.left))
     right = model.load(_read(args.right))
-    try:
-        data = json.loads(_read(args.relation))
-    except UnicodeDecodeError as e:
-        raise WamlError(f"relation JSON cannot be decoded: {e}") from e
-    pairs = _relation_pairs(data)
+    pairs = _relation_pairs(model.read_json(_read(args.relation), "relation"))
     alphabet = _letters_arg(args.letters, [left, right])
     z = bisim.PairRelation(left, right, pairs, alphabet)
     violation = bisim.check_bisim(z)
@@ -512,9 +508,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except WamlError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as e:
-        print(f"error: malformed JSON: {e}", file=sys.stderr)
         return 2
 
 

@@ -20,7 +20,7 @@ from . import bisim, proof, semantics, syntax
 from .bisim import PairRelation
 from .errors import BudgetExceededError, InvalidArgumentError
 from .model import PointedModel, make_model
-from .proof import ProofScript, binary_tag, refutation_formulas, tag_width
+from .proof import ProofScript, refutation_formulas, tag_letters, tag_width
 from .syntax import Formula, Implies, Not, And, letters, print_formula
 
 
@@ -33,24 +33,6 @@ class CounterexampleBundle:
     psi: Formula
     z: PairRelation
     refutation: ProofScript
-
-
-def _positive_letters(f: Formula) -> list[str]:
-    # positive literals of a conjunction of literals
-    out = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        match g:
-            case syntax.And(l, r):
-                stack.extend((l, r))
-            case syntax.Letter(name):
-                out.append(name)
-            case syntax.Not(syntax.Letter()):
-                pass
-            case _:
-                raise ValueError(f"not a conjunction of literals: {g!r}")
-    return sorted(out)
 
 
 def build_counterexample(n: int) -> CounterexampleBundle:
@@ -100,7 +82,9 @@ def build_counterexample(n: int) -> CounterexampleBundle:
         right_worlds = ["v"] + [f"v{i}" for i in range(1, n + 1)]
         right_val: dict[str, list[str]] = {"v1": ["p"]}
         for i in range(1, n):
-            right_val[f"v{i + 1}"] = _positive_letters(binary_tag(i, width))
+            right_val[f"v{i + 1}"] = [
+                name for name, positive in tag_letters(i, width) if positive
+            ]
         right = make_model(n, right_worlds, [tuple(right_worlds)], right_val)
         pairs = {("w", "v"), ("w1", "v1"), ("w2", "v1")}
         pairs |= {

@@ -209,17 +209,22 @@ def model_from_dict(data: object) -> NModel:
     )
 
 
-def load(text: bytes | str) -> NModel:
-    """Parse model JSON; the file's world order becomes the model's order."""
+def read_json(text: bytes | str, what: str) -> object:
+    """The JSON value of a model, proof or relation file (``what``):
+    bytes must be UTF-8, and anything else raises ModelLoadError."""
     try:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
-        data = json.loads(text)
+        return json.loads(text)
     except UnicodeDecodeError as e:
-        raise ModelLoadError(f"model JSON is not UTF-8: {e}") from e
+        raise ModelLoadError(f"{what} JSON is not UTF-8: {e}") from e
     except json.JSONDecodeError as e:
         raise ModelLoadError(f"malformed JSON: {e}") from e
-    return model_from_dict(data)
+
+
+def load(text: bytes | str) -> NModel:
+    """Parse model JSON; the file's world order becomes the model's order."""
+    return model_from_dict(read_json(text, "model"))
 
 
 def save(m: NModel) -> bytes:

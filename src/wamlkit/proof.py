@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import BudgetExceededError, InvalidArgumentError, ModelLoadError
+from .model import read_json
 from .syntax import (
     And,
     Bottom,
@@ -134,8 +135,8 @@ def is_tautology(f: Formula) -> bool:
 
     The diamond-free form of f is compiled once with its letters and
     maximal boxes as known leaves, and its program is run once over all
-    2**k rows of the k atoms: atom b takes ``bit_pattern(b, 2**k)``, and
-    f must come out true in every row."""
+    2**k rows of the k atoms: the leaf gives atom b the column
+    ``bit_pattern(b, 2**k)``, and f must come out true in every row."""
     program = compile_formula(expand_diamonds(f), _PropositionalAtoms())
     atoms = [node for node, op, _, _ in program if op is None]
     if len(atoms) > MAX_TAUTOLOGY_ATOMS:
@@ -146,7 +147,7 @@ def is_tautology(f: Formula) -> bool:
     rows = 1 << len(atoms)
     columns = {g: bit_pattern(b, rows) for b, g in enumerate(atoms)}
     full = (1 << rows) - 1
-    return run_program(program, full, None, columns)[-1] == full
+    return run_program(program, full, lambda g, operand: columns[g])[-1] == full
 
 
 def tautological_consequence(premises: list[Formula], conclusion: Formula) -> bool:
@@ -389,15 +390,7 @@ def script_from_dict(data: object) -> ProofScript:
 
 
 def load_script(text: bytes | str) -> ProofScript:
-    try:
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-        data = json.loads(text)
-    except UnicodeDecodeError as e:
-        raise ModelLoadError(f"proof JSON is not UTF-8: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ModelLoadError(f"malformed JSON: {e}") from e
-    return script_from_dict(data)
+    return script_from_dict(read_json(text, "proof"))
 
 
 def save_script(script: ProofScript) -> bytes:
@@ -407,24 +400,24 @@ def save_script(script: ProofScript) -> bytes:
 # ---------------------------------------------------------------------------
 # Refutation scripts for the interpolation counterexamples
 
+def tag_letters(index: int, width: int) -> list[tuple[str, bool]]:
+    """The letters r1..r_width of the tag of index, each with its sign:
+    r_{b+1} is positive exactly when bit b of index-1 is set."""
+    return [(f"r{b + 1}", bool(index - 1 >> b & 1)) for b in range(width)]
+
+
 def binary_tag(index: int, width: int) -> Formula:
-    """Conjunction of literals over r1..r_width encoding index-1 in binary:
-    bit b set means r_{b+1} positive, otherwise negated.  Distinct indices
-    yield jointly unsatisfiable conjunctions."""
-    bits = index - 1
-    literals: list[Formula] = []
-    for b in range(width):
-        letter = Letter(f"r{b + 1}")
-        literals.append(letter if bits >> b & 1 else Not(letter))
-    return conj(literals)
+    """Conjunction of the literals of ``tag_letters(index, width)``.
+    Distinct indices yield jointly unsatisfiable conjunctions."""
+    return conj([
+        Letter(name) if positive else Not(Letter(name))
+        for name, positive in tag_letters(index, width)
+    ])
 
 
 def tag_width(n: int) -> int:
     """Least m with 2**m >= n - 1."""
-    m = 0
-    while (1 << m) < n - 1:
-        m += 1
-    return m
+    return max(n - 2, 0).bit_length()
 
 
 def refutation_formulas(n: int) -> tuple[Formula, Formula]:

@@ -54,17 +54,26 @@ class ModelEvaluator:
         self._cache: dict[Formula, int] = {}
 
     def mask(self, f: Formula) -> int:
-        return syntax.fold_mask(f, self.full, self._leaf, self._cache)
+        """The mask of f.  Subformulas masked before are compiled as known,
+        and every mask computed is cached."""
+        cache = self._cache
+        program = syntax.compile_formula(f, cache)
+        masks = self.run(program)
+        for (node, op, _, _), bits in zip(program, masks):
+            if op is not None:
+                cache[node] = bits
+        return masks[-1]
 
     def run(self, program: list[syntax.Instruction]) -> list[int]:
         """The mask of every instruction of a program, in order."""
         return syntax.run_program(program, self.full, self._leaf)
 
     def _leaf(self, f: Formula, operand: int | None) -> int:
-        m = self.model
-        if operand is None:  # a letter
-            return m.letter_masks.get(f.name, 0)
-        return _modal_mask(isinstance(f, Box), operand, self.full, m.slot_index)
+        if operand is not None:
+            return _modal_mask(type(f) is Box, operand, self.full, self.model.slot_index)
+        if type(f) is Letter:
+            return self.model.letter_masks.get(f.name, 0)
+        return self._cache[f]  # compiled as known by ``mask``
 
     def depth_masks(self, f: Formula, max_depth: int) -> list[int]:
         """The mask of f under depth-d semantics for each d in
@@ -79,7 +88,7 @@ class ModelEvaluator:
 
         def leaf(g: Formula, operand: int | None) -> int:
             if operand is None:
-                return self.mask(g)
+                return self._leaf(g, None)
             if not shallower:
                 return full if type(g) is Box else 0
             return _modal_mask(type(g) is Box, shallower[g.operand], full, slots)
@@ -144,23 +153,24 @@ class _Budget:
             )
 
 
-def _modal_subformulas(f: Formula) -> list[Formula]:
-    found = [g for g, op, _, _ in syntax.compile_formula(f) if op in (Box, Diamond)]
-    return sorted(found, key=syntax.formula_key)
-
-
 class _TypeSpace:
     """Truth tables over all world types of a formula.
 
-    A type index encodes one bit per letter (low bits) and one bit per
-    modal subformula.  ``truth[g]`` is a big integer whose t-th bit is the
-    truth of subformula g under type t.
+    A type index encodes one bit per letter (low bits, by name) and one
+    bit per modal subformula (by ``formula_key``).  The program of f is
+    run once over all types, with those bits as its leaf columns: bit t
+    of a mask is the truth of its subformula under type t.
     """
 
     def __init__(self, f: Formula, arity: int, budget: _Budget):
         self.arity = arity
-        self.letters = sorted(syntax.letters(f))
-        self.modals = _modal_subformulas(f)
+        program = syntax.compile_formula(f)
+        nodes = [node for node, _, _, _ in program]
+        self.letters = sorted(g.name for g in nodes if type(g) is Letter)
+        self.modals = sorted(
+            (g for g in nodes if type(g) is Box or type(g) is Diamond),
+            key=syntax.formula_key,
+        )
         self.nbits = len(self.letters) + len(self.modals)
         if self.nbits > 22:
             raise BudgetExceededError(
@@ -169,21 +179,18 @@ class _TypeSpace:
         self.count = 1 << self.nbits
         self.all_types = (1 << self.count) - 1
         budget.spend(self.count)
-        # the leaves are seeded: letters and modal subformulas are the bits
         atoms = [Letter(name) for name in self.letters] + self.modals
-        self._truth = {
-            g: syntax.bit_pattern(b, self.count) for b, g in enumerate(atoms)
-        }
-        self.root_mask = self.truth(f)
+        columns = {g: syntax.bit_pattern(b, self.count) for b, g in enumerate(atoms)}
+        masks = syntax.run_program(
+            program, self.all_types, lambda g, operand: columns[g]
+        )
+        truth = dict(zip(nodes, masks))
+        self.root_mask = masks[-1]
         # (kind, own truth, child truth) per modal subformula
         self.modal_info = [
-            (isinstance(g, Box), self.truth(g), self.truth(g.operand))
-            for g in self.modals
+            (type(g) is Box, truth[g], truth[g.operand]) for g in self.modals
         ]
         self._demands: dict[int, list[tuple[int, list[int]]]] = {}
-
-    def truth(self, g: Formula) -> int:
-        return syntax.fold_mask(g, self.all_types, None, self._truth)
 
     def demands(self, t: int) -> list[tuple[int, list[int]]]:
         """Existential successor demands of type t: for each, the slot pool

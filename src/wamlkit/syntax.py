@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from operator import attrgetter
-from typing import Callable, Container, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Container, Iterable, Iterator, TypeVar
 
 from .errors import FormulaParseError
 
@@ -434,14 +434,13 @@ def formula_key(f: Formula) -> tuple[int, str]:
 def run_program(
     program: list[Instruction],
     full: int,
-    leaf: Callable[[Formula, int | None], int] | None,
-    known: Mapping[Formula, int] | None = None,
+    leaf: Callable[[Formula, int | None], int],
 ) -> list[int]:
     """The mask of every instruction of a program, in order.  This is the
-    one table of the boolean connectives.  A known instruction takes its
-    mask from ``known``; ``leaf(node, operand)`` gives the mask of a letter
-    (operand None) and of a box or diamond (operand: the mask of its
-    operand).  Every mask lies within ``full``."""
+    one table of the boolean connectives; everything else comes from
+    ``leaf(node, operand)``: the mask of a letter or of an instruction
+    compiled as known (operand None), and of a box or diamond (operand:
+    the mask of its operand).  Every mask lies within ``full``."""
     masks: list[int] = []
     push = masks.append
     for node, op, a, b in program:
@@ -459,29 +458,9 @@ def run_program(
             push(full)
         elif op is Bottom:
             push(0)
-        elif op is None:
-            push(known[node])
         else:
             push(leaf(node, masks[a] if a >= 0 else None))
     return masks
-
-
-def fold_mask(
-    f: Formula,
-    full: int,
-    leaf: Callable[[Formula, int | None], int] | None,
-    cache: dict,
-) -> int:
-    """The mask of f.  Subformulas already in ``cache`` are taken from
-    it; the rest are folded by ``run_program`` (so ``leaf`` may be None
-    when every letter and modal subformula is cached).  Every mask
-    computed is stored in ``cache``."""
-    program = compile_formula(f, cache)
-    masks = run_program(program, full, leaf, cache)
-    for (node, op, _, _), bits in zip(program, masks):
-        if op is not None:
-            cache[node] = bits
-    return masks[-1]
 
 
 def bit_pattern(b: int, count: int) -> int:

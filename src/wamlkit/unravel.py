@@ -1,13 +1,13 @@
 """Tree unraveling of pointed n-models and p-morphism checking.
 
 Unraveling nodes are paths of steps; a step is an n-vector of original
-worlds plus a focused index in [1, n].  The root path holds the constant
-vector over the start world with index 1.  A path may be extended by a
-step (u1..un, i) whenever the original relation has a tuple from the
-current focus to (u1..un).  The projection map sends a path to the focused
-world of its last step; valuations are pulled back along it.  The new
-(n+1)-ary relation connects a node to children whose projections form an
-original relation tuple.
+worlds plus a focused index in [1, n].  The root path is the start world
+alone.  A path may be extended by a step (u1..un, i) whenever the
+original relation has a tuple from the current focus to (u1..un).  The
+projection map sends a path to its focus, the focused world of its last
+step; valuations are pulled back along it.  The new (n+1)-ary relation
+connects a node to children whose projections form an original relation
+tuple.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ from .syntax import Formula
 
 DEFAULT_NODE_BUDGET = 50_000
 
-Step = tuple[tuple[str, ...], int]
-Path = tuple[Step, ...]
-
 
 @dataclass(frozen=True)
 class UnravelResult:
@@ -43,20 +40,6 @@ class UnravelResult:
 # the separators of node ids, and ``%`` itself, percent-escaped in world
 # ids, so that distinct paths get distinct ids
 _ESCAPES = str.maketrans({c: f"%{ord(c):02X}" for c in "%,:#"})
-
-
-def _node_id(path: Path) -> str:
-    root_vector, _ = path[0]
-    parts = [root_vector[0].translate(_ESCAPES)]
-    for vector, index in path[1:]:
-        escaped = (u.translate(_ESCAPES) for u in vector)
-        parts.append(",".join(escaped) + ":" + str(index))
-    return "#".join(parts)
-
-
-def _focus(path: Path) -> str:
-    vector, index = path[-1]
-    return vector[index - 1]
 
 
 def _check_budget(max_nodes: int) -> None:
@@ -84,49 +67,43 @@ def unravel(
         raise InvalidArgumentError("depth must be >= 0")
     _check_budget(max_nodes)
     # node counts grow with depth, exponentially along a cycle, so the
-    # count stops at the first depth over the budget
-    for node_count, tuple_count in unraveling_sizes(m, w, depth):
+    # count stops at the first depth over the budget, and at the first
+    # depth that adds nothing: every later depth repeats its counts
+    for node_count, tuple_count in _sizes_until_stable(m, w, depth):
         if node_count > max_nodes:
             raise _over_budget(depth, max_nodes, "node")
     if tuple_count > max_nodes:  # the tuples at the requested depth
         raise _over_budget(depth, max_nodes, "tuple")
     succ = m.successors
 
-    root: Path = (((w,) * m.arity, 1),)
-    levels: list[list[Path]] = [[root]]
-    children_of: dict[Path, list[Path]] = {}
-    for level in range(depth):
-        nxt: list[Path] = []
-        for path in levels[level]:
-            kids = [
-                path + ((vector, index),)
-                for vector in succ[_focus(path)]
-                for index in range(1, m.arity + 1)
-            ]
-            children_of[path] = kids
-            nxt.extend(kids)
-        levels.append(nxt)
-
-    nodes = [path for level in levels for path in level]
-    ids = {path: _node_id(path) for path in nodes}
-    projection = {ids[path]: _focus(path) for path in nodes}
-
+    # a node is (id, focus): the id names its path, the start world and
+    # then per step the escaped vector and the focused index
+    root = (w.translate(_ESCAPES), w)
+    nodes = [root]
+    level = [root]
     relation = set()
-    for level in range(depth):
-        for path in levels[level]:
-            by_world: dict[str, list[Path]] = {}
-            for child in children_of[path]:
-                by_world.setdefault(_focus(child), []).append(child)
-            for vector in succ[_focus(path)]:
-                pools = [by_world.get(world, []) for world in vector]
-                for combo in itertools.product(*pools):
-                    relation.add((ids[path], *(ids[c] for c in combo)))
+    for _ in range(depth):
+        deeper = []
+        for node_id, focus in level:
+            by_world: dict[str, list[str]] = {}
+            for vector in succ[focus]:
+                step = node_id + "#" + ",".join(u.translate(_ESCAPES) for u in vector)
+                for index, x in enumerate(vector, start=1):
+                    child = (f"{step}:{index}", x)
+                    deeper.append(child)
+                    by_world.setdefault(x, []).append(child[0])
+            for vector in succ[focus]:
+                for combo in itertools.product(*(by_world[x] for x in vector)):
+                    relation.add((node_id, *combo))
+        if not deeper:
+            break
+        nodes += deeper
+        level = deeper
 
-    valuation = {ids[path]: m.valuation[_focus(path)] for path in nodes}
-    unravelled = make_model(
-        m.arity, [ids[path] for path in nodes], relation, valuation
-    )
-    return UnravelResult(unravelled, ids[root], projection)
+    projection = dict(nodes)
+    valuation = {node_id: m.valuation[focus] for node_id, focus in nodes}
+    unravelled = make_model(m.arity, list(projection), relation, valuation)
+    return UnravelResult(unravelled, root[0], projection)
 
 
 @dataclass(frozen=True)
@@ -174,6 +151,19 @@ def unraveling_sizes(m: NModel, w: str, max_depth: int) -> Iterator[tuple[int, i
         yield nodes, tuples
 
 
+def _sizes_until_stable(
+    m: NModel, w: str, max_depth: int
+) -> Iterator[tuple[int, int]]:
+    """``unraveling_sizes`` up to the first depth whose counts equal the
+    previous depth's: the unraveling has died out there."""
+    previous = None
+    for sizes in unraveling_sizes(m, w, max_depth):
+        if sizes == previous:
+            return
+        yield sizes
+        previous = sizes
+
+
 def locality_sweep(
     m: NModel,
     w: str,
@@ -193,7 +183,7 @@ def locality_sweep(
     if max_depth < 0:
         raise InvalidArgumentError("max_depth must be >= 0")
     _check_budget(max_nodes)
-    for depth, (nodes, tuples) in enumerate(unraveling_sizes(m, w, max_depth)):
+    for depth, (nodes, tuples) in enumerate(_sizes_until_stable(m, w, max_depth)):
         if nodes > max_nodes:
             raise _over_budget(depth, max_nodes, "node")
         if tuples > max_nodes:

@@ -382,6 +382,9 @@ _BAD_ARGUMENTS = {
     "bisim-check-relation-not-utf8": [
         "bisim", "check", fixture("m2.json"), fixture("n2.json"), "{not-utf8}",
     ],
+    "bisim-check-relation-utf16": [
+        "bisim", "check", fixture("m2.json"), fixture("n2.json"), "{utf16}",
+    ],
     "proof-check-formula-5": ["proof", "check", "{formula-5}"],
     "proof-check-subst-5": ["proof", "check", "{subst-5}"],
     "proof-check-arity-true": ["proof", "check", "{arity-true}"],
@@ -399,6 +402,7 @@ def _script(*lines, arity=2):
 _BAD_FILES = {
     "relation": b'{"pairs": []}',
     "not-utf8": b"\xff\xfe{",
+    "utf16": '{"pairs": [["w", "v"]]}'.encode("utf-16"),
     "formula-5": _script((5, {"kind": "Taut"})),
     "subst-5": _script(("p", {"kind": "KnAxiom", "subst": {"p": 5}})),
     "arity-true": _script(("p | ~p", {"kind": "Taut"}), arity=True),

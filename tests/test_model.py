@@ -11,6 +11,7 @@ from wamlkit.model import (
     make_model,
     model_to_dict,
     random_model,
+    read_json,
     restrict_valuation,
     save,
     validate,
@@ -98,6 +99,17 @@ def test_load_rejects_malformed_json():
         load(b"{nope")
     with pytest.raises(ModelLoadError, match="relation\\[0\\]"):
         load(json.dumps({"arity": 1, "worlds": ["a"], "relation": [[1]], "valuation": {"a": []}}))
+
+
+def test_json_inputs_are_utf8_only():
+    # model, proof and relation files go through one reader
+    utf16 = '{"pairs": []}'.encode("utf-16")
+    for what in ("model", "proof", "relation"):
+        with pytest.raises(ModelLoadError, match=f"^{what} JSON is not UTF-8: "):
+            read_json(utf16, what)
+        with pytest.raises(ModelLoadError, match="^malformed JSON: "):
+            read_json(b"{nope", what)
+    assert read_json(b'{"pairs": [["w", "v"]]}', "relation") == {"pairs": [["w", "v"]]}
 
 
 def _model_text(**changes):

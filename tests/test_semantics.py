@@ -71,6 +71,21 @@ def test_valid_on_model_basics(m2):
     assert not valid_on_model(m2, parse("p"))  # fails at w
 
 
+def test_evaluator_mask_reads_and_fills_its_cache():
+    # worlds 0-3: p holds at 1 and 3, q at 2 and 3
+    m = make_model(1, "abcd", [], {"b": ["p"], "c": ["q"], "d": ["p", "q"]})
+    ev = semantics.ModelEvaluator(m)
+    assert ev.mask(parse("p <-> q")) == 0b1001
+    # every new mask is cached, the letters' too
+    assert ev._cache == {Letter("p"): 0b1010, Letter("q"): 0b1100, parse("p <-> q"): 0b1001}
+    assert ev.mask(parse("~(p <-> q) -> p & q")) == 0b1001
+    assert ev._cache[parse("p & q")] == 0b1000
+    assert ev.mask(parse("true | false")) == 0b1111
+    # a cached subformula is read from the cache, not recomputed
+    ev._cache[parse("p & q")] = 0b0110
+    assert ev.mask(parse("(p & q) | false")) == 0b0110
+
+
 def test_diamond_box_duality_sampled():
     rng = random.Random(7)
     for i in range(60):
@@ -420,6 +435,59 @@ def test_bounded_sat_budget_pins(text, arity, max_worlds, budget):
     assert bounded_sat(f, arity, max_worlds, budget=budget) is not None
     with pytest.raises(BudgetExceededError):
         bounded_sat(f, arity, max_worlds, budget=budget - 1)
+
+
+def _subformulas(f):
+    parts = [f]
+    for name in ("operand", "left", "right"):
+        if hasattr(f, name):
+            parts += _subformulas(getattr(f, name))
+    return parts
+
+
+def _reference_type_space(f):
+    # the type space by definition: a bit per letter (by name), then per
+    # modal subformula (by formula_key), each seeded with its column; any
+    # other subformula is folded on its own from the seeded columns
+    names = sorted(letters(f))
+    modals = sorted(
+        {g for g in _subformulas(f) if isinstance(g, (Box, Diamond))},
+        key=syntax.formula_key,
+    )
+    count = 1 << (len(names) + len(modals))
+    full = (1 << count) - 1
+    seeded = [Letter(name) for name in names] + modals
+    columns = {g: syntax.bit_pattern(b, count) for b, g in enumerate(seeded)}
+    table = {
+        And: lambda a, b: a & b,
+        Or: lambda a, b: a | b,
+        Not: lambda a: full ^ a,
+        Implies: lambda a, b: (full ^ a) | b,
+        Iff: lambda a, b: full ^ a ^ b,
+        Top: lambda: full,
+        Bottom: lambda: 0,
+    }
+
+    def truth(g):
+        def step(node, op, *operands):
+            if node in columns:
+                return columns[node]
+            return table[op](*operands)
+
+        return syntax.fold(g, step)
+
+    modal_info = [(isinstance(g, Box), truth(g), truth(g.operand)) for g in modals]
+    return names, modals, truth(f), modal_info
+
+
+def test_type_space_matches_per_subformula_folds():
+    for f in enumerate_formulas({"p", "q"}, 2, 5):
+        names, modals, root_mask, modal_info = _reference_type_space(f)
+        for arity in (1, 2, 3):
+            space = semantics._TypeSpace(f, arity, semantics._Budget(10**6))
+            assert (space.letters, space.modals) == (names, modals), f
+            assert space.root_mask == root_mask, f
+            assert space.modal_info == modal_info, f
 
 
 def test_demands_are_cached_per_modal_bits():

@@ -22,12 +22,12 @@ from wamlkit.syntax import (
     compile_formula,
     conj,
     enumerate_formulas,
-    fold_mask,
     formula_key,
     letters,
     modal_depth,
     parse,
     print_formula,
+    run_program,
 )
 
 from conftest import random_formula
@@ -281,14 +281,22 @@ def test_compile_stops_at_known_subformulas():
     ]
 
 
-def test_fold_mask_caches_every_new_mask():
+def test_run_program_sends_letters_and_known_instructions_to_the_leaf():
     # rows: the four valuations of p (bit 0) and q (bit 1)
-    cache = {Letter("p"): 0b1010, Letter("q"): 0b1100}
-    assert fold_mask(parse("p <-> q"), 0b1111, None, cache) == 0b1001
-    assert cache[parse("p <-> q")] == 0b1001
-    assert fold_mask(parse("~(p <-> q) -> p & q"), 0b1111, None, cache) == 0b1001
-    assert cache[parse("p & q")] == 0b1000
-    assert fold_mask(parse("true | false"), 0b1111, None, cache) == 0b1111
+    f = parse("(p <-> q) | box (p & q) -> ~q & true")
+    program = compile_formula(f, {parse("box (p & q)"), Letter("p")})
+    columns = {Letter("p"): 0b1010, Letter("q"): 0b1100, parse("box (p & q)"): 0b0110}
+    calls = []
+
+    def leaf(g, operand):
+        calls.append((g, operand))
+        return columns[g]
+
+    masks = run_program(program, 0b1111, leaf)
+    assert masks[-1] == 0b0011
+    # one leaf call per letter and per known instruction, none for p & q
+    assert sorted(calls, key=repr) == sorted(((g, None) for g in columns), key=repr)
+    assert {g: bits for (g, *_), bits in zip(program, masks) if g in columns} == columns
 
 
 def test_parse_rejects_deep_nesting_at_the_first_excess_level():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from wamlkit.syntax import enumerate_formulas, modal_depth, parse, random_formul
 from wamlkit.unravel import (
     DEFAULT_NODE_BUDGET,
     LocalitySweep,
+    UnravelResult,
     check_pmorphism,
     locality_sweep,
     unravel,
@@ -112,10 +114,12 @@ def test_unravel_tuple_budget():
 
 
 def test_a_refused_unravel_builds_no_node(cyclic, monkeypatch):
-    def build_node(path):
-        raise AssertionError("a refused unraveling built a node")
+    class NoEscapes(dict):
+        # every node id is made by escaping world ids through this table
+        def __getitem__(self, char):
+            raise AssertionError("a refused unraveling built a node")
 
-    monkeypatch.setattr("wamlkit.unravel._node_id", build_node)
+    monkeypatch.setattr("wamlkit.unravel._ESCAPES", NoEscapes())
     m = random_model(3, 7, 0.2, {"p", "q"}, seed=0)
     with pytest.raises(BudgetExceededError) as refused:
         unravel(m, "w0", 2)
@@ -123,6 +127,108 @@ def test_a_refused_unravel_builds_no_node(cyclic, monkeypatch):
     # the node count stops at the first depth over the budget
     with pytest.raises(BudgetExceededError, match="depth 1000000 exceeds the 50000-node"):
         unravel(cyclic, "w", 1_000_000)
+
+
+# The unraveling built from explicit paths, as ``unravel`` built it before
+# nodes were (id, focus) pairs: a path is a tuple of steps (vector, index),
+# the root step the constant vector over the start world with index 1.
+
+def _path_id(path):
+    escape = str.maketrans({c: f"%{ord(c):02X}" for c in "%,:#"})
+    parts = [path[0][0][0].translate(escape)]
+    for vector, index in path[1:]:
+        parts.append(",".join(u.translate(escape) for u in vector) + ":" + str(index))
+    return "#".join(parts)
+
+
+def _path_focus(path):
+    vector, index = path[-1]
+    return vector[index - 1]
+
+
+def path_unravel(m, w, depth, max_nodes):
+    for node_count, tuple_count in unraveling_sizes(m, w, depth):
+        if node_count > max_nodes:
+            raise BudgetExceededError(
+                f"unraveling to depth {depth} exceeds the {max_nodes}-node budget"
+            )
+    if tuple_count > max_nodes:
+        raise BudgetExceededError(
+            f"unraveling to depth {depth} exceeds the {max_nodes}-tuple budget"
+        )
+    succ = m.successors
+    levels = [[(((w,) * m.arity, 1),)]]
+    children_of = {}
+    for level in range(depth):
+        nxt = []
+        for path in levels[level]:
+            kids = [
+                path + ((vector, index),)
+                for vector in succ[_path_focus(path)]
+                for index in range(1, m.arity + 1)
+            ]
+            children_of[path] = kids
+            nxt.extend(kids)
+        levels.append(nxt)
+    nodes = [path for level in levels for path in level]
+    ids = {path: _path_id(path) for path in nodes}
+    relation = set()
+    for path in (path for level in levels[:depth] for path in level):
+        by_world = {}
+        for child in children_of[path]:
+            by_world.setdefault(_path_focus(child), []).append(ids[child])
+        for vector in succ[_path_focus(path)]:
+            for combo in itertools.product(*(by_world[x] for x in vector)):
+                relation.add((ids[path], *combo))
+    valuation = {ids[path]: m.valuation[_path_focus(path)] for path in nodes}
+    model = make_model(m.arity, [ids[path] for path in nodes], relation, valuation)
+    projection = {ids[path]: _path_focus(path) for path in nodes}
+    return UnravelResult(model, ids[nodes[0]], projection)
+
+
+def test_unravel_matches_the_path_builder():
+    rng = random.Random(31)
+    names = ["w", "a,b", "c:1", "#", "%2C", "u%"]
+    refusals = 0
+    for i in range(240):
+        arity = 1 + i % 3
+        m = random_model(arity, rng.randint(1, 5), rng.uniform(0, 0.6) / arity**2, {"p", "q"}, seed=3000 + i)
+        rename = dict(zip(m.worlds, rng.sample(names, len(m.worlds))))
+        m = make_model(
+            arity,
+            [rename[w] for w in m.worlds],
+            [tuple(rename[v] for v in t) for t in m.relation],
+            {rename[w]: m.valuation[w] for w in m.worlds},
+        )
+        w = rng.choice(m.worlds)
+        args = (m, w, rng.randint(0, 5), rng.choice([1, 5, 50, 500, 5_000, 50_000]))
+        want = sweep_outcome(path_unravel, *args)
+        got = sweep_outcome(unravel, *args)
+        assert got == want, args
+        if isinstance(got, UnravelResult):
+            assert got.model.worlds == want.model.worlds
+        refusals += isinstance(want, str)
+    assert 20 < refusals < 200
+
+
+def test_unravel_stops_where_the_unraveling_dies_out(monkeypatch):
+    # w's one tuple leads to a dead end: nothing lies below depth 1
+    m = make_model(2, ["w", "u"], [("w", "u", "u")], {"u": ["p"]})
+    consumed = []
+
+    def counted_sizes(*args):
+        for sizes in unraveling_sizes(*args):
+            consumed.append(sizes)
+            yield sizes
+
+    shallow = unravel(m, "w", 2)
+    monkeypatch.setattr("wamlkit.unravel.unraveling_sizes", counted_sizes)
+    assert unravel(m, "w", 10**6) == shallow
+    assert len(consumed) <= 3
+    consumed.clear()
+    sweep = locality_sweep(m, "w", parse("box ~p"), 10**6)
+    assert sweep.agree[:3] == (False, True, True) and sweep.least_stable_depth == 1
+    assert len(consumed) <= 3
 
 
 def test_tree_skeleton_unique_parents(cyclic):
