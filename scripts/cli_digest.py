@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Digest of the CLI's behaviour on a fixed seeded corpus.
 
-Runs 1,064 argvs through ``wamlkit.cli.main`` in-process, each in
+Runs 1,073 argvs through ``wamlkit.cli.main`` in-process, each in
 text mode and with ``--json``, and prints one line per run: the run
-number, the exit code, the sha256 of stdout, the sha256 of stderr and the
-argv.  The corpus covers ``mc``, ``sat`` at arity 1-3, ``bisim
-max``/``distinguish``/``check``, ``unravel`` (refusals included),
-``experiment locality``, ``interp demo --n 2..8``, ``translate`` and
-``proof check``.  Its models, relations and scripts are generated here,
-from the seed alone, and written to a temporary directory under relative
-names, so two source trees can be compared line by line:
+number, the exit code, the sha256 of stdout, the sha256 of stderr, the
+sha256 of every file the run wrote (``--out``, ``--emit-rmap``,
+``--emit-bundle``) as ``name=digest``, and the argv.  The corpus covers
+``mc``, ``sat`` at arity 1-3, ``bisim max``/``distinguish``/``check``,
+``unravel`` (refusals and written files included), ``experiment
+locality``, ``interp demo --n 2..8`` (bundles written for n = 2..5),
+``translate`` and ``proof check``.  Its models, relations and scripts
+are generated here, from the seed alone, and written to a temporary
+directory under relative names, so two source trees can be compared line
+by line:
 
     python3 scripts/cli_digest.py --src src > new.txt
     python3 scripts/cli_digest.py --src ../parent/src > old.txt
@@ -168,7 +171,38 @@ def corpus(rng: random.Random, directory: Path) -> list[list[str]]:
     for _ in range(10):
         argvs.append(["translate", _formula(rng, 2, 8), "--arity", str(rng.randint(1, 3))])
     argvs += [["proof", "check", "proof2.json"], ["proof", "check", "proof3.json"]]
+    # runs that write files, whose digests go into the run's line
+    sources = ["m2.json", "m3.json", "cycle.json", "model4.json", "model5.json"]
+    for i, name in enumerate(sources):
+        start = json.loads((directory / name).read_bytes())["worlds"][0]
+        argvs.append([
+            "unravel", name, start, "--depth", str(1 + i % 3),
+            "--out", f"unravel{i}.json", "--emit-rmap", f"rmap{i}.json",
+        ])
+    for n in range(2, 6):
+        argvs.append(["interp", "demo", "--n", str(n), "--emit-bundle", f"bundle{n}"])
     return argvs
+
+
+# the options whose value names a file (or, for a bundle, a directory)
+# that a run writes
+_OUTPUT_OPTIONS = ("--out", "--emit-rmap", "--emit-bundle")
+
+
+def written(argv: list[str]) -> list[Path]:
+    """The paths a run of ``argv`` writes to."""
+    return [Path(value) for option, value in zip(argv, argv[1:]) if option in _OUTPUT_OPTIONS]
+
+
+def file_digests(paths: list[Path]) -> list[str]:
+    """``name=sha256`` of every file at or under the paths, in order."""
+    files = []
+    for path in paths:
+        if path.is_dir():
+            files += sorted(p for p in path.rglob("*") if p.is_file())
+        elif path.exists():
+            files.append(path)
+    return [f"{p}={hashlib.sha256(p.read_bytes()).hexdigest()}" for p in files]
 
 
 def run(main, argv: list[str]) -> tuple[str, bytes, bytes]:
@@ -203,9 +237,15 @@ def main() -> None:
             argvs = corpus(random.Random(args.seed), Path(tmp))
             runs = [argv + mode for argv in argvs for mode in ([], ["--json"])]
             for number, argv in enumerate(runs):
+                outputs = written(argv)
+                for path in outputs:  # what an earlier run left there
+                    if path.is_dir():
+                        shutil.rmtree(path)
+                    else:
+                        path.unlink(missing_ok=True)
                 code, out, err = run(cli_main, argv)
                 digests = [hashlib.sha256(x).hexdigest() for x in (out, err)]
-                print(number, code, *digests, json.dumps(argv))
+                print(number, code, *digests, *file_digests(outputs), json.dumps(argv))
         finally:
             os.chdir(home)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -23,7 +22,7 @@ SCHEMA = 1
 def _emit(args, payload: dict, lines: list[str]) -> None:
     if args.json:
         payload = {"schema": SCHEMA, **payload}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.write(model.dump_json(payload).decode())
     else:
         for line in lines:
             print(line)
@@ -199,9 +198,7 @@ def _cmd_unravel(args) -> int:
         Path(args.out).write_bytes(model.save(result.model))
     if args.emit_rmap:
         rmap = {k: result.projection[k] for k in sorted(result.projection)}
-        Path(args.emit_rmap).write_text(
-            json.dumps(rmap, indent=2, sort_keys=True) + "\n"
-        )
+        Path(args.emit_rmap).write_bytes(model.dump_json(rmap))
     _emit(
         args,
         {
@@ -319,17 +316,12 @@ def _write_bundle(bundle: interp.CounterexampleBundle, directory: Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "left.json").write_bytes(model.save(bundle.left.model))
     (directory / "right.json").write_bytes(model.save(bundle.right.model))
-    (directory / "relation.json").write_text(
-        json.dumps(
-            {"pairs": [list(p) for p in sorted(bundle.z.pairs)]},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+    (directory / "relation.json").write_bytes(
+        model.dump_json({"pairs": [list(p) for p in sorted(bundle.z.pairs)]})
     )
     (directory / "proof.json").write_bytes(proof.save_script(bundle.refutation))
-    (directory / "formulas.json").write_text(
-        json.dumps(
+    (directory / "formulas.json").write_bytes(
+        model.dump_json(
             {
                 "n": bundle.n,
                 "phi": syntax.print_formula(bundle.phi),
@@ -337,11 +329,8 @@ def _write_bundle(bundle: interp.CounterexampleBundle, directory: Path) -> None:
                 "left_point": bundle.left.point,
                 "right_point": bundle.right.point,
                 "alphabet": sorted(bundle.z.alphabet),
-            },
-            indent=2,
-            sort_keys=True,
+            }
         )
-        + "\n"
     )
 
 

@@ -222,6 +222,12 @@ def read_json(text: bytes | str, what: str) -> object:
         raise ModelLoadError(f"malformed JSON: {e}") from e
 
 
+def dump_json(value: object) -> bytes:
+    """The canonical JSON file of a value, as ``read_json`` reads it
+    back: keys sorted, two-space indent, a final newline."""
+    return (json.dumps(value, indent=2, sort_keys=True) + "\n").encode()
+
+
 def load(text: bytes | str) -> NModel:
     """Parse model JSON; the file's world order becomes the model's order."""
     return model_from_dict(read_json(text, "model"))
@@ -229,7 +235,7 @@ def load(text: bytes | str) -> NModel:
 
 def save(m: NModel) -> bytes:
     """Serialize to canonical JSON: worlds, tuples and letter lists sorted."""
-    return (json.dumps(model_to_dict(m), indent=2, sort_keys=True) + "\n").encode()
+    return dump_json(model_to_dict(m))
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,11 @@ propositional reasoning.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import BudgetExceededError, InvalidArgumentError, ModelLoadError
-from .model import read_json
+from .model import dump_json, read_json
 from .syntax import (
     And,
     Bottom,
@@ -197,7 +196,10 @@ def check_script(script: ProofScript) -> LineReport | None:
                 return None
             return norms[index - 1]
 
-        reason = _check_line(script.arity, current, line.justification, cited)
+        try:
+            reason = _check_line(script.arity, current, line.justification, cited)
+        except BudgetExceededError as e:  # from ``is_tautology`` alone
+            reason = str(e)
         if reason is not None:
             return LineReport(number, reason)
         norms.append(current)
@@ -207,11 +209,8 @@ def check_script(script: ProofScript) -> LineReport | None:
 def _check_line(arity, current, just, cited) -> str | None:
     match just:
         case TautJust():
-            try:
-                if not is_tautology(current):
-                    return "not a propositional tautology after abstraction"
-            except BudgetExceededError as e:
-                return str(e)
+            if not is_tautology(current):
+                return "not a propositional tautology after abstraction"
             return None
         case KnAxiomJust(substitution):
             subst = dict(substitution)
@@ -265,11 +264,8 @@ def _check_line(arity, current, just, cited) -> str | None:
                 return "formula must be a biconditional between two boxes"
             equivalence = Iff(current.left.operand, current.right.operand)
             if source is None:
-                try:
-                    if not is_tautology(equivalence):
-                        return "the unboxed biconditional is not a tautology"
-                except BudgetExceededError as e:
-                    return str(e)
+                if not is_tautology(equivalence):
+                    return "the unboxed biconditional is not a tautology"
                 return None
             src = cited(source)
             if src is None:
@@ -284,11 +280,8 @@ def _check_line(arity, current, just, cited) -> str | None:
                 if src is None:
                     return "cited line must be strictly earlier"
                 premises.append(src)
-            try:
-                if not tautological_consequence(premises, current):
-                    return "not a tautological consequence of the cited lines"
-            except BudgetExceededError as e:
-                return str(e)
+            if not tautological_consequence(premises, current):
+                return "not a tautological consequence of the cited lines"
             return None
     return f"unknown justification {just!r}"
 
@@ -394,7 +387,7 @@ def load_script(text: bytes | str) -> ProofScript:
 
 
 def save_script(script: ProofScript) -> bytes:
-    return (json.dumps(script_to_dict(script), indent=2, sort_keys=True) + "\n").encode()
+    return dump_json(script_to_dict(script))
 
 
 # ---------------------------------------------------------------------------

@@ -132,9 +132,12 @@ def valid_on_model(m: NModel, f: Formula) -> bool:
 # tuple set over U matching its own modal bits; f is satisfiable with at
 # most k worlds iff some self-supporting U with |U| <= k contains a type
 # that makes f true (worlds sharing a type collapse into one).  The
-# decision phase works on types; the witness itself is then recovered by
-# enumerating models of the minimal world count in canonical order, so the
-# returned witness is the canonically least one.
+# decision phase belongs to the type space: a quick refutation of the
+# root types, elimination down to the greatest self-supporting set, and
+# the least support size k0 within it, with every set of types a mask
+# over type indices.  The witness itself is then recovered by enumerating
+# models of k0 worlds in canonical order, so the returned witness is the
+# canonically least one.
 
 
 class _Budget:
@@ -153,23 +156,35 @@ class _Budget:
             )
 
 
+def _iter_bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class _TypeSpace:
-    """Truth tables over all world types of a formula.
+    """Truth tables over all world types of a formula, and the decision
+    phase over them.
 
     A type index encodes one bit per letter (low bits, by name) and one
     bit per modal subformula (by ``formula_key``).  The program of f is
     run once over all types, with those bits as its leaf columns: bit t
-    of a mask is the truth of its subformula under type t.
+    of a mask is the truth of its subformula under type t.  Every search
+    step is spent from ``budget``, and set-cover answers are kept for the
+    whole search.
     """
 
     def __init__(self, f: Formula, arity: int, budget: _Budget):
         self.arity = arity
+        self.budget = budget
         program = syntax.compile_formula(f)
         nodes = [node for node, _, _, _ in program]
+        keys = dict(zip(nodes, syntax.program_keys(program)))
         self.letters = sorted(g.name for g in nodes if type(g) is Letter)
         self.modals = sorted(
             (g for g in nodes if type(g) is Box or type(g) is Diamond),
-            key=syntax.formula_key,
+            key=keys.__getitem__,
         )
         self.nbits = len(self.letters) + len(self.modals)
         if self.nbits > 22:
@@ -191,6 +206,8 @@ class _TypeSpace:
             (type(g) is Box, truth[g], truth[g.operand]) for g in self.modals
         ]
         self._demands: dict[int, list[tuple[int, list[int]]]] = {}
+        # (pool, hit pools) -> can ``arity`` slots cover the hit pools
+        self._covers: dict[tuple[int, tuple[int, ...]], bool] = {}
 
     def demands(self, t: int) -> list[tuple[int, list[int]]]:
         """Existential successor demands of type t: for each, the slot pool
@@ -222,133 +239,101 @@ class _TypeSpace:
         ]
         return demands
 
-
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _demand_satisfiable(
-    inside: int,
-    constraints: list[int],
-    u_mask: int,
-    arity: int,
-    budget: _Budget,
-    memo: dict,
-) -> bool:
-    """Can an ``arity``-slot tuple be drawn from ``u_mask & inside`` so that
-    each constraint pool is hit by at least one slot?"""
-    pool = u_mask & inside
-    if pool == 0:
-        return False
-    hit_pools = []
-    for c in constraints:
-        hp = pool & c
-        if hp == 0:
+    def demand_satisfiable(
+        self, inside: int, constraints: list[int], u_mask: int
+    ) -> bool:
+        """Can an ``arity``-slot tuple be drawn from ``u_mask & inside`` so
+        that each constraint pool is hit by at least one slot?"""
+        pool = u_mask & inside
+        if pool == 0:
             return False
-        hit_pools.append(hp)
-    if len(hit_pools) <= arity:
-        return True
-    key = (pool, tuple(hit_pools))
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    # set cover by at most ``arity`` slots: the pool's types grouped by the
-    # set of constraint pools each one hits, one bit-parallel split per pool
-    budget.spend()
-    groups = {0: pool}  # hit set -> the pool's types with exactly that hit set
-    for j, hp in enumerate(hit_pools):
-        split = {}
-        for hits, types in groups.items():
-            hit, missed = types & hp, types & ~hp
-            if hit:
-                split[hits | 1 << j] = hit
-            if missed:
-                split[hits] = missed
-        groups = split
-    target = (1 << len(hit_pools)) - 1
-    reached = {0}
-    for _ in range(arity):
-        reached = {s | c for s in reached for c in groups}
-        if target in reached:
-            break
-    ok = target in reached
-    memo[key] = ok
-    return ok
-
-
-def _realizable(
-    space: _TypeSpace, t: int, u_mask: int, budget: _Budget, memo: dict
-) -> bool:
-    budget.spend()
-    return all(
-        _demand_satisfiable(inside, constraints, u_mask, space.arity, budget, memo)
-        for inside, constraints in space.demands(t)
-    )
-
-
-def _eliminate(space: _TypeSpace, budget: _Budget, memo: dict) -> int:
-    """Greatest set of types each realizable against the set itself."""
-    u_mask = space.all_types
-    while True:
-        survivors = 0
-        for t in _iter_bits(u_mask):
-            if _realizable(space, t, u_mask, budget, memo):
-                survivors |= 1 << t
-        if survivors == u_mask:
-            return u_mask
-        u_mask = survivors
-
-
-def _min_support(
-    space: _TypeSpace, star_mask: int, max_size: int, budget: _Budget, memo: dict
-) -> int | None:
-    """Smallest size of a self-supporting type set containing a root type,
-    or None if none exists within ``max_size``."""
-    root_types = [t for t in _iter_bits(space.root_mask & star_mask)]
-    if not root_types:
-        return None
-    for k in range(1, max_size + 1):
-        seen: set[frozenset[int]] = set()
-        for root in root_types:
-            if _grow(space, star_mask, k, frozenset({root}), seen, budget, memo):
-                return k
-    return None
-
-
-def _grow(
-    space: _TypeSpace,
-    star_mask: int,
-    k: int,
-    chosen: frozenset[int],
-    seen: set[frozenset[int]],
-    budget: _Budget,
-    memo: dict,
-) -> bool:
-    """Can ``chosen`` be extended, one unmet demand at a time, to a
-    self-supporting set of at most k types?"""
-    if chosen in seen:
-        return False
-    seen.add(chosen)
-    budget.spend()
-    u_mask = 0
-    for t in chosen:
-        u_mask |= 1 << t
-    for t in sorted(chosen):
-        for inside, constraints in space.demands(t):
-            if _demand_satisfiable(
-                inside, constraints, u_mask, space.arity, budget, memo
-            ):
-                continue
-            if len(chosen) == k:
+        hit_pools = []
+        for c in constraints:
+            hp = pool & c
+            if hp == 0:
                 return False
-            for cand in _iter_bits(star_mask & inside & ~u_mask):
-                if _grow(space, star_mask, k, chosen | {cand}, seen, budget, memo):
-                    return True
+            hit_pools.append(hp)
+        if len(hit_pools) <= self.arity:
+            return True
+        key = (pool, tuple(hit_pools))
+        cached = self._covers.get(key)
+        if cached is not None:
+            return cached
+        # set cover by at most ``arity`` slots: the pool's types grouped by
+        # the set of constraint pools each one hits, one bit-parallel split
+        # per pool
+        self.budget.spend()
+        groups = {0: pool}  # hit set -> the pool's types with exactly that hit set
+        for j, hp in enumerate(hit_pools):
+            split = {}
+            for hits, types in groups.items():
+                hit, missed = types & hp, types & ~hp
+                if hit:
+                    split[hits | 1 << j] = hit
+                if missed:
+                    split[hits] = missed
+            groups = split
+        target = (1 << len(hit_pools)) - 1
+        reached = {0}
+        for _ in range(self.arity):
+            reached = {s | c for s in reached for c in groups}
+            if target in reached:
+                break
+        ok = self._covers[key] = target in reached
+        return ok
+
+    def realizable(self, t: int, u_mask: int) -> bool:
+        """Can type t meet every demand with successors from ``u_mask``?"""
+        self.budget.spend()
+        return all(
+            self.demand_satisfiable(inside, constraints, u_mask)
+            for inside, constraints in self.demands(t)
+        )
+
+    def eliminate(self) -> int:
+        """Greatest set of types each realizable against the set itself."""
+        u_mask = self.all_types
+        while True:
+            survivors = 0
+            for t in _iter_bits(u_mask):
+                if self.realizable(t, u_mask):
+                    survivors |= 1 << t
+            if survivors == u_mask:
+                return u_mask
+            u_mask = survivors
+
+    def min_support(self, star_mask: int, max_size: int) -> int | None:
+        """Smallest size of a self-supporting set of types from
+        ``star_mask`` containing a root type, or None if none exists within
+        ``max_size``."""
+        roots = self.root_mask & star_mask
+        if not roots:
+            return None
+        for k in range(1, max_size + 1):
+            seen: set[int] = set()
+            for root in _iter_bits(roots):
+                if self._grow(star_mask, k, 1 << root, seen):
+                    return k
+        return None
+
+    def _grow(self, star_mask: int, k: int, chosen: int, seen: set[int]) -> bool:
+        """Can the types of ``chosen`` be extended, one unmet demand at a
+        time, to a self-supporting set of at most k types?"""
+        if chosen in seen:
             return False
-    return True
+        seen.add(chosen)
+        self.budget.spend()
+        for t in _iter_bits(chosen):
+            for inside, constraints in self.demands(t):
+                if self.demand_satisfiable(inside, constraints, chosen):
+                    continue
+                if chosen.bit_count() == k:
+                    return False
+                for cand in _iter_bits(star_mask & inside & ~chosen):
+                    if self._grow(star_mask, k, chosen | 1 << cand, seen):
+                        return True
+                return False
+        return True
 
 
 def _letter_subsets(letters: list[str]) -> list[tuple[str, ...]]:
@@ -621,22 +606,14 @@ def bounded_sat(
         raise InvalidArgumentError("max_worlds must be >= 1")
     if budget < 1:
         raise InvalidArgumentError("budget must be >= 1")
-    tracker = _Budget(budget)
-    space = _TypeSpace(f, arity, tracker)
-    if space.root_mask == 0:
-        return None
-    memo: dict = {}
+    space = _TypeSpace(f, arity, _Budget(budget))
     # quick refutation: a root type unrealizable against every type at once
     # can never occur, whatever the world bound
     if not any(
-        _realizable(space, t, space.all_types, tracker, memo)
-        for t in _iter_bits(space.root_mask)
+        space.realizable(t, space.all_types) for t in _iter_bits(space.root_mask)
     ):
         return None
-    star_mask = _eliminate(space, tracker, memo)
-    if space.root_mask & star_mask == 0:
-        return None
-    k0 = _min_support(space, star_mask, max_worlds, tracker, memo)
+    k0 = space.min_support(space.eliminate(), max_worlds)
     if k0 is None:
         return None
-    return _walk_witness(f, arity, k0, space.letters, tracker)
+    return _walk_witness(f, arity, k0, space.letters, space.budget)

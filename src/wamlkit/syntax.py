@@ -345,20 +345,27 @@ def program_of(formulas: Iterable[Formula]) -> list[Instruction]:
     return program
 
 
-def fold(f: Formula, step: Callable[..., _T]) -> _T:
-    """The value of f under ``step``: each distinct subformula g, operands
-    first, gets ``step(g, type(g), *operand_values)``, where the operand
-    values are the ones step gave g's operands."""
+def fold_program(program: list[Instruction], step: Callable[..., _T]) -> list[_T]:
+    """The value of every instruction of a program under ``step``, in
+    order: each gets ``step(node, connective, *operand_values)``, where the
+    operand values are the ones step gave its operands."""
     values: list = []
     push = values.append
-    for node, op, a, b in compile_formula(f):
+    for node, op, a, b in program:
         if b >= 0:
             push(step(node, op, values[a], values[b]))
         elif a >= 0:
             push(step(node, op, values[a]))
         else:
             push(step(node, op))
-    return values[-1]
+    return values
+
+
+def fold(f: Formula, step: Callable[..., _T]) -> _T:
+    """The value of f under ``step``: each distinct subformula g, operands
+    first, gets ``step(g, type(g), *operand_values)``, where the operand
+    values are the ones step gave g's operands."""
+    return fold_program(compile_formula(f), step)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +424,23 @@ def ast_size(f: Formula) -> int:
     return fold(f, lambda g, op, *sizes: 1 + sum(sizes))
 
 
+def _key_step(
+    node: Formula, op: type, *operands: tuple[int, tuple[int, str]]
+) -> tuple[int, tuple[int, str]]:
+    # the tree size of a node, and its precedence and text as printed
+    size = 1 + sum(s for s, _ in operands)
+    return size, _print_step(node, op, *(printed for _, printed in operands))
+
+
 def formula_key(f: Formula) -> tuple[int, str]:
     """Canonical ordering key: AST size first, rendered text second."""
-    return (ast_size(f), print_formula(f))
+    return program_keys(compile_formula(f))[-1]
+
+
+def program_keys(program: list[Instruction]) -> list[tuple[int, str]]:
+    """The ``formula_key`` of every instruction's formula, from one fold
+    over the program."""
+    return [(size, text) for size, (_, text) in fold_program(program, _key_step)]
 
 
 # ---------------------------------------------------------------------------

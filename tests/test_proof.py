@@ -190,6 +190,27 @@ def test_tautology_atom_cap():
     assert report is not None and "exceeds the cap" in report.reason
 
 
+def test_tautology_atom_cap_in_re_and_plfrom_lines():
+    # an RE line without a source and a PLFrom line check a tautology too
+    conj = Letter("a0")
+    for i in range(1, 21):
+        conj = And(conj, Letter(f"a{i}"))
+    script = ProofScript(1, (ProofLine(Iff(Box(conj), Box(conj)), REJust()),))
+    report = check_script(script)
+    assert report is not None and report.line == 1
+    assert "exceeds the cap" in report.reason
+    script = ProofScript(
+        1,
+        (
+            ProofLine(parse("p -> p"), TautJust()),
+            ProofLine(Implies(conj, conj), PLFromJust((1,))),
+        ),
+    )
+    report = check_script(script)
+    assert report is not None and report.line == 2
+    assert "exceeds the cap" in report.reason
+
+
 def test_bundled_scripts_check(tmp_path):
     for n in (2, 3):
         script = load_script(fixture(f"proof{n}.json").read_bytes())

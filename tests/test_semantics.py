@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 
@@ -437,6 +438,26 @@ def test_bounded_sat_budget_pins(text, arity, max_worlds, budget):
         bounded_sat(f, arity, max_worlds, budget=budget - 1)
 
 
+def test_bounded_sat_step_counts_frozen(monkeypatch):
+    # the verdict and the exact step count of 2,976 searches, frozen as
+    # one digest: a change that moves any budget step changes it
+    lines = []
+    for f in enumerate_formulas({"p", "q"}, 2, 5):
+        for arity, max_worlds in ((1, 3), (2, 2), (3, 2)):
+            outcome, spent = _sat_outcome(
+                monkeypatch, f, arity, max_worlds, semantics.DEFAULT_SEARCH_BUDGET
+            )
+            verdict = (
+                "budget" if isinstance(outcome, str)
+                else "unsat" if outcome is None
+                else "sat"
+            )
+            lines.append(f"{print_formula(f)}|{arity}|{verdict}|{spent}")
+    assert len(lines) == 2_976
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "3911285354622ae9513e3cbf42ef8bda5e3445c041f8835c4deea114538af771"
+
+
 def _subformulas(f):
     parts = [f]
     for name in ("operand", "left", "right"):
@@ -490,6 +511,23 @@ def test_type_space_matches_per_subformula_folds():
             assert space.modal_info == modal_info, f
 
 
+def test_type_space_compiles_its_formula_once(monkeypatch):
+    # the modal sort keys come from the program already compiled, not
+    # from a fold of their own per modal subformula
+    calls = []
+    compile_formula = syntax.compile_formula
+
+    def counted(*args):
+        calls.append(args)
+        return compile_formula(*args)
+
+    monkeypatch.setattr(syntax, "compile_formula", counted)
+    f = parse("box (dia (box (p | q) & q) | p) & ~dia box dia ~p")
+    space = semantics._TypeSpace(f, 2, semantics._Budget(10**6))
+    assert len(space.modals) == 6
+    assert len(calls) == 1
+
+
 def test_demands_are_cached_per_modal_bits():
     f = parse("dia p & box (q | dia ~p) & ~box dia q")
     budget = semantics._Budget(10**6)
@@ -523,8 +561,8 @@ def test_demand_check_matches_brute_force():
             all(any(c >> t & 1 for t in slots) for c in constraints)
             for slots in itertools.combinations_with_replacement(pool, arity)
         )
-        budget = semantics._Budget(10**9)
-        got = semantics._demand_satisfiable(inside, constraints, u_mask, arity, budget, {})
+        space = semantics._TypeSpace(parse("p"), arity, semantics._Budget(10**9))
+        got = space.demand_satisfiable(inside, constraints, u_mask)
         assert got == want, (inside, constraints, u_mask, arity)
 
 

@@ -27,6 +27,7 @@ from wamlkit.syntax import (
     modal_depth,
     parse,
     print_formula,
+    program_keys,
     run_program,
 )
 
@@ -233,6 +234,16 @@ def test_enumerate_order_deterministic():
 def test_formula_key_orders_by_size_then_text():
     assert formula_key(Letter("p")) < formula_key(Not(Letter("p")))
     assert formula_key(Letter("p")) < formula_key(Letter("q"))
+
+
+def test_program_keys_are_formula_keys():
+    rng = random.Random(13)
+    for _ in range(50):
+        f = random_formula(rng, ["p", "q"], 3, fuel=12)
+        program = compile_formula(f)
+        want = [(ast_size(g), print_formula(g)) for g, _, _, _ in program]
+        assert program_keys(program) == want
+        assert formula_key(f) == want[-1]
 
 
 def test_hash_is_tagged_with_the_class():
