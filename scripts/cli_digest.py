@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Digest of the CLI's behaviour on a fixed seeded corpus.
 
-Runs 1,073 argvs through ``wamlkit.cli.main`` in-process, each in
+Runs 1,077 argvs through ``wamlkit.cli.main`` in-process, each in
 text mode and with ``--json``, and prints one line per run: the run
 number, the exit code, the sha256 of stdout, the sha256 of stderr, the
 sha256 of every file the run wrote (``--out``, ``--emit-rmap``,
 ``--emit-bundle``) as ``name=digest``, and the argv.  The corpus covers
 ``mc``, ``sat`` at arity 1-3, ``bisim max``/``distinguish``/``check``,
 ``unravel`` (refusals and written files included), ``experiment
-locality``, ``interp demo --n 2..8`` (bundles written for n = 2..5),
-``translate`` and ``proof check``.  Its models, relations and scripts
+locality``, ``interp demo --n 2..8`` and ``--n 25`` (bundles written
+for n = 2..5), ``translate``, ``proof check``, and writes that fail.
+Its models, relations and scripts
 are generated here, from the seed alone, and written to a temporary
 directory under relative names, so two source trees can be compared line
 by line:
@@ -181,6 +182,15 @@ def corpus(rng: random.Random, directory: Path) -> list[list[str]]:
         ])
     for n in range(2, 6):
         argvs.append(["interp", "demo", "--n", str(n), "--emit-bundle", f"bundle{n}"])
+    # a formula comparison hundreds of levels deep (the arity-25 axiom
+    # line), and writes that fail: a missing parent directory, and a file
+    # where a directory must be
+    argvs += [
+        ["interp", "demo", "--n", "25", "--sat-bound", "1"],
+        ["unravel", "m2.json", "w", "--depth", "1", "--out", "missing/u.json"],
+        ["unravel", "m2.json", "w", "--depth", "1", "--emit-rmap", "missing/r.json"],
+        ["interp", "demo", "--n", "2", "--emit-bundle", "m2.json/b"],
+    ]
     return argvs
 
 
@@ -241,8 +251,8 @@ def main() -> None:
                 for path in outputs:  # what an earlier run left there
                     if path.is_dir():
                         shutil.rmtree(path)
-                    else:
-                        path.unlink(missing_ok=True)
+                    elif path.is_file():
+                        path.unlink()
                 code, out, err = run(cli_main, argv)
                 digests = [hashlib.sha256(x).hexdigest() for x in (out, err)]
                 print(number, code, *digests, *file_digests(outputs), json.dumps(argv))

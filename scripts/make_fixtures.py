@@ -7,7 +7,6 @@ the interpolation counterexample bundles at arities 2 and 3 (m2/n2/z2/
 proof2 and m3/n3/z3/proof3).
 """
 
-import json
 import sys
 from pathlib import Path
 
@@ -16,11 +15,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from wamlkit import interp, model, proof  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def write_relation(path: Path, pairs) -> None:
-    payload = {"pairs": [list(p) for p in sorted(pairs)]}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def main() -> None:
@@ -40,10 +34,8 @@ def main() -> None:
     )
     (FIXTURES / "nonaligned_left.json").write_bytes(model.save(nonaligned_left))
     (FIXTURES / "nonaligned_right.json").write_bytes(model.save(nonaligned_right))
-    write_relation(
-        FIXTURES / "z_nonaligned.json",
-        {("w", "v"), ("w1", "v1"), ("w2", "v2"), ("w2", "v1")},
-    )
+    pairs = [["w", "v"], ["w1", "v1"], ["w2", "v1"], ["w2", "v2"]]
+    (FIXTURES / "z_nonaligned.json").write_bytes(model.dump_json({"pairs": pairs}))
 
     cycle = model.make_model(
         2,
@@ -57,7 +49,8 @@ def main() -> None:
         bundle = interp.build_counterexample(n)
         (FIXTURES / f"m{n}.json").write_bytes(model.save(bundle.left.model))
         (FIXTURES / f"n{n}.json").write_bytes(model.save(bundle.right.model))
-        write_relation(FIXTURES / f"z{n}.json", bundle.z.pairs)
+        pairs = [list(p) for p in sorted(bundle.z.pairs)]
+        (FIXTURES / f"z{n}.json").write_bytes(model.dump_json({"pairs": pairs}))
         (FIXTURES / f"proof{n}.json").write_bytes(
             proof.save_script(bundle.refutation)
         )

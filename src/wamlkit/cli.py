@@ -35,6 +35,19 @@ def _read(path: str) -> bytes:
         raise WamlError(f"cannot read {path}: {e}") from e
 
 
+def _write(path: str | Path, data: bytes | dict[str, bytes]) -> None:
+    """Write a file, or a directory of the files a dict names."""
+    try:
+        if isinstance(data, dict):
+            Path(path).mkdir(parents=True, exist_ok=True)
+            for name, raw in data.items():
+                _write(Path(path) / name, raw)
+        else:
+            Path(path).write_bytes(data)
+    except OSError as e:
+        raise WamlError(f"cannot write {path}: {e}") from e
+
+
 def _letters_arg(value: str | None, models: list[model.NModel]) -> frozenset[str]:
     if value is None:
         out: set[str] = set()
@@ -193,12 +206,12 @@ def _cmd_bisim_distinguish(args) -> int:
 def _cmd_unravel(args) -> int:
     m = model.load(_read(args.model))
     result = unravel.unravel(m, args.world, args.depth, max_nodes=args.budget)
-    text = model.save(result.model).decode().rstrip()
+    saved = model.save(result.model)
+    rmap = {k: result.projection[k] for k in sorted(result.projection)}
     if args.out:
-        Path(args.out).write_bytes(model.save(result.model))
+        _write(args.out, saved)
     if args.emit_rmap:
-        rmap = {k: result.projection[k] for k in sorted(result.projection)}
-        Path(args.emit_rmap).write_bytes(model.dump_json(rmap))
+        _write(args.emit_rmap, model.dump_json(rmap))
     _emit(
         args,
         {
@@ -206,11 +219,9 @@ def _cmd_unravel(args) -> int:
             "depth": args.depth,
             "root": result.root,
             "model": model.model_to_dict(result.model),
-            "projection": {
-                k: result.projection[k] for k in sorted(result.projection)
-            },
+            "projection": rmap,
         },
-        [f"root: {result.root}", text],
+        [f"root: {result.root}", saved.decode().rstrip()],
     )
     return 0
 
@@ -271,7 +282,7 @@ def _cmd_interp_demo(args) -> int:
     bundle = interp.build_counterexample(args.n)
     report = interp.verify_counterexample(bundle, args.sat_bound)
     if args.emit_bundle:
-        _write_bundle(bundle, Path(args.emit_bundle))
+        _write(args.emit_bundle, _bundle_files(bundle))
     conditions = [
         ("models satisfy their formulas", report.models_satisfy),
         ("joint refutability derivation", report.refutation_valid),
@@ -312,16 +323,15 @@ def _cmd_interp_demo(args) -> int:
     return 0 if report.passed else 1
 
 
-def _write_bundle(bundle: interp.CounterexampleBundle, directory: Path) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "left.json").write_bytes(model.save(bundle.left.model))
-    (directory / "right.json").write_bytes(model.save(bundle.right.model))
-    (directory / "relation.json").write_bytes(
-        model.dump_json({"pairs": [list(p) for p in sorted(bundle.z.pairs)]})
-    )
-    (directory / "proof.json").write_bytes(proof.save_script(bundle.refutation))
-    (directory / "formulas.json").write_bytes(
-        model.dump_json(
+def _bundle_files(bundle: interp.CounterexampleBundle) -> dict[str, bytes]:
+    return {
+        "left.json": model.save(bundle.left.model),
+        "right.json": model.save(bundle.right.model),
+        "relation.json": model.dump_json(
+            {"pairs": [list(p) for p in sorted(bundle.z.pairs)]}
+        ),
+        "proof.json": proof.save_script(bundle.refutation),
+        "formulas.json": model.dump_json(
             {
                 "n": bundle.n,
                 "phi": syntax.print_formula(bundle.phi),
@@ -330,8 +340,8 @@ def _write_bundle(bundle: interp.CounterexampleBundle, directory: Path) -> None:
                 "right_point": bundle.right.point,
                 "alphabet": sorted(bundle.z.alphabet),
             }
-        )
-    )
+        ),
+    }
 
 
 def _cmd_experiment_locality(args) -> int:

@@ -14,7 +14,6 @@ failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import bisim, proof, semantics, syntax
 from .bisim import PairRelation
@@ -137,19 +136,14 @@ _NOTE = (
 
 
 def first_disagreement(
-    left: PointedModel, right: PointedModel, formulas: Iterable[Formula]
+    left: PointedModel, right: PointedModel, program: list[syntax.Instruction]
 ) -> Formula | None:
-    """The first of ``formulas`` true at one point and false at the
-    other, or None.  Every operand of a formula must come before it, as
-    in ``syntax.enumerate_formulas``: the formulas are one program, run
-    once on each model."""
-    program = syntax.program_of(formulas)
-    sides = []
-    for pointed in (left, right):
-        ev = semantics.ModelEvaluator(pointed.model)
-        sides.append((ev.run(program), pointed.model.index[pointed.point]))
-    (left_masks, i), (right_masks, j) = sides
-    for (f, *_), x, y in zip(program, left_masks, right_masks):
+    """The first formula of ``program`` true at one point and false at
+    the other, or None.  The program (as ``syntax.enumeration_program``
+    builds it) is run once on each model."""
+    masks = [semantics.ModelEvaluator(p.model).run(program) for p in (left, right)]
+    i, j = left.model.index[left.point], right.model.index[right.point]
+    for (f, *_), x, y in zip(program, *masks):
         if (x >> i ^ y >> j) & 1:
             return f
     return None
@@ -209,15 +203,21 @@ def verify_counterexample(
 
     violation = bisim.check_bisim(b.z)
     if violation is not None:
-        roots = ConditionReport(False, violation.describe())
+        # a failed bisimulation check also deserves a distinguishing formula
+        detail = violation.describe()
+        separating = bisim.distinguishing_formula(
+            b.left.model, w, b.right.model, v, b.z.alphabet
+        )
+        if separating is not None:
+            detail += f"; points separated by {print_formula(separating)}"
+        roots = ConditionReport(False, detail)
     elif (w, v) not in b.z.pairs:
         roots = ConditionReport(False, "relation does not link the two points")
     else:
-        disagreement = first_disagreement(
-            b.left,
-            b.right,
-            syntax.enumerate_formulas(b.z.alphabet, _SWEEP_DEPTH, _SWEEP_SIZE),
+        program = list(
+            syntax.enumeration_program(b.z.alphabet, _SWEEP_DEPTH, _SWEEP_SIZE)
         )
+        disagreement = first_disagreement(b.left, b.right, program)
         if disagreement is None:
             roots = ConditionReport(
                 True,
@@ -229,20 +229,7 @@ def verify_counterexample(
                 b.left.model, w, b.right.model, v, b.z.alphabet
             )
             shown = disagreement if witness_formula is None else witness_formula
-            roots = ConditionReport(
-                False,
-                f"points disagree on {print_formula(shown)}",
-            )
-    # a failed bisimulation check also deserves a distinguishing formula
-    if not roots.passed and violation is not None:
-        separating = bisim.distinguishing_formula(
-            b.left.model, w, b.right.model, v, b.z.alphabet
-        )
-        if separating is not None:
-            roots = ConditionReport(
-                False,
-                roots.detail + f"; points separated by {print_formula(separating)}",
-            )
+            roots = ConditionReport(False, f"points disagree on {print_formula(shown)}")
 
     # corroboration finding an actual joint model would contradict soundness
     if not corroboration.passed:

@@ -180,6 +180,10 @@ def kn_axiom(arity: int, substitution: Mapping[str, Formula]) -> Formula:
 # ---------------------------------------------------------------------------
 # Script checking
 
+class _NotEarlier(Exception):
+    """A line cites itself or a later line."""
+
+
 def check_script(script: ProofScript) -> LineReport | None:
     """None when every line validates; otherwise the first invalid line
     with the reason."""
@@ -191,15 +195,17 @@ def check_script(script: ProofScript) -> LineReport | None:
     for number, line in enumerate(script.lines, start=1):
         current = expand_diamonds(line.formula)
 
-        def cited(index: int) -> Formula | None:
+        def cited(index: int) -> Formula:
             if not 1 <= index < number:
-                return None
+                raise _NotEarlier
             return norms[index - 1]
 
         try:
             reason = _check_line(script.arity, current, line.justification, cited)
         except BudgetExceededError as e:  # from ``is_tautology`` alone
             reason = str(e)
+        except _NotEarlier:
+            reason = "cited line must be strictly earlier"
         if reason is not None:
             return LineReport(number, reason)
         norms.append(current)
@@ -230,8 +236,6 @@ def _check_line(arity, current, just, cited) -> str | None:
         case MPJust(implication, antecedent):
             impl = cited(implication)
             ante = cited(antecedent)
-            if impl is None or ante is None:
-                return "cited line must be strictly earlier"
             if not isinstance(impl, Implies):
                 return f"line {implication} is not an implication"
             if impl.left != ante:
@@ -241,15 +245,11 @@ def _check_line(arity, current, just, cited) -> str | None:
             return None
         case NecJust(source):
             src = cited(source)
-            if src is None:
-                return "cited line must be strictly earlier"
             if current != Box(src):
                 return f"formula is not box applied to line {source}"
             return None
         case RMJust(source):
             src = cited(source)
-            if src is None:
-                return "cited line must be strictly earlier"
             if not isinstance(src, Implies):
                 return f"line {source} is not an implication"
             if current != Implies(Box(src.left), Box(src.right)):
@@ -268,18 +268,11 @@ def _check_line(arity, current, just, cited) -> str | None:
                     return "the unboxed biconditional is not a tautology"
                 return None
             src = cited(source)
-            if src is None:
-                return "cited line must be strictly earlier"
             if src != equivalence:
                 return f"line {source} is not the matching biconditional"
             return None
         case PLFromJust(sources):
-            premises = []
-            for index in sources:
-                src = cited(index)
-                if src is None:
-                    return "cited line must be strictly earlier"
-                premises.append(src)
+            premises = [cited(index) for index in sources]
             if not tautological_consequence(premises, current):
                 return "not a tautological consequence of the cited lines"
             return None
@@ -343,14 +336,10 @@ def _just_from_dict(data: object, where: str) -> Justification:
         if len(refs) != 2:
             raise ModelLoadError(f"{where}: MP cites exactly two lines")
         return MPJust(refs[0], refs[1])
-    if kind == "Nec":
+    if kind in ("Nec", "RM"):
         if len(refs) != 1:
-            raise ModelLoadError(f"{where}: Nec cites exactly one line")
-        return NecJust(refs[0])
-    if kind == "RM":
-        if len(refs) != 1:
-            raise ModelLoadError(f"{where}: RM cites exactly one line")
-        return RMJust(refs[0])
+            raise ModelLoadError(f"{where}: {kind} cites exactly one line")
+        return (NecJust if kind == "Nec" else RMJust)(refs[0])
     if kind == "RE":
         if len(refs) > 1:
             raise ModelLoadError(f"{where}: RE cites at most one line")

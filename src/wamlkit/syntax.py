@@ -21,7 +21,6 @@ from .errors import FormulaParseError
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
 class Formula:
     def __post_init__(self) -> None:
         # the hash is computed once, when the node is built, from operands
@@ -34,6 +33,24 @@ class Formula:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other: object) -> bool:
+        # node by node with an explicit stack, so that no comparison
+        # recurses; the cached hashes turn most unequal pairs away at once
+        if not isinstance(other, Formula):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            f, g = stack.pop()
+            if f is g:
+                continue
+            op = type(f)
+            if op is not type(g) or f._hash != g._hash:
+                return False
+            if op is Letter and f.name != g.name:
+                return False
+            stack += zip(_OPERANDS[op](f), _OPERANDS[op](g))
+        return True
+
     def __reduce__(self):
         # rebuilt through the constructor: a hash is only meaningful in the
         # process that computed it
@@ -41,11 +58,9 @@ class Formula:
 
 
 def _node(cls):
-    """A frozen dataclass formula node with the build-time, class-tagged
-    hash of ``Formula`` (the dataclass decorator would generate its own)."""
-    cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = Formula.__hash__
-    return cls
+    """A frozen dataclass formula node; equality and the build-time,
+    class-tagged hash are ``Formula``'s."""
+    return dataclass(frozen=True, eq=False)(cls)
 
 
 @_node
@@ -153,10 +168,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 # Formulas deeper than this are rejected: the parser recurses per
-# parenthesis and prefix operator, and ``translate.st``, ``==`` and
-# pickling per level of the formula tree.  Hashing, printing, the metrics
-# and the evaluators do not recurse, so they answer on formulas built
-# deeper through the API.
+# parenthesis and prefix operator, and ``translate.st`` and pickling per
+# level of the formula tree.  Hashing, ``==``, printing, the metrics and
+# the evaluators do not recurse, so they answer on formulas built deeper
+# through the API.
 MAX_NESTING = 100
 
 
@@ -331,20 +346,6 @@ def compile_formula(f: Formula, known: Container[Formula] = ()) -> list[Instruct
     return program
 
 
-def program_of(formulas: Iterable[Formula]) -> list[Instruction]:
-    """The program of distinct formulas each of whose operands comes
-    before it, as ``enumerate_formulas`` yields them: one instruction per
-    formula, in the given order, so that running it gives every formula's
-    mask at once."""
-    index: dict[Formula, int] = {}
-    program: list[Instruction] = []
-    for f in formulas:
-        a, b = (*(index[h] for h in _operands(f)), -1, -1)[:2]
-        index[f] = len(program)
-        program.append((f, type(f), a, b))
-    return program
-
-
 def fold_program(program: list[Instruction], step: Callable[..., _T]) -> list[_T]:
     """The value of every instruction of a program under ``step``, in
     order: each gets ``step(node, connective, *operand_values)``, where the
@@ -511,29 +512,42 @@ def enumerate_formulas(
     binary connective are distinct and canonically ordered.  Within one
     size, formulas come out sorted by their rendered text.
     """
+    for f, _, _, _ in enumeration_program(alphabet, depth, size_budget):
+        yield f
+
+
+def enumeration_program(
+    alphabet: Iterable[str], depth: int, size_budget: int
+) -> Iterator[Instruction]:
+    """The formulas of ``enumerate_formulas``, in its order, as one
+    program: each formula comes with its class and the program indices of
+    its operands, which it follows, so that running the program gives
+    every formula's mask at once."""
     atoms: list[Formula] = [Letter(a) for a in sorted(set(alphabet))]
     atoms += [Top(), Bottom()]
-    # per size: (formula, modal depth, printed form), in text order; a new
-    # formula gets its depth and printed form from its operands' by the
-    # steps of ``modal_depth`` and ``print_formula``
-    Entry = tuple[Formula, int, tuple[int, str]]
+    # per size: (formula, modal depth, printed form, program index), in
+    # text order; a new formula gets its depth and printed form from its
+    # operands' by the steps of ``modal_depth`` and ``print_formula``
+    Entry = tuple[Formula, int, tuple[int, str], int]
     by_size: dict[int, list[Entry]] = {}
+    placed = 0  # instructions yielded so far
 
-    def entry(op: type, *operands: Entry) -> Entry:
-        formulas, depths, printed = zip(*operands)
+    def built(op: type, *operands: Entry) -> tuple[Instruction, int, tuple[int, str]]:
+        formulas, depths, printed, slots = zip(*operands)
         f = op(*formulas)
-        return f, _depth_step(f, op, *depths), _print_step(f, op, *printed)
+        a, b = (*slots, -1)[:2]
+        return (f, op, a, b), _depth_step(f, op, *depths), _print_step(f, op, *printed)
 
     for size in range(1, size_budget + 1):
         if size == 1:
-            bucket = [(a, 0, _print_step(a, type(a))) for a in atoms]
+            bucket = [((g, type(g), -1, -1), 0, _print_step(g, type(g))) for g in atoms]
         else:
             bucket = []
             for e in by_size.get(size - 1, ()):
                 if not isinstance(e[0], (Not, Top, Bottom)):
-                    bucket.append(entry(Not, e))
+                    bucket.append(built(Not, e))
                 if e[1] < depth:
-                    bucket += [entry(Box, e), entry(Diamond, e)]
+                    bucket += [built(Box, e), built(Diamond, e)]
             # binary operands are ordered by (size, text), so the left one
             # is never the larger
             for lsize in range(1, (size - 1) // 2 + 1):
@@ -541,10 +555,14 @@ def enumerate_formulas(
                 for a in by_size.get(lsize, ()):
                     for b in by_size.get(rsize, ()):
                         if lsize < rsize or a[2][1] < b[2][1]:
-                            bucket += [entry(And, a, b), entry(Or, a, b)]
+                            bucket += [built(And, a, b), built(Or, a, b)]
         bucket.sort(key=lambda e: e[2][1])
-        by_size[size] = bucket
-        yield from (f for f, _, _ in bucket)
+        by_size[size] = [
+            (instruction[0], d, printed, placed + k)
+            for k, (instruction, d, printed) in enumerate(bucket)
+        ]
+        placed += len(bucket)
+        yield from (instruction for instruction, _, _ in bucket)
 
 
 def random_formula(

@@ -156,23 +156,17 @@ def st(f: Formula, arity: int, free_var: str = "x") -> FolFormula:
                     FolImplies(go(l, var), go(r, var)),
                     FolImplies(go(r, var), go(l, var)),
                 )
-            case Box(h):
+            case Box(h) | Diamond(h):
+                join, guard, quantifier = FolOr, FolImplies, Forall
+                if type(g) is Diamond:
+                    join, guard, quantifier = FolAnd, FolAnd, Exists
                 ys = fresh()
                 body = go(h, ys[0])
                 for y in ys[1:]:
-                    body = FolOr(body, go(h, y))
-                quantified = FolImplies(Rel((var, *ys)), body)
+                    body = join(body, go(h, y))
+                quantified = guard(Rel((var, *ys)), body)
                 for y in reversed(ys):
-                    quantified = Forall(y, quantified)
-                return quantified
-            case Diamond(h):
-                ys = fresh()
-                body = go(h, ys[0])
-                for y in ys[1:]:
-                    body = FolAnd(body, go(h, y))
-                quantified = FolAnd(Rel((var, *ys)), body)
-                for y in reversed(ys):
-                    quantified = Exists(y, quantified)
+                    quantified = quantifier(y, quantified)
                 return quantified
         raise TypeError(f"not a formula: {g!r}")
 

@@ -239,6 +239,44 @@ def test_interp_demo_cli(capsys, tmp_path):
     assert formulas["n"] == 4 and formulas["alphabet"] == ["p"]
 
 
+def test_interp_demo_at_arity_25_reports_without_traceback(capsys):
+    # the axiom line is compared with the rebuilt instance, whose
+    # 325-disjunct disjunction nests one level per disjunct
+    code = main(["interp", "demo", "--n", "25", "--sat-bound", "1"])
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    assert captured.err == ""
+    assert "\noverall: " in captured.out
+
+
+# runs whose output path cannot be written: {dir} is an existing
+# directory, {file} an existing file
+_WRITE_FAILURES = {
+    "unravel-out-directory": ["unravel", fixture("m2.json"), "w", "--depth", "1", "--out", "{dir}"],
+    "unravel-rmap-directory": [
+        "unravel", fixture("m2.json"), "w", "--depth", "1", "--emit-rmap", "{dir}",
+    ],
+    "unravel-out-missing-parent": [
+        "unravel", fixture("m2.json"), "w", "--depth", "1", "--out", "{dir}/missing/u.json",
+    ],
+    "interp-bundle-existing-file": ["interp", "demo", "--n", "2", "--emit-bundle", "{file}"],
+}
+
+
+@pytest.mark.parametrize("argv", _WRITE_FAILURES.values(), ids=_WRITE_FAILURES.keys())
+def test_write_failures_exit_2_without_traceback(argv, tmp_path, capsys):
+    (tmp_path / "file").write_bytes(b"")
+    argv = [
+        str(a).replace("{dir}", str(tmp_path)).replace("{file}", str(tmp_path / "file"))
+        for a in argv
+    ]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
+
+
 def test_unravel_cli_tuple_budget_exits_2(capsys, tmp_path):
     out = tmp_path / "unravelled.json"
     # 51 nodes and 222 tuples: over a budget of 221

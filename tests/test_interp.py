@@ -13,7 +13,13 @@ from wamlkit.interp import (
 from wamlkit.model import PointedModel, load, random_model, restrict_valuation, save
 from wamlkit.proof import binary_tag, save_script, tag_width
 from wamlkit.semantics import ModelEvaluator, valid_on_model
-from wamlkit.syntax import enumerate_formulas, letters, modal_depth, parse
+from wamlkit.syntax import (
+    enumerate_formulas,
+    enumeration_program,
+    letters,
+    modal_depth,
+    parse,
+)
 
 from conftest import fixture
 
@@ -77,7 +83,7 @@ def test_root_sweep_matches_the_per_formula_loop():
         want = _first_disagreement_by_formula(
             *pointed, enumerate_formulas(alphabet, 2, size)
         )
-        got = first_disagreement(*pointed, enumerate_formulas(alphabet, 2, size))
+        got = first_disagreement(*pointed, list(enumeration_program(alphabet, 2, size)))
         assert got == want, (i, w, v)
         found.append(want)
     modal = [f for f in found if f is not None and modal_depth(f) > 0]

@@ -71,6 +71,14 @@ def test_axiom_instance_for_arity_three_counterexample():
     assert script.lines[0].formula == instance
 
 
+def test_kn_axiom_at_arity_30_built_twice_compares_equal():
+    # 465 disjuncts, one level each: comparison must not recurse per level
+    subst = {f"p{i}": parse(f"dia p{i} -> q") for i in range(31)}
+    assert kn_axiom(30, subst) == kn_axiom(30, dict(subst))
+    other = {**subst, "p30": parse("dia p30 -> r")}
+    assert kn_axiom(30, subst) != kn_axiom(30, other)
+
+
 def test_kn_axiom_requires_complete_substitution():
     with pytest.raises(ValueError, match="p2"):
         kn_axiom(2, _id_subst(1))

@@ -22,6 +22,7 @@ from wamlkit.syntax import (
     compile_formula,
     conj,
     enumerate_formulas,
+    enumeration_program,
     formula_key,
     letters,
     modal_depth,
@@ -280,6 +281,18 @@ def test_compile_lists_distinct_subformulas_operands_first():
         assert [nodes[i] for i in operands] == [
             getattr(node, name) for name in ("left", "right", "operand") if hasattr(node, name)
         ]
+    # the enumeration's program: every formula once, in the enumeration's
+    # order, after its operands
+    program = list(enumeration_program({"p", "q"}, 2, 5))
+    nodes = [node for node, _, _, _ in program]
+    assert nodes == list(enumerate_formulas({"p", "q"}, 2, 5))
+    for k, (node, op, a, b) in enumerate(program):
+        assert op is type(node)
+        operands = [i for i in (a, b) if i >= 0]
+        assert all(i < k for i in operands)
+        assert [nodes[i] for i in operands] == [
+            getattr(node, name) for name in ("left", "right", "operand") if hasattr(node, name)
+        ]
 
 
 def test_compile_stops_at_known_subformulas():
@@ -439,6 +452,19 @@ _DEEP = {
         True,
     ),
 }
+
+
+def test_equal_deep_formulas_compare_without_recursion():
+    # equal but distinct objects far deeper than the recursion limit
+    for wrap in (Not, Box):
+        a, b = _chain(wrap, 2000), _chain(wrap, 2000)
+        assert a is not b and a == b and not a != b
+        assert len(compile_formula(And(a, b))) == 2002
+    assert _chain(Not, 2000) != _chain(Box, 2000)
+    left = conj([Letter(f"p{i % 7}") for i in range(2000)])
+    assert left == conj([Letter(f"p{i % 7}") for i in range(2000)])
+    assert left != conj([Letter(f"p{i % 7}") for i in range(1999)] + [Letter("q")])
+    assert left != "p0" and left != None  # noqa: E711
 
 
 @pytest.mark.parametrize("call", list(_CALLS))
