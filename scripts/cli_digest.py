@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest of the CLI's behaviour on a fixed seeded corpus.
 
-Runs 1,077 argvs through ``wamlkit.cli.main`` in-process, each in
+Runs 1,081 argvs through ``wamlkit.cli.main`` in-process, each in
 text mode and with ``--json``, and prints one line per run: the run
 number, the exit code, the sha256 of stdout, the sha256 of stderr, the
 sha256 of every file the run wrote (``--out``, ``--emit-rmap``,
@@ -10,7 +10,9 @@ sha256 of every file the run wrote (``--out``, ``--emit-rmap``,
 ``unravel`` (refusals and written files included), ``experiment
 locality``, ``interp demo --n 2..8`` and ``--n 25`` (bundles written
 for n = 2..5), ``translate``, ``proof check``, and writes that fail.
-Its models, relations and scripts
+The last 4 argvs have large outputs: ``bisim max`` of a 200-world model
+with itself (10,000 and 15,000 pairs), an unraveling of 585 worlds written
+to files, and ``sat`` with a witness.  Its models, relations and scripts
 are generated here, from the seed alone, and written to a temporary
 directory under relative names, so two source trees can be compared line
 by line:
@@ -194,6 +196,52 @@ def corpus(rng: random.Random, directory: Path) -> list[list[str]]:
     return argvs
 
 
+def _cover(rng: random.Random, size: int) -> dict:
+    """An arity-2 model of ``size`` worlds over p, q in which every world
+    copies one of four base worlds: its letters, and one tuple per base
+    tuple with slots drawn from the copies of the base slots.  Copies of
+    one base world are bisimilar, and no others: a cover of 200 worlds
+    with itself has 10,000 bisimilar pairs.  World ids are in shuffled
+    file order."""
+    # base worlds 0 and 1 die apart at stage 2, so ``--k 1`` relates more
+    letters = [["p"], ["p"], ["p"], ["q"]]
+    base = [(0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 3, 0), (3, 2, 1)]
+    names = [f"w{i}" for i in range(size)]
+    rng.shuffle(names)
+    copies = [names[b::4] for b in range(4)]
+    relation = [
+        [w, rng.choice(copies[x]), rng.choice(copies[y])]
+        for b, x, y in base
+        for w in copies[b]
+    ]
+    return {"arity": 2, "worlds": names, "relation": relation,
+            "valuation": {w: letters[i % 4] for i, w in enumerate(names)}}
+
+
+def large_corpus(rng: random.Random, directory: Path) -> list[list[str]]:
+    """Argvs with large outputs, drawn from their own generator so that
+    the corpus before them keeps its argvs: ``bisim max`` of a 200-world
+    cover with itself (10,000 pairs), an unraveling of a model with four
+    tuples per world written to files, and ``sat`` with a witness."""
+    cover = _write(directory, "cover200.json", _cover(rng, 200))
+    worlds = [f"u{i}" for i in range(12)]
+    busy = {
+        "arity": 2,
+        "worlds": worlds,
+        "relation": [[w, *rng.sample(worlds, 2)] for w in worlds for _ in range(4)],
+        "valuation": {w: sorted(rng.sample(_LETTERS, rng.randint(0, 2))) for w in worlds},
+    }
+    _write(directory, "busy.json", busy)
+    return [
+        ["bisim", "max", cover, cover],
+        ["bisim", "max", cover, cover, "--k", "1"],
+        ["unravel", "busy.json", "u0", "--depth", "3",
+         "--out", "busy_unravel.json", "--emit-rmap", "busy_rmap.json"],
+        ["sat", "dia p & dia ~p & box (p | q) & dia (q & ~p)",
+         "--arity", "2", "--max-worlds", "4"],
+    ]
+
+
 # the options whose value names a file (or, for a bundle, a directory)
 # that a run writes
 _OUTPUT_OPTIONS = ("--out", "--emit-rmap", "--emit-bundle")
@@ -245,6 +293,7 @@ def main() -> None:
         os.chdir(tmp)
         try:
             argvs = corpus(random.Random(args.seed), Path(tmp))
+            argvs += large_corpus(random.Random(f"{args.seed}-large"), Path(tmp))
             runs = [argv + mode for argv in argvs for mode in ([], ["--json"])]
             for number, argv in enumerate(runs):
                 outputs = written(argv)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import semantics
 from .errors import ArityMismatchError, InvalidArgumentError, UnknownWorldError
@@ -29,6 +30,12 @@ class PairRelation:
     right: NModel
     pairs: frozenset[Pair]
     alphabet: frozenset[str]
+
+    @cached_property
+    def sorted_pairs(self) -> tuple[Pair, ...]:
+        """The pairs in sorted order; a relation read off a refinement
+        partition comes with them already in that order."""
+        return tuple(sorted(self.pairs))
 
 
 @dataclass(frozen=True)
@@ -77,7 +84,7 @@ def check_bisim(z: PairRelation) -> BisimViolation | None:
     _require_same_arity(z.left, z.right)
     if not z.pairs:
         raise InvalidArgumentError("a bisimulation candidate must be nonempty")
-    for a, b in sorted(z.pairs):
+    for a, b in z.sorted_pairs:
         if a not in z.left.valuation:
             raise UnknownWorldError(f"unknown left world {a!r}")
         if b not in z.right.valuation:
@@ -157,12 +164,17 @@ class _Partition:
             self.stages.append(blocks := refined)
 
     def relation(self, blocks: list[int]) -> PairRelation:
-        """The cross pairs sharing a block, grouped per block."""
+        """The cross pairs sharing a block: each left world in sorted
+        order, followed by the right worlds of its block in sorted order."""
         group = defaultdict(list)
-        for a, x in self.lpos.items():
-            group[blocks[x]].append(a)
-        pairs = [(a, b) for b, y in self.rpos.items() for a in group[blocks[y]]]
-        return PairRelation(self.left, self.right, frozenset(pairs), self.alphabet)
+        for b in sorted(self.rpos):
+            group[blocks[self.rpos[b]]].append(b)
+        pairs = [
+            (a, b) for a in sorted(self.lpos) for b in group.get(blocks[self.lpos[a]], ())
+        ]
+        z = PairRelation(self.left, self.right, frozenset(pairs), self.alphabet)
+        vars(z)["sorted_pairs"] = tuple(pairs)  # what the cached property would compute
+        return z
 
     def certificate(self, pair: Pair) -> Formula | None:
         """A formula true at the left world and false at the right one, or

@@ -12,6 +12,7 @@ import argparse
 import functools
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import bisim, interp, model, proof, semantics, syntax, translate, unravel
 from .errors import WamlError
@@ -19,12 +20,14 @@ from .errors import WamlError
 SCHEMA = 1
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
+def _emit(args, payload: dict, lines: Callable[[], list[str]]) -> None:
+    """Print the payload under ``--json``, else the text lines, which are
+    built only then."""
     if args.json:
         payload = {"schema": SCHEMA, **payload}
         sys.stdout.write(model.dump_json(payload).decode())
     else:
-        for line in lines:
+        for line in lines():
             print(line)
 
 
@@ -90,7 +93,7 @@ def _cmd_mc(args) -> int:
     _emit(
         args,
         {"command": "mc", "world": args.world, "formula": text, "value": value},
-        [f"{'true' if value else 'false'} at {args.world}: {text}"],
+        lambda: [f"{'true' if value else 'false'} at {args.world}: {text}"],
     )
     return 0 if value else 1
 
@@ -107,7 +110,7 @@ def _cmd_sat(args) -> int:
                 "satisfiable": False,
                 "max_worlds": args.max_worlds,
             },
-            [f"unsat up to {args.max_worlds} worlds"],
+            lambda: [f"unsat up to {args.max_worlds} worlds"],
         )
         return 1
     _emit(
@@ -119,7 +122,7 @@ def _cmd_sat(args) -> int:
             "model": model.model_to_dict(witness.model),
             "world": witness.point,
         },
-        [
+        lambda: [
             f"satisfiable at world {witness.point} of:",
             model.save(witness.model).decode().rstrip(),
         ],
@@ -140,14 +143,14 @@ def _cmd_bisim_check(args) -> int:
         "ok": violation is None,
     }
     if violation is None:
-        _emit(args, payload, ["ok: relation is a bisimulation"])
+        _emit(args, payload, lambda: ["ok: relation is a bisimulation"])
         return 0
     payload["violation"] = {
         "pair": list(violation.pair),
         "condition": violation.condition,
         "tuple": list(violation.witness_tuple) if violation.witness_tuple else None,
     }
-    _emit(args, payload, ["not a bisimulation: " + violation.describe()])
+    _emit(args, payload, lambda: ["not a bisimulation: " + violation.describe()])
     return 1
 
 
@@ -159,16 +162,16 @@ def _cmd_bisim_max(args) -> int:
         z = bisim.greatest_bisim(left, right, alphabet)
     else:
         z = bisim.k_bisim(left, right, alphabet, args.k)
-    pairs = sorted(z.pairs)
+    pairs = z.sorted_pairs
     _emit(
         args,
         {
             "command": "bisim-max",
             "alphabet": sorted(alphabet),
             "k": args.k,
-            "pairs": [list(p) for p in pairs],
+            "pairs": pairs,
         },
-        [f"{len(pairs)} pair(s)"] + [f"  {a} ~ {b}" for a, b in pairs],
+        lambda: [f"{len(pairs)} pair(s)"] + [f"  {a} ~ {b}" for a, b in pairs],
     )
     return 0
 
@@ -186,7 +189,7 @@ def _cmd_bisim_distinguish(args) -> int:
                 "alphabet": sorted(alphabet),
                 "distinguishable": False,
             },
-            [f"{args.w} and {args.v} are bisimilar over the alphabet"],
+            lambda: [f"{args.w} and {args.v} are bisimilar over the alphabet"],
         )
         return 1
     text = syntax.print_formula(f)
@@ -198,7 +201,7 @@ def _cmd_bisim_distinguish(args) -> int:
             "distinguishable": True,
             "formula": text,
         },
-        [f"true at {args.w}, false at {args.v}: {text}"],
+        lambda: [f"true at {args.w}, false at {args.v}: {text}"],
     )
     return 0
 
@@ -206,7 +209,7 @@ def _cmd_bisim_distinguish(args) -> int:
 def _cmd_unravel(args) -> int:
     m = model.load(_read(args.model))
     result = unravel.unravel(m, args.world, args.depth, max_nodes=args.budget)
-    saved = model.save(result.model)
+    saved = model.save(result.model) if args.out or not args.json else None
     rmap = {k: result.projection[k] for k in sorted(result.projection)}
     if args.out:
         _write(args.out, saved)
@@ -221,7 +224,7 @@ def _cmd_unravel(args) -> int:
             "model": model.model_to_dict(result.model),
             "projection": rmap,
         },
-        [f"root: {result.root}", saved.decode().rstrip()],
+        lambda: [f"root: {result.root}", saved.decode().rstrip()],
     )
     return 0
 
@@ -244,7 +247,7 @@ def _cmd_translate(args) -> int:
             "format": args.format,
             "output": text,
         },
-        [text],
+        lambda: [text],
     )
     return 0
 
@@ -262,7 +265,7 @@ def _cmd_proof_check(args) -> int:
                 "arity": script.arity,
                 "theorem": theorem,
             },
-            [f"ok: derives {theorem}"],
+            lambda: [f"ok: derives {theorem}"],
         )
         return 0
     _emit(
@@ -273,7 +276,7 @@ def _cmd_proof_check(args) -> int:
             "line": report.line,
             "reason": report.reason,
         },
-        [f"invalid at line {report.line}: {report.reason}"],
+        lambda: [f"invalid at line {report.line}: {report.reason}"],
     )
     return 1
 
@@ -288,15 +291,6 @@ def _cmd_interp_demo(args) -> int:
         ("joint refutability derivation", report.refutation_valid),
         ("common-vocabulary indistinguishability", report.roots_indistinguishable),
     ]
-    lines = [f"interpolation counterexample at arity {args.n}"]
-    for i, (label, cond) in enumerate(conditions, start=1):
-        verdict = "PASS" if cond.passed else "FAIL"
-        lines.append(f"condition {i} ({label}): {verdict} -- {cond.detail}")
-    lines.append(
-        f"corroboration: {report.joint_sat_corroboration.detail}"
-    )
-    lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
-    lines.append(f"note: {report.note}")
     _emit(
         args,
         {
@@ -318,7 +312,17 @@ def _cmd_interp_demo(args) -> int:
             "overall": report.passed,
             "note": report.note,
         },
-        lines,
+        lambda: [
+            f"interpolation counterexample at arity {args.n}",
+            *(
+                f"condition {i} ({label}): {'PASS' if cond.passed else 'FAIL'}"
+                f" -- {cond.detail}"
+                for i, (label, cond) in enumerate(conditions, start=1)
+            ),
+            f"corroboration: {report.joint_sat_corroboration.detail}",
+            f"overall: {'PASS' if report.passed else 'FAIL'}",
+            f"note: {report.note}",
+        ],
     )
     return 0 if report.passed else 1
 
@@ -327,9 +331,7 @@ def _bundle_files(bundle: interp.CounterexampleBundle) -> dict[str, bytes]:
     return {
         "left.json": model.save(bundle.left.model),
         "right.json": model.save(bundle.right.model),
-        "relation.json": model.dump_json(
-            {"pairs": [list(p) for p in sorted(bundle.z.pairs)]}
-        ),
+        "relation.json": model.dump_json({"pairs": bundle.z.sorted_pairs}),
         "proof.json": proof.save_script(bundle.refutation),
         "formulas.json": model.dump_json(
             {
@@ -352,20 +354,6 @@ def _cmd_experiment_locality(args) -> int:
     )
     least = sweep.least_stable_depth
     text = syntax.print_formula(f)
-    lines = [
-        "EXPERIMENT locality sweep (no optimality asserted)",
-        f"EXPERIMENT formula: {text}; "
-        f"value at {args.world}: {sweep.reference}",
-    ]
-    for depth, agree in enumerate(sweep.agree):
-        lines.append(
-            f"EXPERIMENT depth {depth}: bounded unraveling "
-            f"{'agrees' if agree else 'disagrees'}"
-        )
-    lines.append(
-        "EXPERIMENT least depth agreeing through the sweep: "
-        + ("none" if least is None else str(least))
-    )
     _emit(
         args,
         {
@@ -379,7 +367,17 @@ def _cmd_experiment_locality(args) -> int:
             ],
             "least_stable_depth": least,
         },
-        lines,
+        lambda: [
+            "EXPERIMENT locality sweep (no optimality asserted)",
+            f"EXPERIMENT formula: {text}; value at {args.world}: {sweep.reference}",
+            *(
+                f"EXPERIMENT depth {depth}: bounded unraveling "
+                f"{'agrees' if agree else 'disagrees'}"
+                for depth, agree in enumerate(sweep.agree)
+            ),
+            "EXPERIMENT least depth agreeing through the sweep: "
+            + ("none" if least is None else str(least)),
+        ],
     )
     return 0
 

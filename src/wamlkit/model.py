@@ -224,8 +224,65 @@ def read_json(text: bytes | str, what: str) -> object:
 
 def dump_json(value: object) -> bytes:
     """The canonical JSON file of a value, as ``read_json`` reads it
-    back: keys sorted, two-space indent, a final newline."""
-    return (json.dumps(value, indent=2, sort_keys=True) + "\n").encode()
+    back: keys sorted, two-space indent, a final newline.  The bytes are
+    what ``json.dumps`` gives with ``indent=2`` and ``sort_keys=True``,
+    and a newline (ASCII, tuples as arrays); object keys must be strings."""
+    return (_json_text(value, "") + "\n").encode()
+
+
+# leaves go through json's C encoder; with ``indent`` set, ``json.dumps``
+# runs its pure-Python encoder over the whole value
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_scalar = json.JSONEncoder().encode
+
+
+def _json_text(value: object, indent: str) -> str:
+    # the canonical text of a value whose first line is at ``indent``
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        width = _row_width(value)
+        if width:
+            # rows of strings of one width (relation tuples, bisimulation
+            # pairs): the cells are encoded in one pass and interleaved
+            # with the separators, at C speed
+            cell = inner + "  "
+            cells = list(map(_encode_str, itertools.chain.from_iterable(value)))
+            pieces = [",\n" + cell] * (2 * len(cells) - 1)
+            pieces[::2] = cells
+            pieces[2 * width - 1 :: 2 * width] = (
+                ["\n" + inner + "],\n" + inner + "[\n" + cell] * (len(value) - 1)
+            )
+            return (
+                "[\n" + inner + "[\n" + cell + "".join(pieces)
+                + "\n" + inner + "]\n" + indent + "]"
+            )
+        items = map(_json_text, value, itertools.repeat(inner))
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [
+            _encode_str(key) + ": " + _json_text(item, inner)
+            for key, item in sorted(value.items())
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    return _encode_scalar(value)
+
+
+def _row_width(items: list | tuple) -> int:
+    # the length of every item when all are lists or tuples of strings of
+    # one nonzero length, else 0
+    if not set(map(type, items)) <= {list, tuple}:
+        return 0
+    widths = set(map(len, items))
+    if len(widths) != 1 or set(map(type, itertools.chain.from_iterable(items))) != {str}:
+        return 0
+    return widths.pop()
 
 
 def load(text: bytes | str) -> NModel:

@@ -51,6 +51,26 @@ class Formula:
             stack += zip(_OPERANDS[op](f), _OPERANDS[op](g))
         return True
 
+    def __repr__(self) -> str:
+        # the dataclass text, e.g. ``Not(operand=Letter(name='p'))``, built
+        # with an explicit stack of nodes and finished pieces, so that no
+        # repr recurses
+        pieces: list[str] = []
+        stack: list = [self]
+        while stack:
+            g = stack.pop()
+            if not isinstance(g, Formula):
+                pieces.append(g)
+                continue
+            items = [type(g).__qualname__ + "("]
+            for i, name in enumerate(g.__match_args__):
+                value = getattr(g, name)
+                items.append(f"{', ' if i else ''}{name}=")
+                items.append(value if isinstance(value, Formula) else repr(value))
+            items.append(")")
+            stack += reversed(items)
+        return "".join(pieces)
+
     def __reduce__(self):
         # rebuilt through the constructor: a hash is only meaningful in the
         # process that computed it
@@ -58,9 +78,9 @@ class Formula:
 
 
 def _node(cls):
-    """A frozen dataclass formula node; equality and the build-time,
-    class-tagged hash are ``Formula``'s."""
-    return dataclass(frozen=True, eq=False)(cls)
+    """A frozen dataclass formula node; equality, the build-time,
+    class-tagged hash and the repr are ``Formula``'s."""
+    return dataclass(frozen=True, eq=False, repr=False)(cls)
 
 
 @_node

@@ -16,7 +16,8 @@ from wamlkit.bisim import (
     k_bisim,
 )
 from wamlkit.errors import ArityMismatchError, UnknownWorldError
-from wamlkit.model import load, make_model, random_model, restrict_valuation
+from wamlkit.cli import main
+from wamlkit.model import load, make_model, random_model, restrict_valuation, save
 from wamlkit.semantics import ModelEvaluator, check
 from wamlkit.syntax import (
     Diamond,
@@ -456,3 +457,32 @@ def test_partition_signature_uses_minimal_block_sets():
     right = make_model(2, "cz", [("c", "z", "z")], {"z": ["p"]})
     _assert_matches_reference(left, right, frozenset({"p", "q"}))
     assert ("a", "c") in greatest_bisim(left, right, frozenset({"p", "q"})).pairs
+
+
+def test_sorted_pairs_are_read_off_the_partition_in_sorted_order(tmp_path, capsys):
+    # twelve worlds: "w10" and "w11" sort before "w2" but come after it in
+    # the model's world order
+    rng = random.Random(1212)
+    for i in range(12):
+        arity = 1 + i % 3
+        alphabet = frozenset({"p", "q"} if i % 2 else {"p"})
+        left = random_model(arity, 12, rng.uniform(0, 0.4) / arity**2, alphabet, seed=900 + i)
+        right = random_model(arity, rng.randint(3, 12), 0.2 / arity**2, alphabet, seed=950 + i)
+        assert sorted(left.worlds) != list(left.worlds)
+        relations = [greatest_bisim(left, right, alphabet), greatest_bisim(left, left, alphabet)]
+        relations += [k_bisim(left, right, alphabet, k) for k in (0, 1, 2)]
+        for z in relations:
+            assert z.sorted_pairs == tuple(sorted(z.pairs))
+    # a relation built directly sorts its pairs itself
+    z = PairRelation(left, right, frozenset({("w2", "w0"), ("w10", "w1")}), alphabet)
+    assert z.sorted_pairs == (("w10", "w1"), ("w2", "w0"))
+    # ``bisim max`` prints the payload of the sorted pair set
+    (tmp_path / "m.json").write_bytes(save(left))
+    for k in ([], ["--k", "1"]):
+        argv = ["bisim", "max", str(tmp_path / "m.json"), str(tmp_path / "m.json"), *k]
+        assert main(argv + ["--letters", "p,q", "--json"]) == 0
+        z = k_bisim(left, left, {"p", "q"}, 1) if k else greatest_bisim(left, left, {"p", "q"})
+        assert len(z.pairs) > len(left.worlds)
+        payload = {"schema": 1, "command": "bisim-max", "alphabet": ["p", "q"],
+                   "k": 1 if k else None, "pairs": [list(p) for p in sorted(z.pairs)]}
+        assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -7,6 +7,7 @@ from wamlkit.errors import ModelLoadError
 from wamlkit.model import (
     NModel,
     PointedModel,
+    dump_json,
     load,
     make_model,
     model_to_dict,
@@ -227,3 +228,37 @@ def test_integer_view_matches_its_definition():
                 assert m.letter_masks.get(name, 0) == want
             assert "never" not in m.letter_masks
             assert m.slot_index is m.slot_index  # computed once per model
+
+
+# strings with quotes, backslashes, control characters and non-ASCII text
+_text = st.text(st.sampled_from('wv,:#%"\\/\n\t\x00\x1f\x7fé€\u2028😀') | st.characters())
+# lists of string rows: one width, mixed widths, tuples, an empty row
+_rows = st.lists(st.lists(_text, max_size=3) | st.tuples(_text, _text), max_size=6)
+_leaves = st.none() | st.booleans() | st.integers() | st.floats() | _text | _rows
+_json_values = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+def _reference(value) -> bytes:
+    return (json.dumps(value, indent=2, sort_keys=True) + "\n").encode()
+
+
+@given(_json_values)
+def test_dump_json_is_the_bytes_of_json_dumps(value):
+    assert dump_json(value) == _reference(value)
+
+
+def test_dump_json_of_a_large_pair_list():
+    # the shape of a ``bisim max`` payload on a 200-world cover with itself
+    pairs = [(f"w{i}", f"w{j}") for i in range(200) for j in range(i % 4, 200, 4)]
+    payload = {"schema": 1, "command": "bisim-max", "alphabet": ["p", "q"], "k": None,
+               "pairs": pairs}
+    assert len(pairs) == 10_000
+    assert dump_json(payload) == _reference(payload)
+    for shallow in ([], [[]], [["w"], []], [("w", "v")], {"": [["w"]], "a": {}}):
+        assert dump_json(shallow) == _reference(shallow)

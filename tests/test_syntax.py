@@ -467,6 +467,40 @@ def test_equal_deep_formulas_compare_without_recursion():
     assert left != "p0" and left != None  # noqa: E711
 
 
+# the text of the dataclass-generated repr, which sorting by repr relies on
+_REPRS = [
+    ("p", "Letter(name='p')"),
+    ("true", "Top()"),
+    ("false", "Bottom()"),
+    ("~p", "Not(operand=Letter(name='p'))"),
+    ("box p", "Box(operand=Letter(name='p'))"),
+    ("dia q", "Diamond(operand=Letter(name='q'))"),
+    ("p & q", "And(left=Letter(name='p'), right=Letter(name='q'))"),
+    ("p | q", "Or(left=Letter(name='p'), right=Letter(name='q'))"),
+    ("p -> q", "Implies(left=Letter(name='p'), right=Letter(name='q'))"),
+    ("p <-> q", "Iff(left=Letter(name='p'), right=Letter(name='q'))"),
+    (
+        "box (p & ~q) -> dia true",
+        "Implies(left=Box(operand=And(left=Letter(name='p'), "
+        "right=Not(operand=Letter(name='q')))), right=Diamond(operand=Top()))",
+    ),
+    (
+        "~(p_1 | q2) <-> box dia false",
+        "Iff(left=Not(operand=Or(left=Letter(name='p_1'), right=Letter(name='q2'))), "
+        "right=Box(operand=Diamond(operand=Bottom())))",
+    ),
+]
+
+
+def test_repr_keeps_the_dataclass_text_without_recursion():
+    for text, expected in _REPRS:
+        assert repr(parse(text)) == expected
+    assert repr(Letter("it's")) == 'Letter(name="it\'s")'
+    for wrap in (Not, Box):
+        head = f"{wrap.__name__}(operand="
+        assert repr(_chain(wrap, 2000)) == head * 2000 + "Letter(name='p')" + ")" * 2000
+
+
 @pytest.mark.parametrize("call", list(_CALLS))
 @pytest.mark.parametrize("name", sorted(_DEEP))
 def test_deep_formula_calls_answer(name, call):
