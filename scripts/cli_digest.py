@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest of the CLI's behaviour on a fixed seeded corpus.
 
-Runs 1,081 argvs through ``wamlkit.cli.main`` in-process, each in
+Runs 1,102 argvs through ``wamlkit.cli.main`` in-process, each in
 text mode and with ``--json``, and prints one line per run: the run
 number, the exit code, the sha256 of stdout, the sha256 of stderr, the
 sha256 of every file the run wrote (``--out``, ``--emit-rmap``,
@@ -10,9 +10,13 @@ sha256 of every file the run wrote (``--out``, ``--emit-rmap``,
 ``unravel`` (refusals and written files included), ``experiment
 locality``, ``interp demo --n 2..8`` and ``--n 25`` (bundles written
 for n = 2..5), ``translate``, ``proof check``, and writes that fail.
-The last 4 argvs have large outputs: ``bisim max`` of a 200-world model
+Then come 4 argvs with large outputs: ``bisim max`` of a 200-world model
 with itself (10,000 and 15,000 pairs), an unraveling of 585 worlds written
-to files, and ``sat`` with a witness.  Its models, relations and scripts
+to files, and ``sat`` with a witness.  The last 21 argvs cover the
+parser's own bytes: ``--help`` of the top parser and of every leaf
+subcommand, and one usage error (a missing required argument) per leaf;
+``COLUMNS`` is pinned to 80 while they run, since argparse wraps its text
+to the terminal's width.  Its models, relations and scripts
 are generated here, from the seed alone, and written to a temporary
 directory under relative names, so two source trees can be compared line
 by line:
@@ -242,6 +246,30 @@ def large_corpus(rng: random.Random, directory: Path) -> list[list[str]]:
     ]
 
 
+# the leaf subcommands, each with an argv that lacks a required argument
+_LEAVES = {
+    ("mc",): ["m2.json", "w"],
+    ("sat",): ["p", "--arity", "1"],
+    ("bisim", "check"): ["m2.json", "n2.json"],
+    ("bisim", "max"): ["m2.json"],
+    ("bisim", "distinguish"): ["m2.json", "w", "n2.json"],
+    ("unravel",): ["m2.json", "w"],
+    ("translate",): ["p"],
+    ("proof", "check"): [],
+    ("interp", "demo"): ["--sat-bound", "1"],
+    ("experiment", "locality"): ["m2.json", "w"],
+}
+
+
+def parser_corpus() -> list[list[str]]:
+    """``--help`` of the top parser and of every leaf subcommand, and a
+    usage error per leaf; each run ends in ``SystemExit``."""
+    argvs = [["--help"]]
+    argvs += [[*path, "--help"] for path in _LEAVES]
+    argvs += [[*path, *rest] for path, rest in _LEAVES.items()]
+    return argvs
+
+
 # the options whose value names a file (or, for a bundle, a directory)
 # that a run writes
 _OUTPUT_OPTIONS = ("--out", "--emit-rmap", "--emit-bundle")
@@ -288,12 +316,14 @@ def main() -> None:
 
     if not Path(sys.modules["wamlkit"].__file__).resolve().is_relative_to(src):
         raise SystemExit(f"wamlkit was not imported from {src}")
+    os.environ["COLUMNS"] = "80"  # the width argparse wraps help and usage to
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             argvs = corpus(random.Random(args.seed), Path(tmp))
             argvs += large_corpus(random.Random(f"{args.seed}-large"), Path(tmp))
+            argvs += parser_corpus()
             runs = [argv + mode for argv in argvs for mode in ([], ["--json"])]
             for number, argv in enumerate(runs):
                 outputs = written(argv)

@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Exit codes: 0 for a positive verdict (true / ok / pass), 1 for a negative
-one (false / fail), 2 for usage or input errors.  ``--json`` switches any
-subcommand to structured output (schema version 1); identical inputs
-produce byte-identical JSON.
+one (false / fail), 2 for usage or input errors and for refusals (a
+budget or a cap).  ``--json`` switches any subcommand to structured output
+(schema version 1); identical inputs produce byte-identical JSON.
+
+Every handler returns its verdict, its payload and a function building
+its text lines; ``main`` alone writes the result and picks the exit code.
 """
 
 from __future__ import annotations
@@ -19,16 +22,9 @@ from .errors import WamlError
 
 SCHEMA = 1
 
-
-def _emit(args, payload: dict, lines: Callable[[], list[str]]) -> None:
-    """Print the payload under ``--json``, else the text lines, which are
-    built only then."""
-    if args.json:
-        payload = {"schema": SCHEMA, **payload}
-        sys.stdout.write(model.dump_json(payload).decode())
-    else:
-        for line in lines():
-            print(line)
+# a handler's verdict, its ``--json`` payload (without ``schema`` and
+# ``command``) and its text lines, built only without ``--json``
+_Result = tuple[bool, dict, Callable[[], list[str]]]
 
 
 def _read(path: str) -> bytes:
@@ -51,17 +47,18 @@ def _write(path: str | Path, data: bytes | dict[str, bytes]) -> None:
         raise WamlError(f"cannot write {path}: {e}") from e
 
 
-def _letters_arg(value: str | None, models: list[model.NModel]) -> frozenset[str]:
-    if value is None:
-        out: set[str] = set()
-        for m in models:
-            for ls in m.valuation.values():
-                out |= ls
-        return frozenset(out)
-    value = value.strip()
-    if not value:
-        return frozenset()
-    return frozenset(part.strip() for part in value.split(","))
+def _two_models(args) -> tuple[model.NModel, model.NModel, frozenset[str]]:
+    """The left and right models of a bisim subcommand and its alphabet:
+    ``--letters`` split at commas, or every letter of the two models."""
+    left = model.load(_read(args.left))
+    right = model.load(_read(args.right))
+    if args.letters is None:
+        letters = frozenset().union(*left.valuation.values(), *right.valuation.values())
+    elif value := args.letters.strip():
+        letters = frozenset(part.strip() for part in value.split(","))
+    else:
+        letters = frozenset()
+    return left, right, letters
 
 
 def _relation_pairs(data: object) -> frozenset[tuple[str, str]]:
@@ -82,131 +79,79 @@ def _relation_pairs(data: object) -> frozenset[tuple[str, str]]:
     return frozenset(out)
 
 
-# ---------------------------------------------------------------------------
-# Subcommand handlers (each returns the exit code)
+def _pass(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
 
-def _cmd_mc(args) -> int:
+
+# ---------------------------------------------------------------------------
+# Subcommand handlers (each returns a _Result)
+
+def _cmd_mc(args) -> _Result:
     m = model.load(_read(args.model))
     f = syntax.parse(args.formula)
     value = semantics.check(m, args.world, f)
     text = syntax.print_formula(f)
-    _emit(
-        args,
-        {"command": "mc", "world": args.world, "formula": text, "value": value},
-        lambda: [f"{'true' if value else 'false'} at {args.world}: {text}"],
-    )
-    return 0 if value else 1
+    payload = {"world": args.world, "formula": text, "value": value}
+    return value, payload, lambda: [
+        f"{'true' if value else 'false'} at {args.world}: {text}"
+    ]
 
 
-def _cmd_sat(args) -> int:
+def _cmd_sat(args) -> _Result:
     f = syntax.parse(args.formula)
     witness = semantics.bounded_sat(f, args.arity, args.max_worlds, budget=args.budget)
+    payload = {"formula": syntax.print_formula(f), "satisfiable": witness is not None}
     if witness is None:
-        _emit(
-            args,
-            {
-                "command": "sat",
-                "formula": syntax.print_formula(f),
-                "satisfiable": False,
-                "max_worlds": args.max_worlds,
-            },
-            lambda: [f"unsat up to {args.max_worlds} worlds"],
-        )
-        return 1
-    _emit(
-        args,
-        {
-            "command": "sat",
-            "formula": syntax.print_formula(f),
-            "satisfiable": True,
-            "model": model.model_to_dict(witness.model),
-            "world": witness.point,
-        },
-        lambda: [
-            f"satisfiable at world {witness.point} of:",
-            model.save(witness.model).decode().rstrip(),
-        ],
-    )
-    return 0
+        payload["max_worlds"] = args.max_worlds
+        return False, payload, lambda: [f"unsat up to {args.max_worlds} worlds"]
+    payload |= {"model": model.model_to_dict(witness.model), "world": witness.point}
+    return True, payload, lambda: [
+        f"satisfiable at world {witness.point} of:",
+        model.save(witness.model).decode().rstrip(),
+    ]
 
 
-def _cmd_bisim_check(args) -> int:
-    left = model.load(_read(args.left))
-    right = model.load(_read(args.right))
+def _cmd_bisim_check(args) -> _Result:
+    left, right, alphabet = _two_models(args)
     pairs = _relation_pairs(model.read_json(_read(args.relation), "relation"))
-    alphabet = _letters_arg(args.letters, [left, right])
-    z = bisim.PairRelation(left, right, pairs, alphabet)
-    violation = bisim.check_bisim(z)
-    payload = {
-        "command": "bisim-check",
-        "alphabet": sorted(alphabet),
-        "ok": violation is None,
-    }
+    violation = bisim.check_bisim(bisim.PairRelation(left, right, pairs, alphabet))
+    payload = {"alphabet": sorted(alphabet), "ok": violation is None}
     if violation is None:
-        _emit(args, payload, lambda: ["ok: relation is a bisimulation"])
-        return 0
+        return True, payload, lambda: ["ok: relation is a bisimulation"]
     payload["violation"] = {
         "pair": list(violation.pair),
         "condition": violation.condition,
         "tuple": list(violation.witness_tuple) if violation.witness_tuple else None,
     }
-    _emit(args, payload, lambda: ["not a bisimulation: " + violation.describe()])
-    return 1
+    return False, payload, lambda: ["not a bisimulation: " + violation.describe()]
 
 
-def _cmd_bisim_max(args) -> int:
-    left = model.load(_read(args.left))
-    right = model.load(_read(args.right))
-    alphabet = _letters_arg(args.letters, [left, right])
+def _cmd_bisim_max(args) -> _Result:
+    left, right, alphabet = _two_models(args)
     if args.k is None:
         z = bisim.greatest_bisim(left, right, alphabet)
     else:
         z = bisim.k_bisim(left, right, alphabet, args.k)
     pairs = z.sorted_pairs
-    _emit(
-        args,
-        {
-            "command": "bisim-max",
-            "alphabet": sorted(alphabet),
-            "k": args.k,
-            "pairs": pairs,
-        },
-        lambda: [f"{len(pairs)} pair(s)"] + [f"  {a} ~ {b}" for a, b in pairs],
-    )
-    return 0
+    payload = {"alphabet": sorted(alphabet), "k": args.k, "pairs": pairs}
+    return True, payload, lambda: [
+        f"{len(pairs)} pair(s)", *(f"  {a} ~ {b}" for a, b in pairs)
+    ]
 
 
-def _cmd_bisim_distinguish(args) -> int:
-    left = model.load(_read(args.left))
-    right = model.load(_read(args.right))
-    alphabet = _letters_arg(args.letters, [left, right])
+def _cmd_bisim_distinguish(args) -> _Result:
+    left, right, alphabet = _two_models(args)
     f = bisim.distinguishing_formula(left, args.w, right, args.v, alphabet)
+    payload = {"alphabet": sorted(alphabet), "distinguishable": f is not None}
     if f is None:
-        _emit(
-            args,
-            {
-                "command": "bisim-distinguish",
-                "alphabet": sorted(alphabet),
-                "distinguishable": False,
-            },
-            lambda: [f"{args.w} and {args.v} are bisimilar over the alphabet"],
-        )
-        return 1
-    text = syntax.print_formula(f)
-    _emit(
-        args,
-        {
-            "command": "bisim-distinguish",
-            "alphabet": sorted(alphabet),
-            "distinguishable": True,
-            "formula": text,
-        },
-        lambda: [f"true at {args.w}, false at {args.v}: {text}"],
-    )
-    return 0
+        return False, payload, lambda: [
+            f"{args.w} and {args.v} are bisimilar over the alphabet"
+        ]
+    payload["formula"] = text = syntax.print_formula(f)
+    return True, payload, lambda: [f"true at {args.w}, false at {args.v}: {text}"]
 
 
-def _cmd_unravel(args) -> int:
+def _cmd_unravel(args) -> _Result:
     m = model.load(_read(args.model))
     result = unravel.unravel(m, args.world, args.depth, max_nodes=args.budget)
     saved = model.save(result.model) if args.out or not args.json else None
@@ -215,21 +160,16 @@ def _cmd_unravel(args) -> int:
         _write(args.out, saved)
     if args.emit_rmap:
         _write(args.emit_rmap, model.dump_json(rmap))
-    _emit(
-        args,
-        {
-            "command": "unravel",
-            "depth": args.depth,
-            "root": result.root,
-            "model": model.model_to_dict(result.model),
-            "projection": rmap,
-        },
-        lambda: [f"root: {result.root}", saved.decode().rstrip()],
-    )
-    return 0
+    payload = {
+        "depth": args.depth,
+        "root": result.root,
+        "model": model.model_to_dict(result.model),
+        "projection": rmap,
+    }
+    return True, payload, lambda: [f"root: {result.root}", saved.decode().rstrip()]
 
 
-def _cmd_translate(args) -> int:
+def _cmd_translate(args) -> _Result:
     f = syntax.parse(args.formula)
     g = translate.st(f, args.arity, free_var="x")
     if args.format == "tptp":
@@ -238,93 +178,62 @@ def _cmd_translate(args) -> int:
         text = translate.tptp_export(g, args.role, args.name, {"x": args.ground})
     else:
         text = translate.render_text(g)
-    _emit(
-        args,
-        {
-            "command": "translate",
-            "arity": args.arity,
-            "formula": syntax.print_formula(f),
-            "format": args.format,
-            "output": text,
-        },
-        lambda: [text],
-    )
-    return 0
+    payload = {
+        "arity": args.arity,
+        "formula": syntax.print_formula(f),
+        "format": args.format,
+        "output": text,
+    }
+    return True, payload, lambda: [text]
 
 
-def _cmd_proof_check(args) -> int:
+def _cmd_proof_check(args) -> _Result:
     script = proof.load_script(_read(args.script))
     report = proof.check_script(script)
-    if report is None:
-        theorem = syntax.print_formula(script.theorem())
-        _emit(
-            args,
-            {
-                "command": "proof-check",
-                "ok": True,
-                "arity": script.arity,
-                "theorem": theorem,
-            },
-            lambda: [f"ok: derives {theorem}"],
-        )
-        return 0
-    _emit(
-        args,
-        {
-            "command": "proof-check",
-            "ok": False,
-            "line": report.line,
-            "reason": report.reason,
-        },
-        lambda: [f"invalid at line {report.line}: {report.reason}"],
-    )
-    return 1
+    payload = {"ok": report is None}
+    if report is not None:
+        payload |= {"line": report.line, "reason": report.reason}
+        return False, payload, lambda: [f"invalid at line {report.line}: {report.reason}"]
+    theorem = syntax.print_formula(script.theorem())
+    payload |= {"arity": script.arity, "theorem": theorem}
+    return True, payload, lambda: [f"ok: derives {theorem}"]
 
 
-def _cmd_interp_demo(args) -> int:
+# the conditions of a counterexample: their payload key and text label
+_CONDITIONS = (
+    ("models_satisfy", "models satisfy their formulas"),
+    ("refutation_valid", "joint refutability derivation"),
+    ("roots_indistinguishable", "common-vocabulary indistinguishability"),
+)
+
+
+def _cmd_interp_demo(args) -> _Result:
     bundle = interp.build_counterexample(args.n)
     report = interp.verify_counterexample(bundle, args.sat_bound)
     if args.emit_bundle:
         _write(args.emit_bundle, _bundle_files(bundle))
-    conditions = [
-        ("models satisfy their formulas", report.models_satisfy),
-        ("joint refutability derivation", report.refutation_valid),
-        ("common-vocabulary indistinguishability", report.roots_indistinguishable),
+    conditions = [(key, label, getattr(report, key)) for key, label in _CONDITIONS]
+    corroboration = report.joint_sat_corroboration.detail
+    payload = {
+        "n": args.n,
+        "phi": syntax.print_formula(bundle.phi),
+        "psi": syntax.print_formula(bundle.psi),
+        "conditions": {key: cond.passed for key, _, cond in conditions},
+        "details": {key: cond.detail for key, _, cond in conditions}
+        | {"corroboration": corroboration},
+        "overall": report.passed,
+        "note": report.note,
+    }
+    return report.passed, payload, lambda: [
+        f"interpolation counterexample at arity {args.n}",
+        *(
+            f"condition {i} ({label}): {_pass(cond.passed)} -- {cond.detail}"
+            for i, (_, label, cond) in enumerate(conditions, start=1)
+        ),
+        f"corroboration: {corroboration}",
+        f"overall: {_pass(report.passed)}",
+        f"note: {report.note}",
     ]
-    _emit(
-        args,
-        {
-            "command": "interp-demo",
-            "n": args.n,
-            "phi": syntax.print_formula(bundle.phi),
-            "psi": syntax.print_formula(bundle.psi),
-            "conditions": {
-                "models_satisfy": report.models_satisfy.passed,
-                "refutation_valid": report.refutation_valid.passed,
-                "roots_indistinguishable": report.roots_indistinguishable.passed,
-            },
-            "details": {
-                "models_satisfy": report.models_satisfy.detail,
-                "refutation_valid": report.refutation_valid.detail,
-                "roots_indistinguishable": report.roots_indistinguishable.detail,
-                "corroboration": report.joint_sat_corroboration.detail,
-            },
-            "overall": report.passed,
-            "note": report.note,
-        },
-        lambda: [
-            f"interpolation counterexample at arity {args.n}",
-            *(
-                f"condition {i} ({label}): {'PASS' if cond.passed else 'FAIL'}"
-                f" -- {cond.detail}"
-                for i, (label, cond) in enumerate(conditions, start=1)
-            ),
-            f"corroboration: {report.joint_sat_corroboration.detail}",
-            f"overall: {'PASS' if report.passed else 'FAIL'}",
-            f"note: {report.note}",
-        ],
-    )
-    return 0 if report.passed else 1
 
 
 def _bundle_files(bundle: interp.CounterexampleBundle) -> dict[str, bytes]:
@@ -346,7 +255,7 @@ def _bundle_files(bundle: interp.CounterexampleBundle) -> dict[str, bytes]:
     }
 
 
-def _cmd_experiment_locality(args) -> int:
+def _cmd_experiment_locality(args) -> _Result:
     m = model.load(_read(args.model))
     f = syntax.parse(args.formula)
     sweep = unravel.locality_sweep(
@@ -354,32 +263,27 @@ def _cmd_experiment_locality(args) -> int:
     )
     least = sweep.least_stable_depth
     text = syntax.print_formula(f)
-    _emit(
-        args,
-        {
-            "command": "experiment-locality",
-            "formula": text,
-            "world": args.world,
-            "reference": sweep.reference,
-            "sweep": [
-                {"depth": depth, "agree": agree}
-                for depth, agree in enumerate(sweep.agree)
-            ],
-            "least_stable_depth": least,
-        },
-        lambda: [
-            "EXPERIMENT locality sweep (no optimality asserted)",
-            f"EXPERIMENT formula: {text}; value at {args.world}: {sweep.reference}",
-            *(
-                f"EXPERIMENT depth {depth}: bounded unraveling "
-                f"{'agrees' if agree else 'disagrees'}"
-                for depth, agree in enumerate(sweep.agree)
-            ),
-            "EXPERIMENT least depth agreeing through the sweep: "
-            + ("none" if least is None else str(least)),
+    payload = {
+        "formula": text,
+        "world": args.world,
+        "reference": sweep.reference,
+        "sweep": [
+            {"depth": depth, "agree": agree}
+            for depth, agree in enumerate(sweep.agree)
         ],
-    )
-    return 0
+        "least_stable_depth": least,
+    }
+    return True, payload, lambda: [
+        "EXPERIMENT locality sweep (no optimality asserted)",
+        f"EXPERIMENT formula: {text}; value at {args.world}: {sweep.reference}",
+        *(
+            f"EXPERIMENT depth {depth}: bounded unraveling "
+            f"{'agrees' if agree else 'disagrees'}"
+            for depth, agree in enumerate(sweep.agree)
+        ),
+        "EXPERIMENT least depth agreeing through the sweep: "
+        + ("none" if least is None else str(least)),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +403,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one argv: write the handler's payload (``--json``) or its text
+    lines to stdout, and return 0 or 1 from its verdict; a WamlError
+    writes one ``error:`` line to stderr and returns 2."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        verdict, payload, lines = args.handler(args)
     except WamlError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    if args.json:
+        path = [args.command, getattr(args, "subcommand", None)]
+        payload = {"schema": SCHEMA, "command": "-".join(filter(None, path)), **payload}
+        text = model.dump_json(payload).decode()
+    else:
+        text = "".join(f"{line}\n" for line in lines())
+    sys.stdout.write(text)
+    return 0 if verdict else 1
 
 
 if __name__ == "__main__":

@@ -150,10 +150,7 @@ def is_tautology(f: Formula) -> bool:
 
 
 def tautological_consequence(premises: list[Formula], conclusion: Formula) -> bool:
-    f = conclusion
-    for p in reversed(premises):
-        f = Implies(p, f)
-    return is_tautology(f)
+    return is_tautology(Implies(conj(premises), conclusion))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +183,9 @@ class _NotEarlier(Exception):
 
 def check_script(script: ProofScript) -> LineReport | None:
     """None when every line validates; otherwise the first invalid line
-    with the reason."""
+    with the reason.  A line whose tautology check is over the atom cap is
+    no verdict: its ``BudgetExceededError`` is raised again with the line
+    number in front."""
     if script.arity < 1:
         return LineReport(0, f"arity must be >= 1, got {script.arity}")
     if not script.lines:
@@ -203,7 +202,7 @@ def check_script(script: ProofScript) -> LineReport | None:
         try:
             reason = _check_line(script.arity, current, line.justification, cited)
         except BudgetExceededError as e:  # from ``is_tautology`` alone
-            reason = str(e)
+            raise BudgetExceededError(f"line {number}: {e}") from e
         except _NotEarlier:
             reason = "cited line must be strictly earlier"
         if reason is not None:

@@ -241,12 +241,27 @@ def test_interp_demo_cli(capsys, tmp_path):
 
 def test_interp_demo_at_arity_25_reports_without_traceback(capsys):
     # the axiom line is compared with the rebuilt instance, whose
-    # 325-disjunct disjunction nests one level per disjunct
+    # 325-disjunct disjunction nests one level per disjunct; line 3 then
+    # needs a tautology check over 28 atoms, a refusal and not a "no"
     code = main(["interp", "demo", "--n", "25", "--sat-bound", "1"])
     captured = capsys.readouterr()
-    assert code in (0, 1)
-    assert captured.err == ""
-    assert "\noverall: " in captured.out
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 3: tautology check over 28 atoms exceeds the cap of 20\n"
+    )
+
+
+def test_interp_demo_refuses_a_refutation_over_the_atom_cap(capsys):
+    # line 3 cites n + 1 boxes and two more: 21 atoms at n = 18
+    assert main(["interp", "demo", "--n", "17", "--sat-bound", "1"]) == 0
+    assert "\noverall: PASS\n" in capsys.readouterr().out
+    assert main(["interp", "demo", "--n", "18", "--sat-bound", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 3: tautology check over 21 atoms exceeds the cap of 20\n"
+    )
 
 
 # runs whose output path cannot be written: {dir} is an existing
@@ -392,6 +407,39 @@ def test_json_output_byte_identical_across_processes(argv):
     assert json.loads(first)["schema"] == 1
 
 
+# one argv per leaf subcommand, keyed by its parser path joined by "-",
+# with the payload key that holds its verdict (None: it always answers 0)
+_LEAF_RUNS = {
+    "mc": (["mc", fixture("m2.json"), "w", "p"], "value"),
+    "sat": (["sat", "box p & box q & ~box(p&q)", "--arity", "1", "--max-worlds", "2"],
+            "satisfiable"),
+    "bisim-check": (["bisim", "check", fixture("m2.json"), fixture("n2.json"),
+                     fixture("z2.json"), "--letters", "p"], "ok"),
+    "bisim-max": (["bisim", "max", fixture("m2.json"), fixture("n2.json"), "--letters", "p"],
+                  None),
+    "bisim-distinguish": (["bisim", "distinguish", fixture("m2.json"), "w",
+                           fixture("n2.json"), "v", "--letters", "p"], "distinguishable"),
+    "unravel": (["unravel", fixture("cycle.json"), "w", "--depth", "1"], None),
+    "translate": (["translate", "box p", "--arity", "2"], None),
+    "proof-check": (["proof", "check", fixture("proof2.json")], "ok"),
+    "interp-demo": (["interp", "demo", "--n", "2"], "overall"),
+    "experiment-locality": (["experiment", "locality", fixture("cycle.json"), "w",
+                             "box box false", "--max-depth", "2"], None),
+}
+
+
+@pytest.mark.parametrize("command", _LEAF_RUNS)
+def test_json_payload_names_its_command_and_its_verdict_picks_the_exit_code(
+    command, capsys
+):
+    argv, verdict = _LEAF_RUNS[command]
+    code, out = run(capsys, *argv, "--json")
+    payload = json.loads(out)
+    assert payload["schema"] == 1
+    assert payload["command"] == command
+    assert code == (0 if verdict is None or payload[verdict] else 1)
+
+
 _BAD_ARGUMENTS = {
     "translate-arity-0": ["translate", "p", "--arity", "0"],
     "sat-max-worlds-0": ["sat", "p", "--arity", "1", "--max-worlds", "0"],
@@ -427,6 +475,7 @@ _BAD_ARGUMENTS = {
     "proof-check-subst-5": ["proof", "check", "{subst-5}"],
     "proof-check-arity-true": ["proof", "check", "{arity-true}"],
     "proof-check-boolean-refs": ["proof", "check", "{boolean-refs}"],
+    "proof-check-over-the-atom-cap": ["proof", "check", "{over-cap}"],
 }
 
 
@@ -446,6 +495,10 @@ _BAD_FILES = {
     "arity-true": _script(("p | ~p", {"kind": "Taut"}), arity=True),
     "boolean-refs": _script(
         ("p -> p", {"kind": "Taut"}), ("p", {"kind": "MP", "from": [True, True]})
+    ),
+    "over-cap": _script(
+        ("p -> p", {"kind": "Taut"}),
+        (" | ".join(f"a{i}" for i in range(21)) + " | true", {"kind": "Taut"}),
     ),
 }
 

@@ -193,9 +193,13 @@ def test_tautology_atom_cap():
         conj = And(conj, l)
     with pytest.raises(BudgetExceededError):
         is_tautology(Implies(conj, conj))
+    # a line over the cap is no verdict: check_script raises, naming it
     script = ProofScript(1, (ProofLine(Implies(conj, conj), TautJust()),))
-    report = check_script(script)
-    assert report is not None and "exceeds the cap" in report.reason
+    with pytest.raises(
+        BudgetExceededError,
+        match=r"^line 1: tautology check over 21 atoms exceeds the cap of 20$",
+    ):
+        check_script(script)
 
 
 def test_tautology_atom_cap_in_re_and_plfrom_lines():
@@ -204,9 +208,8 @@ def test_tautology_atom_cap_in_re_and_plfrom_lines():
     for i in range(1, 21):
         conj = And(conj, Letter(f"a{i}"))
     script = ProofScript(1, (ProofLine(Iff(Box(conj), Box(conj)), REJust()),))
-    report = check_script(script)
-    assert report is not None and report.line == 1
-    assert "exceeds the cap" in report.reason
+    with pytest.raises(BudgetExceededError, match=r"^line 1: .* exceeds the cap of 20$"):
+        check_script(script)
     script = ProofScript(
         1,
         (
@@ -214,9 +217,8 @@ def test_tautology_atom_cap_in_re_and_plfrom_lines():
             ProofLine(Implies(conj, conj), PLFromJust((1,))),
         ),
     )
-    report = check_script(script)
-    assert report is not None and report.line == 2
-    assert "exceeds the cap" in report.reason
+    with pytest.raises(BudgetExceededError, match=r"^line 2: .* exceeds the cap of 20$"):
+        check_script(script)
 
 
 def test_bundled_scripts_check(tmp_path):
