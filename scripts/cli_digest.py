@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest of the CLI's behaviour on a fixed seeded corpus.
 
-Runs 1,102 argvs through ``wamlkit.cli.main`` in-process, each in
+Runs 1,104 argvs through ``wamlkit.cli.main`` in-process, each in
 text mode and with ``--json``, and prints one line per run: the run
 number, the exit code, the sha256 of stdout, the sha256 of stderr, the
 sha256 of every file the run wrote (``--out``, ``--emit-rmap``,
@@ -12,14 +12,15 @@ locality``, ``interp demo --n 2..8`` and ``--n 25`` (bundles written
 for n = 2..5), ``translate``, ``proof check``, and writes that fail.
 Then come 4 argvs with large outputs: ``bisim max`` of a 200-world model
 with itself (10,000 and 15,000 pairs), an unraveling of 585 worlds written
-to files, and ``sat`` with a witness.  The last 21 argvs cover the
+to files, and ``sat`` with a witness.  Then 21 argvs cover the
 parser's own bytes: ``--help`` of the top parser and of every leaf
 subcommand, and one usage error (a missing required argument) per leaf;
 ``COLUMNS`` is pinned to 80 while they run, since argparse wraps its text
-to the terminal's width.  Its models, relations and scripts
-are generated here, from the seed alone, and written to a temporary
-directory under relative names, so two source trees can be compared line
-by line:
+to the terminal's width.  The last 2 argvs hold chains of 1,001 and 5,001
+operands joined by arrows, past the nesting cap.  Its models, relations
+and scripts are generated here, from the seed alone, and written to a
+temporary directory under relative names, so two source trees can be
+compared line by line:
 
     python3 scripts/cli_digest.py --src src > new.txt
     python3 scripts/cli_digest.py --src ../parent/src > old.txt
@@ -270,6 +271,16 @@ def parser_corpus() -> list[list[str]]:
     return argvs
 
 
+def chain_corpus() -> list[list[str]]:
+    """Formulas past the nesting cap in one chain of arrows: ``mc`` on
+    1,001 operands joined by ``->``, and ``translate`` on 5,001 joined by
+    ``<->``."""
+    return [
+        ["mc", "m2.json", "w", " -> ".join(["p"] * 1001)],
+        ["translate", " <-> ".join(["p"] * 5001), "--arity", "1"],
+    ]
+
+
 # the options whose value names a file (or, for a bundle, a directory)
 # that a run writes
 _OUTPUT_OPTIONS = ("--out", "--emit-rmap", "--emit-bundle")
@@ -324,6 +335,7 @@ def main() -> None:
             argvs = corpus(random.Random(args.seed), Path(tmp))
             argvs += large_corpus(random.Random(f"{args.seed}-large"), Path(tmp))
             argvs += parser_corpus()
+            argvs += chain_corpus()
             runs = [argv + mode for argv in argvs for mode in ([], ["--json"])]
             for number, argv in enumerate(runs):
                 outputs = written(argv)

@@ -148,146 +148,118 @@ def disj(parts: list[Formula]) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Notation and parsing
 
-_KEYWORDS = {"true", "false", "box", "dia"}
-_PREFIX = {"not": Not, "box": Box, "dia": Diamond}
+# connective -> (its precedence, prefix, infix, least precedence an operand
+# is printed with unparenthesised, per operand); letters have precedence 6,
+# and the arrows nest to the right.  This is the one table of the grammar's
+# symbols, precedence and grouping: the printer and the parser both read it.
+_NOTATION = {
+    Top: (6, "true", "", ()),
+    Bottom: (6, "false", "", ()),
+    Not: (5, "~", "", (5,)),
+    Box: (5, "box ", "", (5,)),
+    Diamond: (5, "dia ", "", (5,)),
+    And: (4, "", " & ", (4, 5)),
+    Or: (3, "", " | ", (3, 4)),
+    Implies: (2, "", " -> ", (3, 2)),
+    Iff: (1, "", " <-> ", (2, 1)),
+}
 
+# symbol -> its connective, and the notation of a token that is none
+_SYMBOLS = {(prefix + infix).strip(): op for op, (_, prefix, infix, _) in _NOTATION.items()}
+_NO_SYMBOL = (0, "", "", ())
+
+# after any whitespace: a letter or reserved word, a parenthesis or a
+# symbol (the longest that fits), or else a character that starts no token
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<ident>[a-z][a-z0-9_]*)
-  | (?P<iff><->)
-  | (?P<implies>->)
-  | (?P<not>~)
-  | (?P<and>&)
-  | (?P<or>\|)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-    """,
-    re.VERBOSE,
+    r"\s*(?:([a-z][a-z0-9_]*|[()]|"
+    + "|".join(re.escape(s) for s in sorted(_SYMBOLS, key=len, reverse=True) if not s.isalpha())
+    + r")|(\S))"
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """The tokens of text with their positions, and an empty token at the end."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            value = m.group()
-            if kind == "ident" and value in _KEYWORDS:
-                kind = value
-            tokens.append((kind, value, pos))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
+    for m in _TOKEN_RE.finditer(text):
+        if m[2]:
+            raise FormulaParseError(f"unexpected character {m[2]!r}", m.start(2))
+        tokens.append((m[1], m.start(1)))
+    tokens.append(("", len(text)))
     return tokens
 
 
 # Formulas deeper than this are rejected: the parser recurses per
-# parenthesis and prefix operator, and ``translate.st`` and pickling per
-# level of the formula tree.  Hashing, ``==``, printing, the metrics and
-# the evaluators do not recurse, so they answer on formulas built deeper
-# through the API.
+# parenthesis and prefix operator (a chain of infix operators of any
+# length, arrows included, is read in one loop), and ``translate.st`` and
+# pickling per level of the formula tree.  Hashing, ``==``, printing, the
+# metrics and the evaluators do not recurse, so they answer on formulas
+# built deeper through the API.
 MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, tokens):
+    # formulas are read as (formula, height) pairs, and ``node`` checks
+    # the height of every node it builds
+    def __init__(self, tokens: list[tuple[str, int]]):
         self.tokens = tokens
         self.i = 0
-        self.open = 0  # enclosing parentheses and prefix operators
-        # id of a built node -> its height; every built node stays in the
-        # tree, so no id is reused while parsing
-        self.height: dict[int, int] = {}
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.take()
-        if tok[0] != kind:
-            raise FormulaParseError(
-                f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2]
-            )
-        return tok
-
-    def enter(self, pos: int) -> None:
-        self.open += 1
-        if self.open > MAX_NESTING:
-            raise FormulaParseError(f"nesting deeper than {MAX_NESTING}", pos)
-
-    def node(self, cls, pos: int, *operands: Formula) -> Formula:
-        height = 1 + max(self.height.get(id(g), 0) for g in operands)
+    def node(self, op: type, pos: int, *operands: tuple[Formula, int]) -> tuple[Formula, int]:
+        height = 1 + max(h for _, h in operands)
         if height > MAX_NESTING:
             raise FormulaParseError(f"nesting deeper than {MAX_NESTING}", pos)
-        f = cls(*operands)
-        self.height[id(f)] = height
+        return op(*(f for f, _ in operands)), height
+
+    def formula(self, depth: int) -> tuple[Formula, int]:
+        """Unary formulas joined by infix connectives, read in one loop.
+        Each connective waits on a stack for its right operand, which is
+        complete when the formula ends or a connective comes whose left
+        bound in ``_NOTATION`` is at most the waiting one's precedence.
+        So ``&`` and ``|`` group to the left and the arrows to the right,
+        and nodes are built operands first."""
+        operands = [self.unary(depth)]
+        waiting: list[tuple[int, type, int]] = []  # (precedence, connective, position)
+        while True:
+            text, pos = self.tokens[self.i]
+            op = _SYMBOLS.get(text)
+            prec, _, infix, least = _NOTATION.get(op, _NO_SYMBOL)
+            bound = least[0] if infix else 0
+            while waiting and waiting[-1][0] >= bound:
+                _, waiting_op, at = waiting.pop()
+                right = operands.pop()
+                operands[-1] = self.node(waiting_op, at, operands[-1], right)
+            if not infix:
+                return operands[0]
+            self.i += 1
+            waiting.append((prec, op, pos))
+            operands.append(self.unary(depth))
+
+    def unary(self, depth: int) -> tuple[Formula, int]:
+        """A constant, a letter, a prefix connective applied to a unary
+        formula, or a parenthesised formula, inside ``depth`` enclosing
+        parentheses and prefix connectives."""
+        text, pos = self.tokens[self.i]
+        self.i += 1
+        op = _SYMBOLS.get(text)
+        _, prefix, _, least = _NOTATION.get(op, _NO_SYMBOL)
+        if prefix and not least:
+            return op(), 0
+        if op is None and text[:1].isalpha():
+            return Letter(text), 0
+        if not prefix and text != "(":
+            raise FormulaParseError(f"expected a formula, found {text or 'end of input'!r}", pos)
+        if depth == MAX_NESTING:
+            raise FormulaParseError(f"nesting deeper than {MAX_NESTING}", pos)
+        if prefix:
+            return self.node(op, pos, self.unary(depth + 1))
+        f = self.formula(depth + 1)
+        text, pos = self.tokens[self.i]
+        if text != ")":
+            raise FormulaParseError(f"expected 'rparen', found {text or 'end of input'!r}", pos)
+        self.i += 1
         return f
-
-    def formula(self) -> Formula:
-        left = self.implication()
-        if self.peek()[0] == "iff":
-            pos = self.take()[2]
-            return self.node(Iff, pos, left, self.formula())
-        return left
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "implies":
-            pos = self.take()[2]
-            return self.node(Implies, pos, left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek()[0] == "or":
-            pos = self.take()[2]
-            f = self.node(Or, pos, f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self.peek()[0] == "and":
-            pos = self.take()[2]
-            f = self.node(And, pos, f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        kind, _, pos = self.peek()
-        if kind not in _PREFIX:
-            return self.atom()
-        self.take()
-        self.enter(pos)
-        f = self.node(_PREFIX[kind], pos, self.unary())
-        self.open -= 1
-        return f
-
-    def atom(self) -> Formula:
-        kind, value, pos = self.take()
-        if kind == "ident":
-            return Letter(value)
-        if kind == "true":
-            return Top()
-        if kind == "false":
-            return Bottom()
-        if kind == "lparen":
-            self.enter(pos)
-            f = self.formula()
-            self.expect("rparen")
-            self.open -= 1
-            return f
-        raise FormulaParseError(
-            f"expected a formula, found {value or 'end of input'!r}", pos
-        )
 
 
 def parse(text: str) -> Formula:
@@ -298,10 +270,10 @@ def parse(text: str) -> Formula:
     operators or with a formula tree higher than ``MAX_NESTING``.
     """
     parser = _Parser(_tokenize(text))
-    f = parser.formula()
-    kind, value, pos = parser.peek()
-    if kind != "eof":
-        raise FormulaParseError(f"unexpected trailing input {value!r}", pos)
+    f, _ = parser.formula(0)
+    rest, pos = parser.tokens[parser.i]
+    if rest:
+        raise FormulaParseError(f"unexpected trailing input {rest!r}", pos)
     return f
 
 
@@ -391,22 +363,6 @@ def fold(f: Formula, step: Callable[..., _T]) -> _T:
 
 # ---------------------------------------------------------------------------
 # Printing and structural metrics
-
-# connective -> (its precedence, prefix, infix, least precedence an operand
-# is printed with unparenthesised, per operand); letters have precedence 6,
-# and the arrows nest to the right
-_NOTATION = {
-    Top: (6, "true", "", ()),
-    Bottom: (6, "false", "", ()),
-    Not: (5, "~", "", (5,)),
-    Box: (5, "box ", "", (5,)),
-    Diamond: (5, "dia ", "", (5,)),
-    And: (4, "", " & ", (4, 5)),
-    Or: (3, "", " | ", (3, 4)),
-    Implies: (2, "", " -> ", (3, 2)),
-    Iff: (1, "", " <-> ", (2, 1)),
-}
-
 
 def _print_step(node: Formula, op: type, *operands: tuple[int, str]) -> tuple[int, str]:
     # the precedence and text of a node from those of its operands

@@ -462,6 +462,7 @@ _BAD_ARGUMENTS = {
     "mc-1200-parentheses": [
         "mc", fixture("cycle.json"), "w", "(" * 1200 + "p" + ")" * 1200,
     ],
+    "mc-1001-operand-implication": ["mc", fixture("m2.json"), "w", " -> ".join(["p"] * 1001)],
     "mc-not-utf8": ["mc", "{not-utf8}", "w", "p"],
     "unravel-not-utf8": ["unravel", "{not-utf8}", "w", "--depth", "1"],
     "proof-check-not-utf8": ["proof", "check", "{not-utf8}"],
@@ -566,6 +567,7 @@ _FORMULAS = [
     "p", "box(~p|~q) & dia q", "dia p -> box q", "p <-> ~q", "true", "false",
     "~" * 3000 + "p", "(" * 1200 + "p" + ")" * 1200, " & ".join(["p"] * 200),
     "~" * 100 + "p", "p &", "(p", "p)", "P", "box", "", "p && q", "dia dia dia r",
+    " -> ".join(["p"] * 1001),
 ]
 _NUMBERS = ["-2", "-1", "0", "1", "2", "3", "x", "1.5", ""]
 _JUNK = ["--json", "--nope", "-", "--", "--k", "x", "p", "--letters"]

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,10 +9,12 @@ from wamlkit import proof, semantics
 from wamlkit.errors import FormulaParseError
 from wamlkit.model import make_model
 from wamlkit.syntax import (
+    MAX_NESTING,
     And,
     Bottom,
     Box,
     Diamond,
+    Formula,
     Iff,
     Implies,
     Letter,
@@ -331,10 +334,211 @@ def test_parse_rejects_deep_nesting_at_the_first_excess_level():
         ("(" * 1200 + "p" + ")" * 1200, 100),
         ("dia (" * 60 + "p" + ")" * 60, 5 * 50),
         (" & ".join(["p"] * 3000), 4 * 100 + 2),
+        # the 101st arrow from the right
+        (" -> ".join(["p"] * 1001), 4497),
+        (" <-> ".join(["p"] * 5001), 29396),
     ]:
         with pytest.raises(FormulaParseError) as exc:
             parse(text)
         assert exc.value.position == position
+
+
+# The recursive-descent parser that ``parse`` replaced, kept as its
+# reference.  It recurses once per arrow, so it is only run on inputs with
+# a few hundred operators.
+_REF_KEYWORDS = {"true", "false", "box", "dia"}
+_REF_PREFIX = {"not": Not, "box": Box, "dia": Diamond}
+_REF_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<ident>[a-z][a-z0-9_]*)
+  | (?P<iff><->)
+  | (?P<implies>->)
+  | (?P<not>~)
+  | (?P<and>&)
+  | (?P<or>\|)
+  | (?P<lparen>\()
+  | (?P<rparen>\))
+    """,
+    re.VERBOSE,
+)
+
+
+def _ref_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise FormulaParseError(f"unexpected character {text[pos]!r}", pos)
+        kind = m.lastgroup
+        if kind != "ws":
+            value = m.group()
+            if kind == "ident" and value in _REF_KEYWORDS:
+                kind = value
+            tokens.append((kind, value, pos))
+        pos = m.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+class _RefParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.i = 0
+        self.open = 0  # enclosing parentheses and prefix operators
+        # id of a built node -> its height; every built node stays in the
+        # tree, so no id is reused while parsing
+        self.height = {}
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.take()
+        if tok[0] != kind:
+            raise FormulaParseError(
+                f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2]
+            )
+        return tok
+
+    def enter(self, pos):
+        self.open += 1
+        if self.open > MAX_NESTING:
+            raise FormulaParseError(f"nesting deeper than {MAX_NESTING}", pos)
+
+    def node(self, cls, pos, *operands):
+        height = 1 + max(self.height.get(id(g), 0) for g in operands)
+        if height > MAX_NESTING:
+            raise FormulaParseError(f"nesting deeper than {MAX_NESTING}", pos)
+        f = cls(*operands)
+        self.height[id(f)] = height
+        return f
+
+    def formula(self):
+        left = self.implication()
+        if self.peek()[0] == "iff":
+            pos = self.take()[2]
+            return self.node(Iff, pos, left, self.formula())
+        return left
+
+    def implication(self):
+        left = self.disjunction()
+        if self.peek()[0] == "implies":
+            pos = self.take()[2]
+            return self.node(Implies, pos, left, self.implication())
+        return left
+
+    def disjunction(self):
+        f = self.conjunction()
+        while self.peek()[0] == "or":
+            pos = self.take()[2]
+            f = self.node(Or, pos, f, self.conjunction())
+        return f
+
+    def conjunction(self):
+        f = self.unary()
+        while self.peek()[0] == "and":
+            pos = self.take()[2]
+            f = self.node(And, pos, f, self.unary())
+        return f
+
+    def unary(self):
+        kind, _, pos = self.peek()
+        if kind not in _REF_PREFIX:
+            return self.atom()
+        self.take()
+        self.enter(pos)
+        f = self.node(_REF_PREFIX[kind], pos, self.unary())
+        self.open -= 1
+        return f
+
+    def atom(self):
+        kind, value, pos = self.take()
+        if kind == "ident":
+            return Letter(value)
+        if kind == "true":
+            return Top()
+        if kind == "false":
+            return Bottom()
+        if kind == "lparen":
+            self.enter(pos)
+            f = self.formula()
+            self.expect("rparen")
+            self.open -= 1
+            return f
+        raise FormulaParseError(
+            f"expected a formula, found {value or 'end of input'!r}", pos
+        )
+
+
+def _ref_parse(text):
+    parser = _RefParser(_ref_tokenize(text))
+    f = parser.formula()
+    kind, value, pos = parser.peek()
+    if kind != "eof":
+        raise FormulaParseError(f"unexpected trailing input {value!r}", pos)
+    return f
+
+
+def _outcome(parser, text):
+    # the formula, or the error's message (which ends in its position)
+    try:
+        return parser(text)
+    except FormulaParseError as e:
+        return str(e), e.position
+
+
+_TOKENS = ["p", "q", "r_1", "true", "false", "(", ")", "~", "box", "dia", "&", "|", "->", "<->"]
+_TOKEN_JUNK = ["P", "-", "<", "$", "\t"]
+
+
+def _random_text(rng):
+    """Formula text with fewer than 300 operators: a printed random
+    formula with a few characters replaced by tokens or tokens inserted,
+    a chain of infix operators around the nesting limit, or a token soup."""
+    kind = rng.randrange(20)
+    if kind < 10:
+        text = print_formula(random_formula(rng, ["p", "q", "r_1"], 3, rng.randint(1, 25)))
+        for _ in range(rng.choice([0, 0, 1, 2, 3])):
+            at = rng.randint(0, len(text))
+            token = rng.choice(_TOKENS + _TOKEN_JUNK)
+            text = text[:at] + token + rng.choice([text[at + 1 :], " " + text[at:]])
+        return text
+    if kind == 10:
+        operators = rng.sample(["&", "|", "->", "<->"], rng.randint(1, 2))
+        operands = ["p", "q", "~p", "(p)", "box q"]
+        pieces = [rng.choice(operands)]
+        for _ in range(rng.randint(90, 130)):
+            pieces += [rng.choice(operators), rng.choice(operands)]
+        if rng.random() < 0.2:
+            pieces[rng.randrange(len(pieces))] = rng.choice(_TOKENS + _TOKEN_JUNK)
+        return " ".join(pieces)
+    tokens = rng.choices(_TOKENS, k=rng.randint(0, 40))
+    if rng.random() < 0.1:
+        tokens.insert(rng.randint(0, len(tokens)), rng.choice(_TOKEN_JUNK))
+    return "".join(t + rng.choice(["", " ", " ", "  "]) for t in tokens)
+
+
+def test_parse_matches_the_reference_parser():
+    rng = random.Random(14)
+    texts = [_random_text(rng) for _ in range(20_000)]
+    texts += [print_formula(f) for f in enumerate_formulas({"p", "q"}, 2, 6)]
+    kinds = set()
+    for text in texts:
+        expected = _outcome(_ref_parse, text)
+        assert _outcome(parse, text) == expected, text
+        kinds.add(" ".join(expected[0].split()[:2]) if isinstance(expected, tuple) else "formula")
+    # formulas, and every message the parsers give
+    assert kinds == {
+        "formula", "unexpected character", "expected a", "expected 'rparen',",
+        "nesting deeper", "unexpected trailing",
+    }
 
 
 # The recursive printer that ``print_formula`` replaced, kept as its reference.
