@@ -13,7 +13,9 @@ failure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import bisim, proof, semantics, syntax
 from .bisim import PairRelation
@@ -135,8 +137,16 @@ _NOTE = (
 )
 
 
+@functools.lru_cache(maxsize=8)
+def _sweep(alphabet: frozenset[str]) -> tuple[syntax.Instruction, ...]:
+    """The program of the root sweep over ``alphabet``, built once per
+    process: every formula up to modal depth ``_SWEEP_DEPTH`` and size
+    ``_SWEEP_SIZE``."""
+    return tuple(syntax.enumeration_program(alphabet, _SWEEP_DEPTH, _SWEEP_SIZE))
+
+
 def first_disagreement(
-    left: PointedModel, right: PointedModel, program: list[syntax.Instruction]
+    left: PointedModel, right: PointedModel, program: Sequence[syntax.Instruction]
 ) -> Formula | None:
     """The first formula of ``program`` true at one point and false at
     the other, or None.  The program (as ``syntax.enumeration_program``
@@ -216,10 +226,7 @@ def verify_counterexample(
     elif (w, v) not in b.z.pairs:
         roots = ConditionReport(False, "relation does not link the two points")
     else:
-        program = list(
-            syntax.enumeration_program(b.z.alphabet, _SWEEP_DEPTH, _SWEEP_SIZE)
-        )
-        disagreement = first_disagreement(b.left, b.right, program)
+        disagreement = first_disagreement(b.left, b.right, _sweep(b.z.alphabet))
         if disagreement is None:
             roots = ConditionReport(
                 True,

@@ -64,7 +64,7 @@ class ModelEvaluator:
                 cache[node] = bits
         return masks[-1]
 
-    def run(self, program: list[syntax.Instruction]) -> list[int]:
+    def run(self, program: Sequence[syntax.Instruction]) -> list[int]:
         """The mask of every instruction of a program, in order."""
         return syntax.run_program(program, self.full, self._leaf)
 
@@ -135,9 +135,14 @@ def valid_on_model(m: NModel, f: Formula) -> bool:
 # decision phase belongs to the type space: a quick refutation of the
 # root types, elimination down to the greatest self-supporting set, and
 # the least support size k0 within it, with every set of types a mask
-# over type indices.  The witness itself is then recovered by enumerating
-# models of k0 worlds in canonical order, so the returned witness is the
-# canonically least one.
+# over type indices.  Every demand pool is a modal operand's truth mask
+# or its complement, so two types with the same truth in every operand
+# are interchangeable as successors, and a dead end (every box bit set,
+# every diamond bit clear) has no demands at all: the search for k0 tries
+# one dead end in place of all its twins (type elimination, Pratt 1979).
+# The witness itself is then recovered by enumerating models of k0 worlds
+# in canonical order, so the returned witness is the canonically least
+# one.
 
 
 class _Budget:
@@ -302,23 +307,56 @@ class _TypeSpace:
                 return u_mask
             u_mask = survivors
 
+    def dominated(self) -> int:
+        """The types that agree with a lesser dead end on the truth of
+        every modal operand.  A dead end has no demands, and every demand
+        pool is such a truth mask or its complement, so in a
+        self-supporting set any such type but the root can be replaced by
+        its dead end: each successor tuple still fits, and the set gets no
+        larger.  Each class of twins is the AND of every operand mask or
+        its complement, one class per profile that some dead end has."""
+        low = len(self.letters)
+        # the dead ends are the 2^low types from ``base`` on, one per
+        # letter valuation; per operand, its mask and its bits there
+        base = sum(1 << j for j, (is_box, _, _) in enumerate(self.modal_info) if is_box)
+        base <<= low
+        ends = (1 << (1 << low)) - 1
+        operands = [(child, child >> base & ends) for _, _, child in self.modal_info]
+        dominated = 0
+        while ends:  # the dead ends in no class yet
+            v = (ends & -ends).bit_length() - 1
+            twins, twin_ends = self.all_types, ends
+            for child, at_ends in operands:
+                if at_ends >> v & 1:
+                    twins &= child
+                    twin_ends &= at_ends
+                else:
+                    twins &= ~child
+                    twin_ends &= ~at_ends
+            dominated |= twins ^ 1 << base + v
+            ends ^= twin_ends
+        return dominated
+
     def min_support(self, star_mask: int, max_size: int) -> int | None:
         """Smallest size of a self-supporting set of types from
         ``star_mask`` containing a root type, or None if none exists within
-        ``max_size``."""
+        ``max_size``.  ``star_mask`` holds every dead end, as the result of
+        ``eliminate`` does, so the dominated types need not be tried."""
         roots = self.root_mask & star_mask
         if not roots:
             return None
+        candidates = star_mask & ~self.dominated()
         for k in range(1, max_size + 1):
             seen: set[int] = set()
             for root in _iter_bits(roots):
-                if self._grow(star_mask, k, 1 << root, seen):
+                if self._grow(candidates, k, 1 << root, seen):
                     return k
         return None
 
-    def _grow(self, star_mask: int, k: int, chosen: int, seen: set[int]) -> bool:
+    def _grow(self, candidates: int, k: int, chosen: int, seen: set[int]) -> bool:
         """Can the types of ``chosen`` be extended, one unmet demand at a
-        time, to a self-supporting set of at most k types?"""
+        time and by types of ``candidates``, to a self-supporting set of at
+        most k types?"""
         if chosen in seen:
             return False
         seen.add(chosen)
@@ -329,8 +367,8 @@ class _TypeSpace:
                     continue
                 if chosen.bit_count() == k:
                     return False
-                for cand in _iter_bits(star_mask & inside & ~chosen):
-                    if self._grow(star_mask, k, chosen | 1 << cand, seen):
+                for cand in _iter_bits(candidates & inside & ~chosen):
+                    if self._grow(candidates, k, chosen | 1 << cand, seen):
                         return True
                 return False
         return True

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from operator import attrgetter
-from typing import Callable, Container, Iterable, Iterator, TypeVar
+from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import FormulaParseError
 
@@ -430,7 +430,7 @@ def program_keys(program: list[Instruction]) -> list[tuple[int, str]]:
 
 
 def run_program(
-    program: list[Instruction],
+    program: Sequence[Instruction],
     full: int,
     leaf: Callable[[Formula, int | None], int],
 ) -> list[int]:

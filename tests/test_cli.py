@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wamlkit.cli import build_parser, main
-from wamlkit.model import random_model, save
+from wamlkit.model import load, random_model, save
+from wamlkit.semantics import check
 from wamlkit.syntax import MAX_NESTING, parse, print_formula
 
 from conftest import fixture
@@ -389,6 +391,34 @@ def _run_subprocess(argv, hashseed):
         env=env,
         check=False,
     ).stdout
+
+
+def test_sat_over_sixteen_thousand_types_within_a_gigabyte():
+    # 4 letters and 10 modal subformulas: a search for k0 that tried every
+    # successor type ran out of memory here and ended in a traceback
+    query = (
+        "dia p & dia q & dia r & dia s & box ~(p&q) & box ~(p&r) & box ~(q&r)"
+        " & box ~(p&s) & box ~(q&s) & box ~(r&s)"
+    )
+
+    def cap_address_space():  # in the child only
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "wamlkit", "sat", query, "--arity", "1",
+         "--max-worlds", "5", "--json"],
+        capture_output=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        preexec_fn=cap_address_space,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    payload = json.loads(proc.stdout)
+    m = load(json.dumps(payload["model"]))
+    assert len(m.worlds) == 4
+    assert check(m, payload["world"], parse(query))
 
 
 @pytest.mark.parametrize(

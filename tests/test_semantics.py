@@ -424,9 +424,9 @@ def test_relation_subsets_canonical_order_without_recursion():
 @pytest.mark.parametrize(
     "text, arity, max_worlds, budget",
     [
-        ("~p & ~q & dia (p & ~q & dia(q & ~p & dia (p&q)))", 2, 5, 8_808),
-        ("dia p & dia q & dia r & box ~(p&q) & box ~(p&r) & box ~(q&r)", 2, 4, 13_905),
-        ("box p & box q & ~box(p&q)", 3, 4, 2_308),
+        ("~p & ~q & dia (p & ~q & dia(q & ~p & dia (p&q)))", 2, 5, 8_689),
+        ("dia p & dia q & dia r & box ~(p&q) & box ~(p&r) & box ~(q&r)", 2, 4, 6_038),
+        ("box p & box q & ~box(p&q)", 3, 4, 2_297),
     ],
 )
 def test_bounded_sat_budget_pins(text, arity, max_worlds, budget):
@@ -456,6 +456,135 @@ def test_bounded_sat_step_counts_frozen(monkeypatch):
     assert len(lines) == 2_976
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "3911285354622ae9513e3cbf42ef8bda5e3445c041f8835c4deea114538af771"
+
+
+def _disjoint_diamonds(names):
+    parts = [f"dia {x}" for x in names]
+    parts += [f"box ~({x} & {y})" for i, x in enumerate(names) for y in names[i + 1 :]]
+    return " & ".join(parts)
+
+
+def test_bounded_sat_step_counts_frozen_where_supports_branch(monkeypatch):
+    # the corpus above rarely branches in the search for k0; these queries
+    # do, so a change to which successor types it tries moves their step
+    # counts
+    lines = []
+    texts = _SAT_FAMILIES + [_disjoint_diamonds("pqrs")]
+    for text, arity, max_worlds in itertools.product(texts, (1, 2, 3), (3, 4)):
+        outcome, spent = _sat_outcome(
+            monkeypatch, parse(text), arity, max_worlds, semantics.DEFAULT_SEARCH_BUDGET
+        )
+        verdict = (
+            "budget" if isinstance(outcome, str)
+            else "unsat" if outcome is None
+            else len(outcome.model.worlds)
+        )
+        lines.append(f"{text}|{arity}|{max_worlds}|{verdict}|{spent}")
+    assert len(lines) == 30
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "6d7ce6165aa3069b5c77112b36f66aa96ae22a02c0f7e5204c14dea87380f5af"
+
+
+def _unpruned_min_support(space, star_mask, max_size):
+    # the search for k0 before dominance pruning: every type of star_mask
+    # not yet chosen is tried for an unmet demand
+    def grow(k, chosen, seen):
+        if chosen in seen:
+            return False
+        seen.add(chosen)
+        for t in semantics._iter_bits(chosen):
+            for inside, constraints in space.demands(t):
+                if space.demand_satisfiable(inside, constraints, chosen):
+                    continue
+                if chosen.bit_count() == k:
+                    return False
+                for cand in semantics._iter_bits(star_mask & inside & ~chosen):
+                    if grow(k, chosen | 1 << cand, seen):
+                        return True
+                return False
+        return True
+
+    roots = space.root_mask & star_mask
+    if not roots:
+        return None
+    for k in range(1, max_size + 1):
+        seen = set()
+        for root in semantics._iter_bits(roots):
+            if grow(k, 1 << root, seen):
+                return k
+    return None
+
+
+def _dead_ends(space):
+    # the types with every box true and every diamond false
+    return [
+        t
+        for t in range(space.count)
+        if all(own >> t & 1 == is_box for is_box, own, _ in space.modal_info)
+    ]
+
+
+def _dominated_by_definition(space):
+    # per type, its truth in every modal operand; a type is dominated when
+    # a lesser dead end shares it
+    def profile(t):
+        return tuple(child >> t & 1 for _, _, child in space.modal_info)
+
+    first_dead_end = {}
+    for t in _dead_ends(space):
+        first_dead_end.setdefault(profile(t), t)
+    return sum(
+        1 << t
+        for t in range(space.count)
+        if first_dead_end.get(profile(t), t) != t
+    )
+
+
+def _outer_letter_cases(rng, count):
+    # a letter outside every modality: dead ends that differ in it alone
+    # share their truth in every modal operand
+    cases = []
+    for _ in range(count):
+        inner = random_formula(rng, ["p", "q"], 2, fuel=rng.randint(3, 9))
+        outer = random_formula(rng, ["r"], 0, fuel=rng.randint(1, 3))
+        f = rng.choice((And, Or, Implies))(*rng.sample([inner, outer], 2))
+        cases.append((f, rng.randint(1, 3), rng.randint(1, 4)))
+    return cases
+
+
+def test_min_support_matches_the_unpruned_search():
+    cases = [
+        (f, arity, 3)
+        for f in enumerate_formulas({"p", "q"}, 2, 5)
+        for arity in (1, 2, 3)
+    ]
+    cases += [
+        (parse(t), arity, 4)
+        for arity in (1, 2, 3)
+        for t in _SAT_FAMILIES + [_NEGATED_AXIOMS[arity]]
+    ]
+    cases += [(parse("r & dia p & dia ~p"), arity, 3) for arity in (1, 2, 3)]
+    cases += _outer_letter_cases(random.Random(15), 150)
+    answers, twin_dead_ends = [], 0
+    for f, arity, max_size in cases:
+        space = semantics._TypeSpace(f, arity, semantics._Budget(10**9))
+        star = space.eliminate()
+        want = _unpruned_min_support(space, star, max_size)
+        assert space.min_support(star, max_size) == want, (print_formula(f), arity)
+        answers.append(want)
+        dominated = space.dominated()
+        twin_dead_ends += any(dominated >> t & 1 for t in _dead_ends(space))
+    # every size, and no support within the bound, are compared
+    assert set(answers) == {None, 1, 2, 3, 4}
+    assert twin_dead_ends > 100
+
+
+def test_dominated_types_by_definition():
+    formulas = list(enumerate_formulas({"p", "q"}, 2, 5))
+    formulas += [f for f, _, _ in _outer_letter_cases(random.Random(16), 150)]
+    for f in formulas:
+        space = semantics._TypeSpace(f, 1, semantics._Budget(10**9))
+        assert space.dominated() == _dominated_by_definition(space), print_formula(f)
 
 
 def _subformulas(f):
