@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest of the CLI's behaviour on a fixed seeded corpus.
 
-Runs 1,104 argvs through ``wamlkit.cli.main`` in-process, each in
+Runs 1,113 argvs through ``wamlkit.cli.main`` in-process, each in
 text mode and with ``--json``, and prints one line per run: the run
 number, the exit code, the sha256 of stdout, the sha256 of stderr, the
 sha256 of every file the run wrote (``--out``, ``--emit-rmap``,
@@ -16,8 +16,11 @@ to files, and ``sat`` with a witness.  Then 21 argvs cover the
 parser's own bytes: ``--help`` of the top parser and of every leaf
 subcommand, and one usage error (a missing required argument) per leaf;
 ``COLUMNS`` is pinned to 80 while they run, since argparse wraps its text
-to the terminal's width.  The last 2 argvs hold chains of 1,001 and 5,001
-operands joined by arrows, past the nesting cap.  Its models, relations
+to the terminal's width.  Then 2 argvs hold chains of 1,001 and 5,001
+operands joined by arrows, past the nesting cap.  The last 9 argvs
+compare a model with itself (``bisim max`` and ``distinguish``, through
+one path and through a byte-identical copy) and run ``experiment
+locality`` at its row budget and one row past it.  Its models, relations
 and scripts are generated here, from the seed alone, and written to a
 temporary directory under relative names, so two source trees can be
 compared line by line:
@@ -271,6 +274,30 @@ def parser_corpus() -> list[list[str]]:
     return argvs
 
 
+def self_corpus(directory: Path) -> list[list[str]]:
+    """A model compared with itself, which is parsed once and refined as
+    one copy: ``bisim max`` of the 200-world cover through one path and
+    through a byte-identical copy, at ``--k 1``, and of ``m3.json``;
+    ``bisim distinguish`` of cover worlds 0 and 1 (they die apart at
+    stage 2) and of 0 and 4 (bisimilar).  Then ``experiment locality`` at
+    a dead end with one row within ``--budget`` and one row past it."""
+    shutil.copyfile(directory / "cover200.json", directory / "cover200_copy.json")
+    names = json.loads((directory / "cover200.json").read_bytes())["worlds"]
+    return [
+        ["bisim", "max", "cover200.json", "cover200.json", "--letters", "p,q"],
+        ["bisim", "max", "cover200.json", "cover200_copy.json", "--letters", "p,q"],
+        ["bisim", "max", "cover200.json", "cover200_copy.json", "--k", "1"],
+        ["bisim", "max", "m3.json", "m3.json"],
+        ["bisim", "distinguish", "cover200.json", names[0], "cover200.json", names[1]],
+        ["bisim", "distinguish", "cover200.json", names[0], "cover200_copy.json", names[1]],
+        ["bisim", "distinguish", "cover200.json", names[0], "cover200.json", names[4]],
+        ["experiment", "locality", "dead_end.json", "u", "p", "--max-depth", "9",
+         "--budget", "10"],
+        ["experiment", "locality", "dead_end.json", "u", "p", "--max-depth", "10",
+         "--budget", "10"],
+    ]
+
+
 def chain_corpus() -> list[list[str]]:
     """Formulas past the nesting cap in one chain of arrows: ``mc`` on
     1,001 operands joined by ``->``, and ``translate`` on 5,001 joined by
@@ -336,6 +363,7 @@ def main() -> None:
             argvs += large_corpus(random.Random(f"{args.seed}-large"), Path(tmp))
             argvs += parser_corpus()
             argvs += chain_corpus()
+            argvs += self_corpus(Path(tmp))
             runs = [argv + mode for argv in argvs for mode in ([], ["--json"])]
             for number, argv in enumerate(runs):
                 outputs = written(argv)

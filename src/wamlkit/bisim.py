@@ -140,17 +140,23 @@ class _Partition:
     ):
         _require_same_arity(left, right)
         self.left, self.right, self.alphabet = left, right, alphabet
-        # left world i is number i of the union, right world j is |W| + j
+        # left world i is number i of the union, right world j is |W| + j.
+        # A model with itself is refined as one copy: numbered by first
+        # appearance, the second copy would get the first copy's block ids
+        # at every stage and add no block
         self.lpos = left.index
-        self.rpos = {w: len(left.worlds) + j for w, j in right.index.items()}
+        if right is left:
+            self.rpos = self.lpos
+            sides = ((left, self.lpos),)
+        else:
+            self.rpos = {w: len(left.worlds) + j for w, j in right.index.items()}
+            sides = ((left, self.lpos), (right, self.rpos))
         succ = [
             [[pos[v] for v in t] for t in m.successors[w]]
-            for m, pos in ((left, self.lpos), (right, self.rpos))
+            for m, pos in sides
             for w in m.worlds
         ]
-        blocks = _number(
-            [m.valuation[w] & alphabet for m in (left, right) for w in m.worlds]
-        )
+        blocks = _number([m.valuation[w] & alphabet for m, _ in sides for w in m.worlds])
         self.stages = [blocks]  # one block list per stage, by union number
         # stable once the block count stops growing
         while max_stage is None or len(self.stages) <= max_stage:

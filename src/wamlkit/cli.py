@@ -49,9 +49,13 @@ def _write(path: str | Path, data: bytes | dict[str, bytes]) -> None:
 
 def _two_models(args) -> tuple[model.NModel, model.NModel, frozenset[str]]:
     """The left and right models of a bisim subcommand and its alphabet:
-    ``--letters`` split at commas, or every letter of the two models."""
-    left = model.load(_read(args.left))
-    right = model.load(_read(args.right))
+    ``--letters`` split at commas, or every letter of the two models.
+    Two files of equal bytes are parsed once, and both sides are the same
+    model object, which the refinement compares as one copy."""
+    raw = _read(args.left)
+    left = model.load(raw)
+    other = _read(args.right)
+    right = left if other == raw else model.load(other)
     if args.letters is None:
         letters = frozenset().union(*left.valuation.values(), *right.valuation.values())
     elif value := args.letters.strip():
@@ -258,8 +262,9 @@ def _bundle_files(bundle: interp.CounterexampleBundle) -> dict[str, bytes]:
 def _cmd_experiment_locality(args) -> _Result:
     m = model.load(_read(args.model))
     f = syntax.parse(args.formula)
+    # the budget bounds the report's rows too, one per depth
     sweep = unravel.locality_sweep(
-        m, args.world, f, args.max_depth, max_nodes=args.budget
+        m, args.world, f, args.max_depth, max_nodes=args.budget, max_rows=args.budget
     )
     least = sweep.least_stable_depth
     text = syntax.print_formula(f)

@@ -170,6 +170,7 @@ def locality_sweep(
     f: Formula,
     max_depth: int,
     max_nodes: int = DEFAULT_NODE_BUDGET,
+    max_rows: int | None = None,
 ) -> LocalitySweep:
     """Compare f at (m, w) with f at the root of the bounded unraveling of
     every depth up to ``max_depth``.  No optimality is asserted: agreement
@@ -177,7 +178,10 @@ def locality_sweep(
 
     The root of the depth-d unraveling satisfies f iff w does under
     depth-d semantics, so no unraveling is built; the ``max_nodes`` budget
-    still bounds the unravelings' nodes and tuples, as ``unravel`` does."""
+    still bounds the unravelings' nodes and tuples, as ``unravel`` does.
+    An unraveling that dies out leaves the sweep's ``max_depth + 1`` rows
+    unbounded by that budget; ``max_rows``, when given, bounds them, and
+    is checked last, before any depth is evaluated."""
     ev = semantics.ModelEvaluator(m)
     reference = ev.holds(w, f)
     if max_depth < 0:
@@ -188,6 +192,11 @@ def locality_sweep(
             raise _over_budget(depth, max_nodes, "node")
         if tuples > max_nodes:
             raise _over_budget(depth, max_nodes, "tuple")
+    if max_rows is not None and max_depth + 1 > max_rows:
+        raise BudgetExceededError(
+            f"a sweep to depth {max_depth} has {max_depth + 1} rows, "
+            f"over the {max_rows}-row budget"
+        )
     bit = m.index[w]
     agree = tuple(
         bool(bits >> bit & 1) == reference for bits in ev.depth_masks(f, max_depth)

@@ -435,6 +435,8 @@ def test_partition_refinement_matches_pairwise_reference():
         right = random_model(arity, rng.randint(1, 5), density, alphabet, seed=8000 + i)
         ref = _assert_matches_reference(left, right, alphabet)
         deaths.add(len(ref.stages) - 1)
+        # one object on both sides: the partition refines a single copy
+        _assert_matches_reference(left, left, alphabet)
     # the sample reaches pairs that die at several stages
     assert {0, 1, 2} <= deaths
 

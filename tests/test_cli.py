@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wamlkit import model
+from wamlkit.bisim import greatest_bisim
 from wamlkit.cli import build_parser, main
-from wamlkit.model import load, random_model, save
+from wamlkit.model import load, model_to_dict, random_model, save
 from wamlkit.semantics import check
 from wamlkit.syntax import MAX_NESTING, parse, print_formula
 
@@ -341,6 +343,77 @@ def test_experiment_locality_cli(capsys):
     assert code == 0
     assert out.count("EXPERIMENT") >= 5
     assert "least depth agreeing through the sweep: 2" in out
+
+
+def test_experiment_locality_rows_count_against_the_budget(capsys):
+    # w1 is a dead end: its unravelings stay one node, so only the count
+    # of report rows, one per depth, bounds the sweep
+    argv = ["experiment", "locality", str(fixture("m2.json")), "w1", "p"]
+    assert main([*argv, "--max-depth", "100000", "--json"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: a sweep to depth 100000 has 100001 rows, over the 50000-row budget\n"
+    )
+    assert main([*argv, "--max-depth", "9", "--budget", "10"]) == 0
+    assert capsys.readouterr().out.count("EXPERIMENT depth") == 10
+    assert main([*argv, "--max-depth", "10", "--budget", "10"]) == 2
+    assert capsys.readouterr().err.endswith("has 11 rows, over the 10-row budget\n")
+    # within the budget the report is what it was
+    assert main([*argv, "--max-depth", "5", "--json"]) == 0
+    payload = {
+        "schema": 1, "command": "experiment-locality", "formula": "p", "world": "w1",
+        "reference": True, "sweep": [{"depth": d, "agree": True} for d in range(6)],
+        "least_stable_depth": 0,
+    }
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert main([*argv, "--max-depth", "5"]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"EXPERIMENT {line}\n"
+        for line in [
+            "locality sweep (no optimality asserted)",
+            "formula: p; value at w1: True",
+            *(f"depth {d}: bounded unraveling agrees" for d in range(6)),
+            "least depth agreeing through the sweep: 0",
+        ]
+    )
+
+
+def test_a_model_compared_with_itself_is_parsed_once(tmp_path, capsys, monkeypatch):
+    loads = []
+    monkeypatch.setattr(model, "load", lambda raw: loads.append(raw) or load(raw))
+    m = random_model(2, 12, 0.08, {"p", "q"}, seed=31)
+    # the file lists its worlds in reverse, so the canonical save differs
+    data = model_to_dict(m) | {"worlds": list(reversed(m.worlds))}
+    paths = {
+        "a": json.dumps(data).encode(),
+        "copy": json.dumps(data).encode(),
+        "canonical": save(load(json.dumps(data))),
+        "other": save(random_model(2, 9, 0.1, {"p", "q"}, seed=32)),
+    }
+    for name, raw in paths.items():
+        (tmp_path / f"{name}.json").write_bytes(raw)
+    assert paths["canonical"] != paths["a"]
+    a, w, v = str(tmp_path / "a.json"), m.worlds[0], m.worlds[1]
+    for argv in (
+        lambda right: ["bisim", "max", a, right],
+        lambda right: ["bisim", "max", a, right, "--k", "1"],
+        lambda right: ["bisim", "distinguish", a, w, right, v],
+    ):
+        outputs = set()
+        for right, parsed in (("a", 1), ("copy", 1), ("canonical", 2)):
+            for mode in ([], ["--json"]):
+                loads.clear()
+                code = main(argv(str(tmp_path / f"{right}.json")) + mode)
+                outputs.add((code, tuple(mode), capsys.readouterr().out))
+                # equal bytes are parsed once, other bytes on their own
+                assert len(loads) == parsed
+        assert len(outputs) == 2  # one output per mode
+    # two different files load separately, and give the two-model answer
+    loads.clear()
+    assert main(["bisim", "max", a, str(tmp_path / "other.json"), "--json"]) == 0
+    assert len(loads) == 2
+    z = greatest_bisim(load(paths["a"]), load(paths["other"]), {"p", "q"})
+    pairs = json.loads(capsys.readouterr().out)["pairs"]
+    assert pairs == [list(p) for p in sorted(z.pairs)]
 
 
 @pytest.mark.parametrize(

@@ -232,8 +232,26 @@ def test_integer_view_matches_its_definition():
 
 # strings with quotes, backslashes, control characters and non-ASCII text
 _text = st.text(st.sampled_from('wv,:#%"\\/\n\t\x00\x1f\x7fé€\u2028😀') | st.characters())
-# lists of string rows: one width, mixed widths, tuples, an empty row
-_rows = st.lists(st.lists(_text, max_size=3) | st.tuples(_text, _text), max_size=6)
+
+
+class _Str(str):
+    """A str subclass: the writer and ``json.dumps`` encode it as a string."""
+
+
+# cells of rows that are no plain strings: ints, None, bools, unhashable
+# nested lists, and a str subclass
+_cells = (
+    _text | _text.map(_Str) | st.none() | st.booleans() | st.integers()
+    | st.lists(_text, max_size=2)
+)
+# lists of rows: of strings at one width, mixed (ragged) widths, tuples, an
+# empty row; of any cells; of width 1; a single row
+_rows = (
+    st.lists(st.lists(_text, max_size=3) | st.tuples(_text, _text), max_size=6)
+    | st.lists(st.lists(_cells, min_size=1, max_size=3), min_size=1, max_size=6)
+    | st.lists(st.tuples(_text) | st.tuples(_cells), min_size=1, max_size=6)
+    | st.lists(st.lists(_text, min_size=1, max_size=3), min_size=1, max_size=1)
+)
 _leaves = st.none() | st.booleans() | st.integers() | st.floats() | _text | _rows
 _json_values = st.recursive(
     _leaves,
