@@ -262,9 +262,8 @@ def _bundle_files(bundle: interp.CounterexampleBundle) -> dict[str, bytes]:
 def _cmd_experiment_locality(args) -> _Result:
     m = model.load(_read(args.model))
     f = syntax.parse(args.formula)
-    # the budget bounds the report's rows too, one per depth
     sweep = unravel.locality_sweep(
-        m, args.world, f, args.max_depth, max_nodes=args.budget, max_rows=args.budget
+        m, args.world, f, args.max_depth, max_nodes=args.budget
     )
     least = sweep.least_stable_depth
     text = syntax.print_formula(f)
@@ -400,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     loc.add_argument("world")
     loc.add_argument("formula")
     loc.add_argument("--max-depth", type=int, default=4)
-    _add_budget(loc, unravel.DEFAULT_NODE_BUDGET, "node and tuple")
+    _add_budget(loc, unravel.DEFAULT_NODE_BUDGET, "node, tuple and row")
     _add_common(loc)
     loc.set_defaults(handler=_cmd_experiment_locality)
 

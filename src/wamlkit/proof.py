@@ -142,12 +142,7 @@ def is_tautology(f: Formula) -> bool:
     maximal boxes as known leaves, and its program is run once over all
     2**k rows of the k atoms: the leaf gives atom b the column
     ``bit_pattern(b, 2**k)``, and f must come out true in every row."""
-    return _is_tautology(expand_diamonds(f))
-
-
-def _is_tautology(f: Formula) -> bool:
-    # ``is_tautology`` of a formula already free of diamonds
-    program = compile_formula(f, _PropositionalAtoms())
+    program = compile_formula(expand_diamonds(f), _PropositionalAtoms())
     atoms = [node for node, op, _, _ in program if op is None]
     if len(atoms) > MAX_TAUTOLOGY_ATOMS:
         raise BudgetExceededError(
@@ -158,6 +153,10 @@ def _is_tautology(f: Formula) -> bool:
     columns = {g: bit_pattern(b, rows) for b, g in enumerate(atoms)}
     full = (1 << rows) - 1
     return run_program(program, full, lambda g, operand: columns[g])[-1] == full
+
+
+def tautological_consequence(premises: list[Formula], conclusion: Formula) -> bool:
+    return is_tautology(Implies(conj(premises), conclusion))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +207,7 @@ def check_script(script: ProofScript) -> LineReport | None:
 
         try:
             reason = _check_line(script.arity, current, line.justification, cited)
-        except BudgetExceededError as e:  # from the tautology check alone
+        except BudgetExceededError as e:  # from ``is_tautology`` alone
             raise BudgetExceededError(f"line {number}: {e}") from e
         except _NotEarlier:
             reason = "cited line must be strictly earlier"
@@ -221,7 +220,7 @@ def check_script(script: ProofScript) -> LineReport | None:
 def _check_line(arity, current, just, cited) -> str | None:
     match just:
         case TautJust():
-            if not _is_tautology(current):
+            if not is_tautology(current):
                 return "not a propositional tautology after abstraction"
             return None
         case KnAxiomJust(substitution):
@@ -270,7 +269,7 @@ def _check_line(arity, current, just, cited) -> str | None:
                 return "formula must be a biconditional between two boxes"
             equivalence = Iff(current.left.operand, current.right.operand)
             if source is None:
-                if not _is_tautology(equivalence):
+                if not is_tautology(equivalence):
                     return "the unboxed biconditional is not a tautology"
                 return None
             src = cited(source)
@@ -279,7 +278,7 @@ def _check_line(arity, current, just, cited) -> str | None:
             return None
         case PLFromJust(sources):
             premises = [cited(index) for index in sources]
-            if not _is_tautology(Implies(conj(premises), current)):
+            if not tautological_consequence(premises, current):
                 return "not a tautological consequence of the cited lines"
             return None
     return f"unknown justification {just!r}"

@@ -170,7 +170,6 @@ def locality_sweep(
     f: Formula,
     max_depth: int,
     max_nodes: int = DEFAULT_NODE_BUDGET,
-    max_rows: int | None = None,
 ) -> LocalitySweep:
     """Compare f at (m, w) with f at the root of the bounded unraveling of
     every depth up to ``max_depth``.  No optimality is asserted: agreement
@@ -179,9 +178,9 @@ def locality_sweep(
     The root of the depth-d unraveling satisfies f iff w does under
     depth-d semantics, so no unraveling is built; the ``max_nodes`` budget
     still bounds the unravelings' nodes and tuples, as ``unravel`` does.
-    An unraveling that dies out leaves the sweep's ``max_depth + 1`` rows
-    unbounded by that budget; ``max_rows``, when given, bounds them, and
-    is checked last, before any depth is evaluated."""
+    It bounds the sweep's ``max_depth + 1`` rows too, which an unraveling
+    that dies out leaves unbounded otherwise; they are checked last,
+    before any depth is evaluated."""
     ev = semantics.ModelEvaluator(m)
     reference = ev.holds(w, f)
     if max_depth < 0:
@@ -192,10 +191,10 @@ def locality_sweep(
             raise _over_budget(depth, max_nodes, "node")
         if tuples > max_nodes:
             raise _over_budget(depth, max_nodes, "tuple")
-    if max_rows is not None and max_depth + 1 > max_rows:
+    if max_depth + 1 > max_nodes:
         raise BudgetExceededError(
             f"a sweep to depth {max_depth} has {max_depth + 1} rows, "
-            f"over the {max_rows}-row budget"
+            f"over the {max_nodes}-row budget"
         )
     bit = m.index[w]
     agree = tuple(

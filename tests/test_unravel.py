@@ -226,8 +226,13 @@ def test_unravel_stops_where_the_unraveling_dies_out(monkeypatch):
     assert unravel(m, "w", 10**6) == shallow
     assert len(consumed) <= 3
     consumed.clear()
-    sweep = locality_sweep(m, "w", parse("box ~p"), 10**6)
+    sweep = locality_sweep(m, "w", parse("box ~p"), 10**6, max_nodes=10**6 + 1)
     assert sweep.agree[:3] == (False, True, True) and sweep.least_stable_depth == 1
+    assert len(consumed) <= 3
+    # the budget bounds the sweep's rows, one per depth, too
+    consumed.clear()
+    with pytest.raises(BudgetExceededError, match="1000001 rows, over the 50000-row"):
+        locality_sweep(m, "w", parse("box ~p"), 10**6)
     assert len(consumed) <= 3
 
 
@@ -347,6 +352,12 @@ def built_sweep(m, w, f, max_depth, max_nodes=DEFAULT_NODE_BUDGET):
             least = None
         elif least is None:
             least = depth
+    # the budget bounds the report's rows, one per depth, after the nodes
+    if max_depth + 1 > max_nodes:
+        raise BudgetExceededError(
+            f"a sweep to depth {max_depth} has {max_depth + 1} rows, "
+            f"over the {max_nodes}-row budget"
+        )
     return LocalitySweep(reference, tuple(agree), least)
 
 
@@ -370,10 +381,11 @@ def test_locality_sweep_matches_built_unravelings():
         want = sweep_outcome(built_sweep, *args)
         assert sweep_outcome(locality_sweep, *args) == want, args
         outcomes.append(want)
-    # both budget errors and both verdicts occur
+    # the three budget errors and both verdicts occur
     errors = [o for o in outcomes if isinstance(o, str)]
     assert any("node budget" in e for e in errors)
     assert any("tuple budget" in e for e in errors)
+    assert any("row budget" in e for e in errors)
     sweeps = [o for o in outcomes if not isinstance(o, str)]
     assert any(not all(o.agree) for o in sweeps) and any(all(o.agree) for o in sweeps)
 
