@@ -15,14 +15,12 @@ propositional reasoning.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import BudgetExceededError, InvalidArgumentError, ModelLoadError
 from .model import dump_json, read_json
 from .syntax import (
-    _OPERANDS,
     And,
     Bottom,
     Box,
@@ -115,11 +113,7 @@ class LineReport:
 def _expand_step(node: Formula, op: type, *operands: Formula) -> Formula:
     if op is Diamond:
         return Not(Box(Not(*operands)))
-    # a node whose operands come back as the same objects is kept, so a
-    # diamond-free formula is its own expansion and no node is rebuilt
-    if all(map(operator.is_, operands, _OPERANDS[op](node))):
-        return node
-    return op(*operands)
+    return op(*operands) if operands else node
 
 
 def expand_diamonds(f: Formula) -> Formula:

@@ -546,7 +546,14 @@ def _walk_witness(
     # read over R and a dia read over R plus every later tuple bound f
     # from above (Kleene's three-valued reading, with negation swapping
     # the bounds).  A subtree whose bound is empty holds no witness and is
-    # skipped with one ``spend``.
+    # skipped with one ``spend``.  The candidate tuples are listed up
+    # front, so that list is kept within the step budget: a walk over more
+    # tuples than budget steps is refused before the list is built.
+    if num_worlds ** (arity + 1) > budget.limit:
+        raise BudgetExceededError(
+            f"witness walk over {num_worlds}**{arity + 1} candidate tuples"
+            f" exceeds the search budget of {budget.limit} steps"
+        )
     worlds = tuple(f"w{i}" for i in range(num_worlds))
     bit = {w: 1 << i for i, w in enumerate(worlds)}
     candidates = sorted(itertools.product(worlds, repeat=arity + 1))

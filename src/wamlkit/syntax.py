@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+import weakref
 from functools import reduce
 from operator import attrgetter
 from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
@@ -22,34 +22,38 @@ _T = TypeVar("_T")
 
 
 class Formula:
-    def __post_init__(self) -> None:
-        # the hash is computed once, when the node is built, from operands
-        # that already carry theirs (so no hash recurses), and is tagged
-        # with the class, so that ``Top()``/``Bottom()`` and
-        # ``Not``/``Box``/``Diamond`` of one operand hash apart
-        attrs = self.__dict__  # the dataclass fields, in order
-        attrs["_hash"] = hash((type(self), *attrs.values()))
+    """A formula node.  Nodes are hash-consed: building a node whose class
+    and operands equal those of a live node returns that node, so equal
+    formulas are one object, ``==`` is identity, and building a node
+    neither recurses nor compares trees.  Nodes are immutable, and the
+    table holds them weakly: a node leaves it with its last reference."""
+
+    __slots__ = ("_hash", "__weakref__")
+    __match_args__: tuple[str, ...] = ()
+
+    def __new__(cls, *operands):
+        key = (cls, *operands)
+        node = _NODES.get(key)
+        if node is None:
+            if len(operands) != len(cls.__match_args__):
+                raise TypeError(f"{cls.__name__} takes {len(cls.__match_args__)} operands")
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, operands):
+                object.__setattr__(node, name, value)
+            # tagged with the class, so that ``Top()``/``Bottom()`` and
+            # ``Not``/``Box``/``Diamond`` of one operand hash apart; the
+            # operands carry theirs, so no hash recurses
+            object.__setattr__(node, "_hash", hash(key))
+            _NODES[key] = node
+        return node
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        # node by node with an explicit stack, so that no comparison
-        # recurses; the cached hashes turn most unequal pairs away at once
-        if not isinstance(other, Formula):
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            f, g = stack.pop()
-            if f is g:
-                continue
-            op = type(f)
-            if op is not type(g) or f._hash != g._hash:
-                return False
-            if op is Letter and f.name != g.name:
-                return False
-            stack += zip(_OPERANDS[op](f), _OPERANDS[op](g))
-        return True
 
     def __repr__(self) -> str:
         # the dataclass text, e.g. ``Not(operand=Letter(name='p'))``, built
@@ -72,69 +76,53 @@ class Formula:
         return "".join(pieces)
 
     def __reduce__(self):
-        # rebuilt through the constructor: a hash is only meaningful in the
-        # process that computed it
+        # rebuilt through the constructor, so that a loaded node is interned
+        # again; a hash is only meaningful in the process that computed it
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-def _node(cls):
-    """A frozen dataclass formula node; equality, the build-time,
-    class-tagged hash and the repr are ``Formula``'s."""
-    return dataclass(frozen=True, eq=False, repr=False)(cls)
+# (class, *operands) -> the live node built from them
+_NODES: weakref.WeakValueDictionary[tuple, Formula] = weakref.WeakValueDictionary()
 
 
-@_node
 class Letter(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
 
-@_node
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
-@_node
 class Bottom(Formula):
-    pass
+    __slots__ = ()
 
 
-@_node
 class Not(Formula):
-    operand: Formula
+    __slots__ = __match_args__ = ("operand",)
 
 
-@_node
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_node
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_node
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_node
 class Iff(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_node
 class Box(Formula):
-    operand: Formula
+    __slots__ = __match_args__ = ("operand",)
 
 
-@_node
 class Diamond(Formula):
-    operand: Formula
+    __slots__ = __match_args__ = ("operand",)
 
 
 def conj(parts: list[Formula]) -> Formula:
@@ -193,9 +181,10 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 # Formulas deeper than this are rejected: the parser recurses per
 # parenthesis and prefix operator (a chain of infix operators of any
 # length, arrows included, is read in one loop), and ``translate.st`` and
-# pickling per level of the formula tree.  Hashing, ``==``, printing, the
-# metrics and the evaluators do not recurse, so they answer on formulas
-# built deeper through the API.
+# pickling per level of the formula tree.  Building a node, hashing,
+# ``==`` (identity, since nodes are hash-consed), printing, the metrics
+# and the evaluators do not recurse, so they answer on formulas built
+# deeper through the API.
 MAX_NESTING = 100
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -492,6 +493,51 @@ def test_sat_over_sixteen_thousand_types_within_a_gigabyte():
     m = load(json.dumps(payload["model"]))
     assert len(m.worlds) == 4
     assert check(m, payload["world"], parse(query))
+
+
+def _cap_address_space():  # in a child only
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+
+
+def test_sat_witness_walk_past_the_budget_is_refused_within_a_gigabyte():
+    # 2**21 candidate tuples: listing them before the first budget step
+    # ran out of memory here and ended in a traceback with exit 1
+    proc = subprocess.run(
+        [sys.executable, "-m", "wamlkit", "sat", "dia p & dia ~p", "--arity", "20",
+         "--max-worlds", "2"],
+        capture_output=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        preexec_fn=_cap_address_space,
+        timeout=60,
+        check=False,
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "budget" in lines[0]
+
+
+# the sha256 of ``scripts/cli_digest.py``'s output (seed 0); a change that
+# moves the CLI's bytes on purpose updates it and says so in CHANGES.md
+CLI_DIGEST_SHA256 = "cf417ba703318b172af1f4766af43ba4ff4d832ab32e339fc530b5480e5044e4"
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="the digest holds argparse help text, which differs between Python minor versions",
+)
+def test_cli_digest_is_unchanged():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "cli_digest.py"), "--seed", "0"],
+        capture_output=True,
+        cwd=ROOT,
+        timeout=600,
+        check=True,
+    )
+    assert len(proc.stdout.splitlines()) == 2226
+    assert hashlib.sha256(proc.stdout).hexdigest() == CLI_DIGEST_SHA256
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,11 @@
+import copy
+import gc
 import hashlib
+import pickle
 import random
 import re
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -659,16 +664,66 @@ _DEEP = {
 
 
 def test_equal_deep_formulas_compare_without_recursion():
-    # equal but distinct objects far deeper than the recursion limit
+    # equal formulas far deeper than the recursion limit, built twice
     for wrap in (Not, Box):
         a, b = _chain(wrap, 2000), _chain(wrap, 2000)
-        assert a is not b and a == b and not a != b
+        assert a is b and a == b and not a != b
         assert len(compile_formula(And(a, b))) == 2002
     assert _chain(Not, 2000) != _chain(Box, 2000)
     left = conj([Letter(f"p{i % 7}") for i in range(2000)])
     assert left == conj([Letter(f"p{i % 7}") for i in range(2000)])
     assert left != conj([Letter(f"p{i % 7}") for i in range(1999)] + [Letter("q")])
     assert left != "p0" and left != None  # noqa: E711
+
+
+def test_equal_formulas_are_one_node():
+    for text in ("p", "true", "box p & q", "box (p & q) -> dia ~(p <-> true)"):
+        f = parse(text)
+        assert f is parse(text) and f is parse(print_formula(f))
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert copy.copy(f) is f and copy.deepcopy(f) is f
+
+
+def test_nodes_are_immutable():
+    f = parse("p & q")
+    for name, value in (("left", Letter("r")), ("right", Letter("r")), ("_hash", 0)):
+        with pytest.raises(AttributeError):
+            setattr(f, name, value)
+    with pytest.raises(AttributeError):
+        Letter("p").name = "q"
+    with pytest.raises(AttributeError):
+        del f.left
+    assert print_formula(f) == "p & q" and f is And(Letter("p"), Letter("q"))
+
+
+def _freed(build):
+    # build a formula twice, drop it, and report whether it and its
+    # letter left the table, with any error raised while it was freed
+    errors = []
+    hook, sys.unraisablehook = sys.unraisablehook, lambda u: errors.append(u.exc_type)
+    try:
+        f = build()
+        assert f is build()
+        refs = [weakref.ref(f), weakref.ref(Letter("unshared"))]
+        del f
+        gc.collect()
+    finally:
+        sys.unraisablehook = hook
+    return [r() for r in refs] == [None, None], errors
+
+
+def test_a_dropped_formula_leaves_the_table():
+    assert _freed(lambda: parse("box (unshared & ~unshared) | dia unshared")) == (True, [])
+
+
+def test_a_chain_past_the_recursion_limit_is_one_node_and_is_freed():
+    def build():
+        f = Letter("unshared")
+        for _ in range(10**5):
+            f = Box(f)
+        return f
+
+    assert _freed(build) == (True, [])
 
 
 # the text of the dataclass-generated repr, which sorting by repr relies on
