@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest of the CLI's behaviour on a fixed seeded corpus.
 
-Runs 1,113 argvs through ``wamlkit.cli.main`` in-process, each in
+Runs 1,115 argvs through ``wamlkit.cli.main`` in-process, each in
 text mode and with ``--json``, and prints one line per run: the run
 number, the exit code, the sha256 of stdout, the sha256 of stderr, the
 sha256 of every file the run wrote (``--out``, ``--emit-rmap``,
@@ -17,10 +17,12 @@ parser's own bytes: ``--help`` of the top parser and of every leaf
 subcommand, and one usage error (a missing required argument) per leaf;
 ``COLUMNS`` is pinned to 80 while they run, since argparse wraps its text
 to the terminal's width.  Then 2 argvs hold chains of 1,001 and 5,001
-operands joined by arrows, past the nesting cap.  The last 9 argvs
+operands joined by arrows, past the nesting cap.  Then 9 argvs
 compare a model with itself (``bisim max`` and ``distinguish``, through
 one path and through a byte-identical copy) and run ``experiment
-locality`` at its row budget and one row past it.  Its models, relations
+locality`` at its row budget and one row past it.  The last 2 argvs run
+``proof check`` on an arity-2 script whose ``KnAxiom`` domain is wrong and
+on ``proof2.json`` with line 1's substitution tampered.  Its models, relations
 and scripts are generated here, from the seed alone, and written to a
 temporary directory under relative names, so two source trees can be
 compared line by line:
@@ -308,6 +310,23 @@ def chain_corpus() -> list[list[str]]:
     ]
 
 
+def proof_corpus(directory: Path) -> list[list[str]]:
+    """``proof check`` on ``KnAxiom`` lines that fail: an arity-2 script
+    whose substitution has three names, one of them no slot name, and
+    ``proof2.json`` with line 1's substitution tampered (its domain is
+    right, its instance is not the line's formula)."""
+    wrong_domain = {"arity": 2, "lines": [{
+        "formula": "box p & box q & box r -> box (p & q | p & r | q & r)",
+        "just": {"kind": "KnAxiom", "subst": {"p0": "p", "p1": "q", "p02": "r"}},
+    }]}
+    tampered = json.loads((directory / "proof2.json").read_bytes())
+    tampered["lines"][0]["just"]["subst"]["p0"] = "~p | q"
+    return [
+        ["proof", "check", _write(directory, "proof_wrong_domain.json", wrong_domain)],
+        ["proof", "check", _write(directory, "proof2_tampered.json", tampered)],
+    ]
+
+
 # the options whose value names a file (or, for a bundle, a directory)
 # that a run writes
 _OUTPUT_OPTIONS = ("--out", "--emit-rmap", "--emit-bundle")
@@ -364,6 +383,7 @@ def main() -> None:
             argvs += parser_corpus()
             argvs += chain_corpus()
             argvs += self_corpus(Path(tmp))
+            argvs += proof_corpus(Path(tmp))
             runs = [argv + mode for argv in argvs for mode in ([], ["--json"])]
             for number, argv in enumerate(runs):
                 outputs = written(argv)

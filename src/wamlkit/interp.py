@@ -150,13 +150,22 @@ def first_disagreement(
 ) -> Formula | None:
     """The first formula of ``program`` true at one point and false at
     the other, or None.  The program (as ``syntax.enumeration_program``
-    builds it) is run once on each model."""
-    masks = [semantics.ModelEvaluator(p.model).run(program) for p in (left, right)]
-    i, j = left.model.index[left.point], right.model.index[right.point]
-    for (f, *_), x, y in zip(program, *masks):
-        if (x >> i ^ y >> j) & 1:
-            return f
-    return None
+    builds it) is run once, on the disjoint union of the two models."""
+    lm, rm = left.model, right.model
+    bisim._require_same_arity(lm, rm)
+    # every world renamed with a tag of its side, so that left world i is
+    # bit i of a mask and right world j is bit |W_left| + j
+    sides = (("0", lm), ("1", rm))
+    union = make_model(
+        lm.arity,
+        [tag + w for tag, m in sides for w in m.worlds],
+        [tuple(tag + w for w in t) for tag, m in sides for t in m.relation],
+        {tag + w: names for tag, m in sides for w, names in m.valuation.items()},
+    )
+    i, j = lm.index[left.point], len(lm.worlds) + rm.index[right.point]
+    masks = semantics.ModelEvaluator(union).run(program)
+    apart = [(x >> i ^ x >> j) & 1 for x in masks]
+    return program[apart.index(1)][0] if 1 in apart else None
 
 
 def verify_counterexample(

@@ -36,7 +36,7 @@ from .syntax import (
     compile_formula,
     conj,
     disj,
-    fold,
+    fold_program,
     parse,
     print_formula,
     run_program,
@@ -116,9 +116,21 @@ def _expand_step(node: Formula, op: type, *operands: Formula) -> Formula:
     return op(*operands) if operands else node
 
 
-def expand_diamonds(f: Formula) -> Formula:
-    """Rewrite every diamond into its negated-box form."""
-    return fold(f, _expand_step)
+def expand_diamonds(f: Formula, memo: dict[Formula, Formula] | None = None) -> Formula:
+    """Rewrite every diamond into its negated-box form.  ``memo`` maps
+    nodes to their expansions: f is compiled with its nodes as known, so
+    none is walked again, and every expansion computed here is added,
+    mapped from its node and from itself (an expansion has no diamonds)."""
+    memo = {} if memo is None else memo
+
+    def step(node: Formula, op: type | None, *operands: Formula) -> Formula:
+        if op is None:
+            return memo[node]
+        g = memo[node] = _expand_step(node, op, *operands)
+        memo[g] = g
+        return g
+
+    return fold_program(compile_formula(f, memo), step)[-1]
 
 
 class _PropositionalAtoms:
@@ -128,15 +140,16 @@ class _PropositionalAtoms:
         return type(g) is Letter or type(g) is Box
 
 
-def is_tautology(f: Formula) -> bool:
+def is_tautology(f: Formula, memo: dict[Formula, Formula] | None = None) -> bool:
     """Exact truth-table check after abstracting maximal boxed subformulas
     (syntactically identical boxes share an atom, nothing else does).
 
-    The diamond-free form of f is compiled once with its letters and
-    maximal boxes as known leaves, and its program is run once over all
-    2**k rows of the k atoms: the leaf gives atom b the column
-    ``bit_pattern(b, 2**k)``, and f must come out true in every row."""
-    program = compile_formula(expand_diamonds(f), _PropositionalAtoms())
+    The diamond-free form of f (from ``expand_diamonds(f, memo)``) is
+    compiled once with its letters and maximal boxes as known leaves, and
+    its program is run once over all 2**k rows of the k atoms: the leaf
+    gives atom b the column ``bit_pattern(b, 2**k)``, and f must come out
+    true in every row."""
+    program = compile_formula(expand_diamonds(f, memo), _PropositionalAtoms())
     atoms = [node for node, op, _, _ in program if op is None]
     if len(atoms) > MAX_TAUTOLOGY_ATOMS:
         raise BudgetExceededError(
@@ -149,8 +162,12 @@ def is_tautology(f: Formula) -> bool:
     return run_program(program, full, lambda g, operand: columns[g])[-1] == full
 
 
-def tautological_consequence(premises: list[Formula], conclusion: Formula) -> bool:
-    return is_tautology(Implies(conj(premises), conclusion))
+def tautological_consequence(
+    premises: list[Formula],
+    conclusion: Formula,
+    memo: dict[Formula, Formula] | None = None,
+) -> bool:
+    return is_tautology(Implies(conj(premises), conclusion), memo)
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +202,19 @@ def check_script(script: ProofScript) -> LineReport | None:
     """None when every line validates; otherwise the first invalid line
     with the reason.  A line whose tautology check is over the atom cap is
     no verdict: its ``BudgetExceededError`` is raised again with the line
-    number in front."""
+    number in front.
+
+    Every diamond expansion of the call shares one memo, so each distinct
+    subformula of the script is expanded once; the memo lives only as long
+    as the call."""
     if script.arity < 1:
         return LineReport(0, f"arity must be >= 1, got {script.arity}")
     if not script.lines:
         return LineReport(0, "script has no lines")
+    memo: dict[Formula, Formula] = {}
     norms: list[Formula] = []
     for number, line in enumerate(script.lines, start=1):
-        current = expand_diamonds(line.formula)
+        current = expand_diamonds(line.formula, memo)
 
         def cited(index: int) -> Formula:
             if not 1 <= index < number:
@@ -200,7 +222,7 @@ def check_script(script: ProofScript) -> LineReport | None:
             return norms[index - 1]
 
         try:
-            reason = _check_line(script.arity, current, line.justification, cited)
+            reason = _check_line(script.arity, current, line.justification, cited, memo)
         except BudgetExceededError as e:  # from ``is_tautology`` alone
             raise BudgetExceededError(f"line {number}: {e}") from e
         except _NotEarlier:
@@ -211,21 +233,21 @@ def check_script(script: ProofScript) -> LineReport | None:
     return None
 
 
-def _check_line(arity, current, just, cited) -> str | None:
+def _check_line(arity, current, just, cited, memo) -> str | None:
     match just:
         case TautJust():
-            if not is_tautology(current):
+            if not is_tautology(current, memo):
                 return "not a propositional tautology after abstraction"
             return None
         case KnAxiomJust(substitution):
             subst = dict(substitution)
-            expected_names = {f"p{i}" for i in range(arity + 1)}
-            if set(subst) != expected_names:
-                return (
-                    "substitution domain must be exactly "
-                    f"{{{', '.join(sorted(expected_names))}}}"
-                )
-            expected = expand_diamonds(kn_axiom(arity, subst))
+            # the sizes first, so that the names p0..p<arity> are listed
+            # only when there are no more of them than substitution entries
+            if len(subst) != arity + 1 or set(subst) != {
+                f"p{i}" for i in range(arity + 1)
+            }:
+                return f"substitution domain must be exactly p0..p{arity}"
+            expected = expand_diamonds(kn_axiom(arity, subst), memo)
             if current != expected:
                 return (
                     "formula is not the stated axiom instance; expected "
@@ -263,7 +285,7 @@ def _check_line(arity, current, just, cited) -> str | None:
                 return "formula must be a biconditional between two boxes"
             equivalence = Iff(current.left.operand, current.right.operand)
             if source is None:
-                if not is_tautology(equivalence):
+                if not is_tautology(equivalence, memo):
                     return "the unboxed biconditional is not a tautology"
                 return None
             src = cited(source)
@@ -272,7 +294,7 @@ def _check_line(arity, current, just, cited) -> str | None:
             return None
         case PLFromJust(sources):
             premises = [cited(index) for index in sources]
-            if not tautological_consequence(premises, current):
+            if not tautological_consequence(premises, current, memo):
                 return "not a tautological consequence of the cited lines"
             return None
     return f"unknown justification {just!r}"

@@ -521,7 +521,7 @@ def test_sat_witness_walk_past_the_budget_is_refused_within_a_gigabyte():
 
 # the sha256 of ``scripts/cli_digest.py``'s output (seed 0); a change that
 # moves the CLI's bytes on purpose updates it and says so in CHANGES.md
-CLI_DIGEST_SHA256 = "cf417ba703318b172af1f4766af43ba4ff4d832ab32e339fc530b5480e5044e4"
+CLI_DIGEST_SHA256 = "432e43a4f5f93024b15d1c42409406d40dece14faf8eaadd5f8f34824b710594"
 
 
 @pytest.mark.skipif(
@@ -536,7 +536,7 @@ def test_cli_digest_is_unchanged():
         timeout=600,
         check=True,
     )
-    assert len(proc.stdout.splitlines()) == 2226
+    assert len(proc.stdout.splitlines()) == 2230
     assert hashlib.sha256(proc.stdout).hexdigest() == CLI_DIGEST_SHA256
 
 

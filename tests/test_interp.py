@@ -4,13 +4,22 @@ import random
 import pytest
 
 from wamlkit.bisim import PairRelation
+from wamlkit.errors import ArityMismatchError
 from wamlkit.interp import (
     CounterexampleBundle,
+    _sweep,
     build_counterexample,
     first_disagreement,
     verify_counterexample,
 )
-from wamlkit.model import PointedModel, load, random_model, restrict_valuation, save
+from wamlkit.model import (
+    PointedModel,
+    load,
+    make_model,
+    random_model,
+    restrict_valuation,
+    save,
+)
 from wamlkit.proof import binary_tag, save_script, tag_width
 from wamlkit.semantics import ModelEvaluator, valid_on_model
 from wamlkit.syntax import (
@@ -89,6 +98,60 @@ def test_root_sweep_matches_the_per_formula_loop():
     modal = [f for f in found if f is not None and modal_depth(f) > 0]
     # most pairs disagree, many on modal formulas, and some agree on all
     assert None in found and len(modal) > 50
+
+
+def _renamed(m, names):
+    rename = dict(zip(m.worlds, names))
+    return make_model(
+        m.arity,
+        names,
+        [tuple(rename[w] for w in t) for t in m.relation],
+        {rename[w]: letters for w, letters in m.valuation.items()},
+    )
+
+
+def test_union_sweep_on_shared_world_names_and_on_one_model_twice():
+    # the sweep runs on the disjoint union of the two models, whose worlds
+    # are renamed apart: names the two models share, and names that look
+    # like renamed ones, must stay apart
+    rng = random.Random(47)
+    alphabet = ["p", "q"]
+    program = list(enumeration_program(alphabet, 2, 4))
+    formulas = list(enumerate_formulas(alphabet, 2, 4))
+    names = ["w", "0w", "1w", "01", "1", "0"]
+    found = []
+    for i in range(60):
+        arity = 1 + i % 3
+        left, right = (
+            random_model(arity, rng.randint(1, 4), rng.uniform(0, 0.4), {*alphabet}, seed)
+            for seed in (i, 500 + i)
+        )
+        left = _renamed(left, rng.sample(names, len(left.worlds)))
+        right = _renamed(right, rng.sample(names, len(right.worlds)))
+        cases = [
+            (PointedModel(left, rng.choice(left.worlds)),
+             PointedModel(right, rng.choice(right.worlds))),
+            (PointedModel(left, rng.choice(left.worlds)),
+             PointedModel(left, rng.choice(left.worlds))),
+        ]
+        for pointed in cases:
+            want = _first_disagreement_by_formula(*pointed, formulas)
+            assert first_disagreement(*pointed, program) == want, (i, pointed)
+            found.append(want)
+    assert None in found and sum(f is not None for f in found) > 30
+
+
+def test_union_sweep_finds_no_disagreement_on_the_bundles():
+    for n in range(2, 9):
+        b = build_counterexample(n)
+        assert first_disagreement(b.left, b.right, _sweep(b.z.alphabet)) is None
+
+
+def test_union_sweep_rejects_models_of_different_arities():
+    left, right = random_model(2, 2, 0.3, {"p"}, 0), random_model(3, 2, 0.3, {"p"}, 1)
+    program = list(enumeration_program(["p"], 1, 3))
+    with pytest.raises(ArityMismatchError, match="arities differ: 2 vs 3"):
+        first_disagreement(PointedModel(left, "w0"), PointedModel(right, "w0"), program)
 
 
 def test_binary_tags_for_arity_four():

@@ -1,9 +1,18 @@
+import gc
 import itertools
+import json
+import os
 import random
+import resource
+import subprocess
+import sys
+import weakref
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from wamlkit import interp
+from wamlkit import interp, proof
 from wamlkit.errors import BudgetExceededError, ModelLoadError
 from wamlkit.model import random_model
 from wamlkit.proof import (
@@ -32,17 +41,23 @@ from wamlkit.syntax import (
     And,
     Bottom,
     Box,
+    Diamond,
     Iff,
     Implies,
     Letter,
     Not,
     Or,
     Top,
+    compile_formula,
+    conj,
+    enumerate_formulas,
     parse,
     print_formula,
 )
 
 from conftest import fixture, random_formula
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _id_subst(arity):
@@ -268,17 +283,15 @@ def test_aggregation_shape_fails_on_two_frames():
 
 
 def test_substitution_domain_must_match():
-    bad = ProofScript(
-        2,
-        (
-            ProofLine(
-                kn_axiom(2, _id_subst(2)),
-                KnAxiomJust((("p0", Letter("p0")), ("p1", Letter("p1")))),
-            ),
-        ),
-    )
-    report = check_script(bad)
-    assert report is not None and "domain" in report.reason
+    for names in (
+        ("p0", "p1"), ("p0", "p1", "p02"), ("p0", "p1", "p3"), ("p0", "p1", "p2", "p3"),
+        ("p0", "p1", "q"), ("p0", "p1", "p-1"),
+    ):
+        subst = tuple((name, Letter("p")) for name in names)
+        bad = ProofScript(2, (ProofLine(kn_axiom(2, _id_subst(2)), KnAxiomJust(subst)),))
+        assert check_script(bad) == LineReport(
+            1, "substitution domain must be exactly p0..p2"
+        )
 
 
 def test_script_json_errors():
@@ -347,3 +360,215 @@ def test_is_tautology_matches_row_by_row_reference():
         verdicts.append(is_tautology(f))
         assert verdicts[-1] == _reference_tautology(f), print_formula(f)
     assert 100 <= sum(verdicts) <= 300
+
+
+def test_kn_axiom_domain_check_at_a_huge_arity_is_refused_at_once(tmp_path):
+    # listing the names p0..p<arity> before comparing would not end here
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"arity": 10**18, "lines": [
+        {"formula": "p", "just": {"kind": "KnAxiom", "subst": {"p0": "p"}}}
+    ]}))
+
+    def cap_address_space():  # in the child only
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "wamlkit", "proof", "check", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        preexec_fn=cap_address_space,
+        timeout=30,
+        check=False,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == (
+        "invalid at line 1: substitution domain must be exactly "
+        "p0..p1000000000000000000\n"
+    )
+    assert "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# The memoised checker against the checker as first written
+
+def _reference_check_script(script):
+    """``check_script`` without a memo: each line is expanded on its own,
+    and every tautology check and axiom instance is expanded again."""
+    if script.arity < 1:
+        return LineReport(0, f"arity must be >= 1, got {script.arity}")
+    if not script.lines:
+        return LineReport(0, "script has no lines")
+    norms = []
+    for number, line in enumerate(script.lines, start=1):
+        current = expand_diamonds(line.formula)
+
+        def cited(index):
+            if not 1 <= index < number:
+                raise LookupError
+            return norms[index - 1]
+
+        try:
+            reason = _reference_line(script.arity, current, line.justification, cited)
+        except BudgetExceededError as e:
+            raise BudgetExceededError(f"line {number}: {e}") from e
+        except LookupError:
+            reason = "cited line must be strictly earlier"
+        if reason is not None:
+            return LineReport(number, reason)
+        norms.append(current)
+    return None
+
+
+def _reference_line(arity, current, just, cited):
+    match just:
+        case TautJust():
+            if not is_tautology(current):
+                return "not a propositional tautology after abstraction"
+        case KnAxiomJust(substitution):
+            subst = dict(substitution)
+            if set(subst) != {f"p{i}" for i in range(arity + 1)}:
+                return f"substitution domain must be exactly p0..p{arity}"
+            expected = expand_diamonds(kn_axiom(arity, subst))
+            if current != expected:
+                return (
+                    "formula is not the stated axiom instance; expected "
+                    + print_formula(expected)
+                )
+        case MPJust(implication, antecedent):
+            impl = cited(implication)
+            ante = cited(antecedent)
+            if not isinstance(impl, Implies):
+                return f"line {implication} is not an implication"
+            if impl.left != ante:
+                return f"line {antecedent} does not match the antecedent"
+            if impl.right != current:
+                return "formula does not match the consequent"
+        case NecJust(source):
+            if current != Box(cited(source)):
+                return f"formula is not box applied to line {source}"
+        case RMJust(source):
+            src = cited(source)
+            if not isinstance(src, Implies):
+                return f"line {source} is not an implication"
+            if current != Implies(Box(src.left), Box(src.right)):
+                return "formula is not the boxed form of the cited implication"
+        case REJust(source):
+            if not (
+                isinstance(current, Iff)
+                and isinstance(current.left, Box)
+                and isinstance(current.right, Box)
+            ):
+                return "formula must be a biconditional between two boxes"
+            equivalence = Iff(current.left.operand, current.right.operand)
+            if source is None:
+                if not is_tautology(equivalence):
+                    return "the unboxed biconditional is not a tautology"
+            elif cited(source) != equivalence:
+                return f"line {source} is not the matching biconditional"
+        case PLFromJust(sources):
+            premises = [cited(index) for index in sources]
+            if not is_tautology(Implies(conj(premises), current)):
+                return "not a tautological consequence of the cited lines"
+    return None
+
+
+def _outcome(check, script):
+    try:
+        return check(script)
+    except BudgetExceededError as e:
+        return f"refused: {e}"
+
+
+def _mutants(script, rng, replacements):
+    """Single-line mutants: a justification swapped for another line's,
+    a citation moved to the line itself or later, a formula replaced."""
+    lines = list(script.lines)
+    # every kind of line cites but Taut, KnAxiom and RE without a source
+    citing = [
+        (k, line) for k, line in enumerate(lines)
+        if not isinstance(line.justification, (TautJust, KnAxiomJust))
+        and getattr(line.justification, "source", 0) is not None
+    ]
+    for _ in range(3):
+        i, j = rng.sample(range(len(lines)), 2)
+        yield replace(lines[i], justification=lines[j].justification), i
+        k, line = rng.choice(citing)
+        later = rng.randint(k + 1, len(lines) + 1)
+        match line.justification:
+            case MPJust(implication, antecedent):
+                just = rng.choice([MPJust(later, antecedent), MPJust(implication, later)])
+            case PLFromJust(sources):
+                moved = list(sources)
+                moved[rng.randrange(len(moved))] = later
+                just = PLFromJust(tuple(moved))
+            case other:
+                just = replace(other, source=later)
+        yield replace(line, justification=just), k
+        k = rng.randrange(len(lines))
+        yield replace(lines[k], formula=rng.choice(replacements)), k
+
+
+def test_memoised_checker_matches_the_reference_checker():
+    rng = random.Random(1818)
+    replacements = list(enumerate_formulas({"p", "q"}, 2, 5))
+    scripts = [generate_interp_refutation(n) for n in range(2, 20)]
+    scripts += [load_script(fixture(f"proof{n}.json").read_bytes()) for n in (2, 3)]
+    outcomes = []
+    for script in scripts:
+        cases = [script]
+        for line, k in _mutants(script, rng, replacements):
+            lines = list(script.lines)
+            lines[k] = line
+            cases.append(ProofScript(script.arity, tuple(lines)))
+        for case in cases:
+            outcomes.append(_outcome(check_script, case))
+            assert outcomes[-1] == _outcome(_reference_check_script, case)
+    # n = 18 and 19 are refused at the atom cap; most mutants fail a line
+    assert sum(isinstance(o, str) for o in outcomes) >= 2
+    assert sum(isinstance(o, LineReport) for o in outcomes) > len(outcomes) // 2
+
+
+def test_memo_lives_for_one_check_script_call():
+    letter = Letter("only_in_this_script")
+    script = ProofScript(1, (
+        ProofLine(Implies(Diamond(letter), Diamond(letter)), TautJust()),
+        ProofLine(Box(Implies(Diamond(letter), Diamond(letter))), NecJust(1)),
+    ))
+    assert check_script(script) is None
+    ref = weakref.ref(letter)
+    del letter, script
+    gc.collect()
+    assert ref() is None
+
+
+def test_expansion_through_a_shared_memo_matches_a_fresh_one():
+    formulas = list(enumerate_formulas({"p", "q"}, 2, 5))
+    random.Random(7).shuffle(formulas)
+    memo = {}
+    for f in formulas:
+        assert expand_diamonds(f, memo) == expand_diamonds(f), print_formula(f)
+    assert all(memo[g] == g for g in memo.values())
+
+
+def test_check_script_expands_each_subformula_once(monkeypatch):
+    stepped = []
+    expand_step = proof._expand_step
+
+    def counting(node, op, *operands):
+        stepped.append(node)
+        return expand_step(node, op, *operands)
+
+    monkeypatch.setattr(proof, "_expand_step", counting)
+    script = generate_interp_refutation(8)
+    assert check_script(script) is None
+    subformulas = {
+        node for line in script.lines for node, *_ in compile_formula(line.formula)
+    }
+    assert len(stepped) == len(set(stepped))
+    assert subformulas <= set(stepped)
+    # beyond the script's own subformulas, only what the checker builds:
+    # the unboxed biconditional of the RE line, and the conjunction of the
+    # premises and the implication of each of the two PLFrom lines
+    assert len(set(stepped) - subformulas) <= 5
