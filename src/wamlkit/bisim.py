@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import semantics
-from .errors import ArityMismatchError, InvalidArgumentError, UnknownWorldError
-from .model import NModel
+from .errors import InvalidArgumentError, UnknownWorldError
+from .model import NModel, require_same_arity
 from .syntax import Diamond, Formula, Letter, Not, conj, disj
 
 Pair = tuple[str, str]
@@ -54,11 +54,6 @@ class BisimViolation:
         )
 
 
-def _require_same_arity(left: NModel, right: NModel) -> None:
-    if left.arity != right.arity:
-        raise ArityMismatchError(f"arities differ: {left.arity} vs {right.arity}")
-
-
 def _forth_failure(a, b, z, lsucc, rsucc):
     """First left tuple from a that no right tuple from b can answer."""
     for lt in lsucc[a]:
@@ -81,7 +76,7 @@ def _back_failure(a, b, z, lsucc, rsucc):
 def check_bisim(z: PairRelation) -> BisimViolation | None:
     """None when z is a wa^n-bisimulation over its alphabet; otherwise the
     first failing pair with the violated condition and offending tuple."""
-    _require_same_arity(z.left, z.right)
+    require_same_arity(z.left, z.right)
     if not z.pairs:
         raise InvalidArgumentError("a bisimulation candidate must be nonempty")
     for a, b in z.sorted_pairs:
@@ -138,7 +133,7 @@ class _Partition:
     def __init__(
         self, left: NModel, right: NModel, alphabet: frozenset[str], max_stage=None
     ):
-        _require_same_arity(left, right)
+        require_same_arity(left, right)
         self.left, self.right, self.alphabet = left, right, alphabet
         # left world i is number i of the union, right world j is |W| + j.
         # A model with itself is refined as one copy: numbered by first

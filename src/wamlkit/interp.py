@@ -20,9 +20,32 @@ from typing import Sequence
 from . import bisim, proof, semantics, syntax
 from .bisim import PairRelation
 from .errors import BudgetExceededError, InvalidArgumentError
-from .model import PointedModel, make_model
-from .proof import ProofScript, refutation_formulas, tag_letters, tag_width
-from .syntax import Formula, Implies, Not, And, letters, print_formula
+from .model import PointedModel, make_model, require_same_arity
+from .proof import (
+    KnAxiomJust,
+    PLFromJust,
+    ProofLine,
+    ProofScript,
+    REJust,
+    RMJust,
+    TautJust,
+)
+from .syntax import (
+    And,
+    Bottom,
+    Box,
+    Diamond,
+    Formula,
+    Iff,
+    Implies,
+    Letter,
+    Not,
+    Or,
+    Top,
+    conj,
+    letters,
+    print_formula,
+)
 
 
 @dataclass(frozen=True)
@@ -36,13 +59,61 @@ class CounterexampleBundle:
     refutation: ProofScript
 
 
+def tag_letters(index: int, width: int) -> list[tuple[str, bool]]:
+    """The letters r1..r_width of the tag of index, each with its sign:
+    r_{b+1} is positive exactly when bit b of index-1 is set."""
+    return [(f"r{b + 1}", bool(index - 1 >> b & 1)) for b in range(width)]
+
+
+def binary_tag(index: int, width: int) -> Formula:
+    """Conjunction of the literals of ``tag_letters(index, width)``.
+    Distinct indices yield jointly unsatisfiable conjunctions."""
+    return conj([
+        Letter(name) if positive else Not(Letter(name))
+        for name, positive in tag_letters(index, width)
+    ])
+
+
+def tag_width(n: int) -> int:
+    """Least m with 2**m >= n - 1."""
+    return max(n - 2, 0).bit_length()
+
+
 def build_counterexample(n: int) -> CounterexampleBundle:
     """The counterexample bundle at arity n.  Point valuations are empty;
-    the bisimulation alphabet is the single shared letter p."""
+    the bisimulation alphabet is the single shared letter p.
+
+    phi_n and psi_n box the n + 1 arguments of one axiom instance between
+    them, and p is their only common letter.  The refutation of phi_n &
+    psi_n is checkable in the arity-n system: the axiom instance,
+    replacement of its pairwise disjunction by an equivalent target,
+    box target from the boxes, then steps that play box target against
+    the diamond conjunct.  The pair and the script for n = 2 are
+    hand-crafted.  For n >= 3 the left side forces p at a successor of
+    every tuple while the right side forces ~p, with pairwise-incompatible
+    tags keeping the right boxes distinct: every disjunct is
+    contradictory, and so is the target."""
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
-    phi, psi = refutation_formulas(n)
+    p, q, r = Letter("p"), Letter("q"), Letter("r")
     if n == 2:
+        args = [Or(Not(p), Not(q)), And(p, r), And(p, Not(r))]
+        phi = And(Box(args[0]), Diamond(q))
+        psi = And(Box(args[1]), Box(args[2]))
+        target = And(p, Not(q))
+        after_line_3 = [
+            ProofLine(
+                Implies(And(phi, psi), And(Box(target), Diamond(q))),
+                PLFromJust((3,)),
+            ),
+            ProofLine(Implies(target, Not(q)), TautJust()),
+            ProofLine(Implies(Box(target), Box(Not(q))), RMJust(5)),
+            ProofLine(
+                Implies(And(phi, psi), And(Box(Not(q)), Not(Box(Not(q))))),
+                PLFromJust((4, 6)),
+            ),
+            ProofLine(Implies(phi, Not(psi)), PLFromJust((7,))),
+        ]
         left = make_model(
             2,
             ["w", "w1", "w2", "w3", "w4"],
@@ -56,43 +127,60 @@ def build_counterexample(n: int) -> CounterexampleBundle:
             {"v1": ["p"], "v2": ["p", "r"]},
         )
         pairs = {("w", "v"), ("w1", "v1"), ("w2", "v2"), ("w3", "v1"), ("w3", "v2")}
-    elif n == 3:
-        left = make_model(
-            3,
-            ["w", "w1", "w2", "w3"],
-            [("w", "w1", "w2", "w3")],
-            {"w1": ["p"], "w2": ["p", "q"], "w3": ["q"]},
-        )
-        right = make_model(
-            3,
-            ["v", "v1", "v2", "v3"],
-            [("v", "v1", "v2", "v3")],
-            {"v1": ["r"], "v3": ["p", "r"]},
-        )
-        pairs = {("w", "v"), ("w1", "v3"), ("w2", "v3"), ("w3", "v1"), ("w3", "v2")}
     else:
-        width = tag_width(n)
-        left_worlds = ["w"] + [f"w{i}" for i in range(1, n + 1)]
-        left_val = {"w1": ["p"], "w2": ["p", "q"]}
-        left = make_model(
-            n,
-            left_worlds,
-            [tuple(left_worlds)],
-            left_val,
-        )
-        right_worlds = ["v"] + [f"v{i}" for i in range(1, n + 1)]
-        right_val: dict[str, list[str]] = {"v1": ["p"]}
-        for i in range(1, n):
-            right_val[f"v{i + 1}"] = [
-                name for name, positive in tag_letters(i, width) if positive
-            ]
-        right = make_model(n, right_worlds, [tuple(right_worlds)], right_val)
-        pairs = {("w", "v"), ("w1", "v1"), ("w2", "v1")}
-        pairs |= {
-            (f"w{i}", f"v{j}") for i in range(3, n + 1) for j in range(2, n + 1)
-        }
-    common = letters(phi) & letters(psi)
-    z = PairRelation(left, right, frozenset(pairs), common)
+        args = [And(p, Not(q)), And(p, q)]
+        if n == 3:
+            args += [And(Not(p), r), And(Not(p), Not(r))]
+            taut, target = Or(p, Not(p)), And(p, Not(p))
+            left = make_model(
+                3,
+                ["w", "w1", "w2", "w3"],
+                [("w", "w1", "w2", "w3")],
+                {"w1": ["p"], "w2": ["p", "q"], "w3": ["q"]},
+            )
+            right = make_model(
+                3,
+                ["v", "v1", "v2", "v3"],
+                [("v", "v1", "v2", "v3")],
+                {"v1": ["r"], "v3": ["p", "r"]},
+            )
+            pairs = {
+                ("w", "v"), ("w1", "v3"), ("w2", "v3"), ("w3", "v1"), ("w3", "v2")
+            }
+        else:
+            width = tag_width(n)
+            args += [And(Not(p), binary_tag(i, width)) for i in range(1, n)]
+            taut, target = Top(), Bottom()
+            left_worlds = ["w"] + [f"w{i}" for i in range(1, n + 1)]
+            left_val = {"w1": ["p"], "w2": ["p", "q"]}
+            left = make_model(n, left_worlds, [tuple(left_worlds)], left_val)
+            right_worlds = ["v"] + [f"v{i}" for i in range(1, n + 1)]
+            right_val: dict[str, list[str]] = {"v1": ["p"]}
+            for i in range(1, n):
+                right_val[f"v{i + 1}"] = [
+                    name for name, positive in tag_letters(i, width) if positive
+                ]
+            right = make_model(n, right_worlds, [tuple(right_worlds)], right_val)
+            pairs = {("w", "v"), ("w1", "v1"), ("w2", "v1")}
+            pairs |= {
+                (f"w{i}", f"v{j}") for i in range(3, n + 1) for j in range(2, n + 1)
+            }
+        phi = conj([Box(args[0]), Box(args[1]), Diamond(taut)])
+        psi = conj([Box(g) for g in args[2:]] + [Diamond(taut)])
+        after_line_3 = [
+            ProofLine(Implies(target, Not(taut)), TautJust()),
+            ProofLine(Implies(Box(target), Box(Not(taut))), RMJust(4)),
+            ProofLine(Implies(phi, Not(psi)), PLFromJust((3, 5))),
+        ]
+    subst = {f"p{i}": g for i, g in enumerate(args)}
+    axiom = proof.kn_axiom(n, subst)
+    refutation = ProofScript(n, (
+        ProofLine(axiom, KnAxiomJust(tuple(sorted(subst.items())))),
+        ProofLine(Iff(axiom.right, Box(target)), REJust()),
+        ProofLine(Implies(axiom.left, Box(target)), PLFromJust((1, 2))),
+        *after_line_3,
+    ))
+    z = PairRelation(left, right, frozenset(pairs), letters(phi) & letters(psi))
     return CounterexampleBundle(
         n=n,
         left=PointedModel(left, left.worlds[0]),
@@ -100,7 +188,7 @@ def build_counterexample(n: int) -> CounterexampleBundle:
         phi=phi,
         psi=psi,
         z=z,
-        refutation=proof.generate_interp_refutation(n),
+        refutation=refutation,
     )
 
 
@@ -152,7 +240,7 @@ def first_disagreement(
     the other, or None.  The program (as ``syntax.enumeration_program``
     builds it) is run once, on the disjoint union of the two models."""
     lm, rm = left.model, right.model
-    bisim._require_same_arity(lm, rm)
+    require_same_arity(lm, rm)
     # every world renamed with a tag of its side, so that left world i is
     # bit i of a mask and right world j is bit |W_left| + j
     sides = (("0", lm), ("1", rm))

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .errors import InvalidArgumentError, ModelLoadError, UnknownWorldError
+from .errors import (
+    ArityMismatchError,
+    InvalidArgumentError,
+    ModelLoadError,
+    UnknownWorldError,
+)
 
 
 @dataclass(frozen=True)
@@ -103,6 +108,12 @@ def make_model(
     )
 
 
+def require_same_arity(left: NModel, right: NModel) -> None:
+    """Refuse a pair of models of different arities."""
+    if left.arity != right.arity:
+        raise ArityMismatchError(f"arities differ: {left.arity} vs {right.arity}")
+
+
 def validate(m: NModel) -> list[str]:
     """Well-formedness check; the empty list means the model is valid."""
     return _violations(m.arity, m.worlds, m.relation, m.valuation)
@@ -164,6 +175,13 @@ def _lists_of_strings(items: list) -> bool:
     return _all_of(list, items) and _all_of(str, list(itertools.chain.from_iterable(items)))
 
 
+def json_arity(arity: object) -> int:
+    """The arity a JSON file declares: an integer >= 1, and no bool."""
+    if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
+        raise ModelLoadError(f"arity must be an integer >= 1, got {arity!r}")
+    return arity
+
+
 def model_from_dict(data: object) -> NModel:
     """The model a JSON object describes: every tuple over declared worlds
     with the declared arity, and a valuation entry for each world and for
@@ -173,9 +191,7 @@ def model_from_dict(data: object) -> NModel:
     for key in ("arity", "worlds", "relation", "valuation"):
         if key not in data:
             raise ModelLoadError(f"model JSON missing key {key!r}")
-    arity = data["arity"]
-    if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
-        raise ModelLoadError(f"arity must be an integer >= 1, got {arity!r}")
+    arity = json_arity(data["arity"])
     worlds = data["worlds"]
     if not isinstance(worlds, list) or not _all_of(str, worlds):
         raise ModelLoadError("worlds must be a list of strings")

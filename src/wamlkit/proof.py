@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import BudgetExceededError, InvalidArgumentError, ModelLoadError
-from .model import dump_json, read_json
+from .model import dump_json, json_arity, read_json
 from .syntax import (
     And,
-    Bottom,
     Box,
     Diamond,
     Formula,
@@ -30,8 +29,6 @@ from .syntax import (
     Implies,
     Letter,
     Not,
-    Or,
-    Top,
     bit_pattern,
     compile_formula,
     conj,
@@ -373,9 +370,7 @@ def _just_from_dict(data: object, where: str) -> Justification:
 def script_from_dict(data: object) -> ProofScript:
     if not isinstance(data, dict):
         raise ModelLoadError("proof JSON must be an object")
-    arity = data.get("arity")
-    if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
-        raise ModelLoadError(f"arity must be an integer >= 1, got {arity!r}")
+    arity = json_arity(data.get("arity"))
     raw_lines = data.get("lines")
     if not isinstance(raw_lines, list) or not raw_lines:
         raise ModelLoadError("lines must be a nonempty list")
@@ -398,119 +393,3 @@ def load_script(text: bytes | str) -> ProofScript:
 
 def save_script(script: ProofScript) -> bytes:
     return dump_json(script_to_dict(script))
-
-
-# ---------------------------------------------------------------------------
-# Refutation scripts for the interpolation counterexamples
-
-def tag_letters(index: int, width: int) -> list[tuple[str, bool]]:
-    """The letters r1..r_width of the tag of index, each with its sign:
-    r_{b+1} is positive exactly when bit b of index-1 is set."""
-    return [(f"r{b + 1}", bool(index - 1 >> b & 1)) for b in range(width)]
-
-
-def binary_tag(index: int, width: int) -> Formula:
-    """Conjunction of the literals of ``tag_letters(index, width)``.
-    Distinct indices yield jointly unsatisfiable conjunctions."""
-    return conj([
-        Letter(name) if positive else Not(Letter(name))
-        for name, positive in tag_letters(index, width)
-    ])
-
-
-def tag_width(n: int) -> int:
-    """Least m with 2**m >= n - 1."""
-    return max(n - 2, 0).bit_length()
-
-
-def refutation_formulas(n: int) -> tuple[Formula, Formula]:
-    """The jointly refutable pair (phi_n, psi_n) whose only common letter
-    is p.  The pair for n = 2 and n = 3 is hand-crafted; for larger n the
-    left side forces p at a successor of every tuple while the right side
-    forces ~p, with pairwise-incompatible tags keeping the right boxes
-    distinct."""
-    if n < 2:
-        raise InvalidArgumentError("n must be >= 2")
-    p, q = Letter("p"), Letter("q")
-    if n == 2:
-        phi = And(Box(Or(Not(p), Not(q))), Diamond(q))
-        psi = And(Box(And(p, Letter("r"))), Box(And(p, Not(Letter("r")))))
-        return phi, psi
-    if n == 3:
-        r = Letter("r")
-        taut = Or(p, Not(p))
-        phi = conj([Box(And(p, Not(q))), Box(And(p, q)), Diamond(taut)])
-        psi = conj([Box(And(Not(p), r)), Box(And(Not(p), Not(r))), Diamond(taut)])
-        return phi, psi
-    width = tag_width(n)
-    phi = conj([Box(And(p, Not(q))), Box(And(p, q)), Diamond(Top())])
-    psi = conj(
-        [Box(And(Not(p), binary_tag(i, width))) for i in range(1, n)]
-        + [Diamond(Top())]
-    )
-    return phi, psi
-
-
-def generate_interp_refutation(n: int) -> ProofScript:
-    """A checkable derivation of phi_n -> ~psi_n in the arity-n system:
-    the axiom instance on the n+1 box arguments, replacement collapsing the
-    pairwise disjunction (every disjunct is contradictory), monotonicity,
-    then propositional steps against the diamond conjunct."""
-    if n < 2:
-        raise InvalidArgumentError("n must be >= 2")
-    phi, psi = refutation_formulas(n)
-    p, q = Letter("p"), Letter("q")
-    if n == 2:
-        a = Or(Not(p), Not(q))
-        b = And(p, Letter("r"))
-        c = And(p, Not(Letter("r")))
-        target = And(p, Not(q))
-        axiom_inst = kn_axiom(2, {"p0": a, "p1": b, "p2": c})
-        boxes = axiom_inst.left
-        disjunction = axiom_inst.right.operand
-        lines = [
-            ProofLine(axiom_inst, KnAxiomJust((("p0", a), ("p1", b), ("p2", c)))),
-            ProofLine(Iff(Box(disjunction), Box(target)), REJust()),
-            ProofLine(Implies(boxes, Box(target)), PLFromJust((1, 2))),
-            ProofLine(
-                Implies(And(phi, psi), And(Box(target), Diamond(q))),
-                PLFromJust((3,)),
-            ),
-            ProofLine(Implies(target, Not(q)), TautJust()),
-            ProofLine(Implies(Box(target), Box(Not(q))), RMJust(5)),
-            ProofLine(
-                Implies(And(phi, psi), And(Box(Not(q)), Not(Box(Not(q))))),
-                PLFromJust((4, 6)),
-            ),
-            ProofLine(Implies(phi, Not(psi)), PLFromJust((7,))),
-        ]
-        return ProofScript(2, tuple(lines))
-    if n == 3:
-        args = [
-            And(p, Not(q)),
-            And(p, q),
-            And(Not(p), Letter("r")),
-            And(Not(p), Not(Letter("r"))),
-        ]
-        contradiction: Formula = And(p, Not(p))
-        negated = Not(Or(p, Not(p)))
-    else:
-        width = tag_width(n)
-        args = [And(p, Not(q)), And(p, q)] + [
-            And(Not(p), binary_tag(i, width)) for i in range(1, n)
-        ]
-        contradiction = Bottom()
-        negated = Not(Top())
-    subst = {f"p{i}": g for i, g in enumerate(args)}
-    axiom_inst = kn_axiom(n, subst)
-    boxes = axiom_inst.left
-    disjunction = axiom_inst.right.operand
-    lines = [
-        ProofLine(axiom_inst, KnAxiomJust(tuple(sorted(subst.items())))),
-        ProofLine(Iff(Box(disjunction), Box(contradiction)), REJust()),
-        ProofLine(Implies(boxes, Box(contradiction)), PLFromJust((1, 2))),
-        ProofLine(Implies(contradiction, negated), TautJust()),
-        ProofLine(Implies(Box(contradiction), Box(negated)), RMJust(4)),
-        ProofLine(Implies(phi, Not(psi)), PLFromJust((3, 5))),
-    ]
-    return ProofScript(n, tuple(lines))

@@ -174,20 +174,33 @@ def st(f: Formula, arity: int, free_var: str = "x") -> FolFormula:
 
 
 def free_variables(g: FolFormula) -> frozenset[str]:
-    match g:
-        case LetterPred(_, var):
-            return frozenset({var})
-        case Rel(args):
-            return frozenset(args)
-        case FolTop() | FolBottom():
-            return frozenset()
-        case FolNot(h):
-            return free_variables(h)
-        case FolAnd(l, r) | FolOr(l, r) | FolImplies(l, r):
-            return free_variables(l) | free_variables(r)
-        case Forall(var, body) | Exists(var, body):
-            return free_variables(body) - {var}
-    raise TypeError(f"not a first-order formula: {g!r}")
+    """The variables of g not bound above their occurrence, found by one
+    walk over an explicit stack: a quantifier counts its variable as bound
+    until the marker ``(var,)`` under its body is popped."""
+    free: set[str] = set()
+    bound: dict[str, int] = {}
+    stack: list = [g]
+    while stack:
+        match stack.pop():
+            case (var,):
+                bound[var] -= 1
+            case LetterPred(_, var):
+                if not bound.get(var):
+                    free.add(var)
+            case Rel(args):
+                free.update(a for a in args if not bound.get(a))
+            case FolTop() | FolBottom():
+                pass
+            case FolNot(h):
+                stack.append(h)
+            case FolAnd(l, r) | FolOr(l, r) | FolImplies(l, r):
+                stack += (r, l)
+            case Forall(var, body) | Exists(var, body):
+                bound[var] = bound.get(var, 0) + 1
+                stack += ((var,), body)
+            case h:
+                raise TypeError(f"not a first-order formula: {h!r}")
+    return frozenset(free)
 
 
 def fol_eval(m: NModel, assignment: dict[str, str], g: FolFormula) -> bool:
@@ -232,9 +245,15 @@ _TPTP_NAME_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
 def _render(g: FolFormula, term) -> str:
     def flatten(h, cls):
-        if isinstance(h, cls):
-            return flatten(h.left, cls) + flatten(h.right, cls)
-        return [h]
+        # the operands of the cls chain at h, left to right, off a stack
+        operands, stack = [], [h]
+        while stack:
+            h = stack.pop()
+            if isinstance(h, cls):
+                stack += (h.right, h.left)
+            else:
+                operands.append(h)
+        return operands
 
     match g:
         case LetterPred(letter, var):

@@ -19,12 +19,11 @@ from typing import Iterator
 
 from . import semantics
 from .errors import (
-    ArityMismatchError,
     BudgetExceededError,
     InvalidArgumentError,
     UnknownWorldError,
 )
-from .model import NModel, make_model
+from .model import NModel, make_model, require_same_arity
 from .syntax import Formula
 
 DEFAULT_NODE_BUDGET = 50_000
@@ -221,10 +220,7 @@ def check_pmorphism(
     """None when f is a p-morphism from source to target: valuations are
     preserved exactly, every source tuple maps to a target tuple, and
     every target tuple from an image lifts positionwise to a source tuple."""
-    if source.arity != target.arity:
-        raise ArityMismatchError(
-            f"arities differ: {source.arity} vs {target.arity}"
-        )
+    require_same_arity(source, target)
     for s in source.worlds:
         if s not in f:
             raise InvalidArgumentError(f"map is not total: missing {s!r}")

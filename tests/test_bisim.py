@@ -17,7 +17,14 @@ from wamlkit.bisim import (
 )
 from wamlkit.errors import ArityMismatchError, UnknownWorldError
 from wamlkit.cli import main
-from wamlkit.model import load, make_model, random_model, restrict_valuation, save
+from wamlkit.model import (
+    load,
+    make_model,
+    random_model,
+    require_same_arity,
+    restrict_valuation,
+    save,
+)
 from wamlkit.semantics import ModelEvaluator, check
 from wamlkit.syntax import (
     Diamond,
@@ -319,7 +326,7 @@ def _dedupe(parts):
 
 class _Refinement:
     def __init__(self, left, right, alphabet):
-        bisim._require_same_arity(left, right)
+        require_same_arity(left, right)
         self.left = left
         self.right = right
         self.alphabet = alphabet

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -8,19 +9,22 @@ from wamlkit.errors import ArityMismatchError
 from wamlkit.interp import (
     CounterexampleBundle,
     _sweep,
+    binary_tag,
     build_counterexample,
     first_disagreement,
+    tag_width,
     verify_counterexample,
 )
 from wamlkit.model import (
     PointedModel,
+    dump_json,
     load,
     make_model,
     random_model,
     restrict_valuation,
     save,
 )
-from wamlkit.proof import binary_tag, save_script, tag_width
+from wamlkit.proof import save_script
 from wamlkit.semantics import ModelEvaluator, valid_on_model
 from wamlkit.syntax import (
     enumerate_formulas,
@@ -28,6 +32,7 @@ from wamlkit.syntax import (
     letters,
     modal_depth,
     parse,
+    print_formula,
 )
 
 from conftest import fixture
@@ -265,3 +270,28 @@ def test_bundle_serializes_to_fixture_bytes(n):
         fixture(f"z{n}.json").read_bytes()
     )
     assert save_script(b.refutation) == fixture(f"proof{n}.json").read_bytes()
+
+
+def test_family_bytes_for_arities_two_to_nineteen():
+    # both models, the relation, the refutation, phi and psi as printed,
+    # the alphabet and the two points, as the bundle files write them
+    digest = hashlib.sha256()
+    for n in range(2, 20):
+        b = build_counterexample(n)
+        for chunk in (
+            save(b.left.model),
+            save(b.right.model),
+            dump_json({"pairs": b.z.sorted_pairs}),
+            save_script(b.refutation),
+            dump_json([
+                print_formula(b.phi),
+                print_formula(b.psi),
+                sorted(b.z.alphabet),
+                b.left.point,
+                b.right.point,
+            ]),
+        ):
+            digest.update(chunk)
+    assert digest.hexdigest() == (
+        "040588020215e6d940e7c7ad581e1ee2092216e6e4ecbe7a3443496209f14ce9"
+    )

@@ -28,7 +28,6 @@ from wamlkit.proof import (
     TautJust,
     check_script,
     expand_diamonds,
-    generate_interp_refutation,
     is_tautology,
     kn_axiom,
     load_script,
@@ -82,7 +81,7 @@ def test_axiom_instance_for_arity_three_counterexample():
         "p3": parse("~p & ~r"),
     }
     instance = kn_axiom(3, subst)
-    script = generate_interp_refutation(3)
+    script = interp.build_counterexample(3).refutation
     assert script.lines[0].formula == instance
 
 
@@ -249,7 +248,7 @@ def test_bundled_scripts_check(tmp_path):
 
 def test_generated_refutations_check_for_larger_arities():
     for n in (4, 5, 7):
-        script = generate_interp_refutation(n)
+        script = interp.build_counterexample(n).refutation
         assert check_script(script) is None
         b = interp.build_counterexample(n)
         assert script.theorem() == Implies(b.phi, Not(b.psi))
@@ -260,13 +259,13 @@ def test_generated_refutations_check_for_larger_arities():
 
 def test_generate_rejects_small_n():
     with pytest.raises(ValueError):
-        generate_interp_refutation(1)
+        interp.build_counterexample(1).refutation
 
 
 def test_accepted_lines_are_valid_on_random_models():
     rng = random.Random(23)
     for n in (2, 3, 4):
-        script = generate_interp_refutation(n)
+        script = interp.build_counterexample(n).refutation
         assert check_script(script) is None
         for i in range(100 // len(script.lines) + 1):
             m = random_model(n, rng.randint(1, 3), rng.uniform(0, 0.4), {"p", "q", "r", "r1", "r2"}, seed=i)
@@ -513,7 +512,7 @@ def _mutants(script, rng, replacements):
 def test_memoised_checker_matches_the_reference_checker():
     rng = random.Random(1818)
     replacements = list(enumerate_formulas({"p", "q"}, 2, 5))
-    scripts = [generate_interp_refutation(n) for n in range(2, 20)]
+    scripts = [interp.build_counterexample(n).refutation for n in range(2, 20)]
     scripts += [load_script(fixture(f"proof{n}.json").read_bytes()) for n in (2, 3)]
     outcomes = []
     for script in scripts:
@@ -561,7 +560,7 @@ def test_check_script_expands_each_subformula_once(monkeypatch):
         return expand_step(node, op, *operands)
 
     monkeypatch.setattr(proof, "_expand_step", counting)
-    script = generate_interp_refutation(8)
+    script = interp.build_counterexample(8).refutation
     assert check_script(script) is None
     subformulas = {
         node for line in script.lines for node, *_ in compile_formula(line.formula)

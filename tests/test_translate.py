@@ -173,3 +173,32 @@ def test_translation_is_capped(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_free_variables_of_rebound_and_shadowed_variables():
+    p = lambda v: LetterPred("p", v)  # noqa: E731
+    assert free_variables(FolAnd(Forall("y", p("y")), p("y"))) == {"y"}
+    assert free_variables(Forall("y", FolAnd(Forall("y", p("y")), p("y")))) == set()
+    assert free_variables(Exists("y", Rel(("x", "y", "z")))) == {"x", "z"}
+    assert free_variables(FolNot(Forall("x", p("y")))) == {"y"}
+
+
+@pytest.mark.parametrize("mode", ["text", "tptp"])
+def test_box_at_arity_1000_translates(mode, capsys):
+    # a 1,000-operand disjunction under 1,000 quantifiers: neither the
+    # free-variable walk nor the rendering may recurse once per link
+    assert free_variables(st(parse("box p"), 1000, "x")) == {"x"}
+    argv = ["translate", "box p", "--arity", "1000"]
+    x, ys = "x", [f"y{i}" for i in range(1, 1001)]
+    if mode == "tptp":
+        argv += ["--format", "tptp", "--ground", "c"]
+        x, ys = "c", [y.upper() for y in ys]
+    line = (
+        f"! [{','.join(ys)}] : (r({','.join([x, *ys])}) => ("
+        + " | ".join(f"p_p({y})" for y in ys)
+        + "))"
+    )
+    if mode == "tptp":
+        line = f"fof(translation, axiom, {line})."
+    assert main(argv) == 0
+    assert capsys.readouterr().out == line + "\n"
