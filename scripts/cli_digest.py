@@ -20,9 +20,11 @@ to the terminal's width.  Then 2 argvs hold chains of 1,001 and 5,001
 operands joined by arrows, past the nesting cap.  Then 9 argvs
 compare a model with itself (``bisim max`` and ``distinguish``, through
 one path and through a byte-identical copy) and run ``experiment
-locality`` at its row budget and one row past it.  The last 2 argvs run
+locality`` at its row budget and one row past it.  Then 2 argvs run
 ``proof check`` on an arity-2 script whose ``KnAxiom`` domain is wrong and
-on ``proof2.json`` with line 1's substitution tampered.  Its models, relations
+on ``proof2.json`` with line 1's substitution tampered.  The last argv runs
+``sat`` on ``dia p & dia ~p`` at arity 10, whose least witness of 1,024
+tuples lies down a preorder path 1,024 relations deep.  Its models, relations
 and scripts are generated here, from the seed alone, and written to a
 temporary directory under relative names, so two source trees can be
 compared line by line:
@@ -384,6 +386,7 @@ def main() -> None:
             argvs += chain_corpus()
             argvs += self_corpus(Path(tmp))
             argvs += proof_corpus(Path(tmp))
+            argvs.append(["sat", "dia p & dia ~p", "--arity", "10", "--max-worlds", "2"])
             runs = [argv + mode for argv in argvs for mode in ([], ["--json"])]
             for number, argv in enumerate(runs):
                 outputs = written(argv)

@@ -270,6 +270,8 @@ def verify_counterexample(
     raises its ``BudgetExceededError``: an unchecked refutation is no
     failed condition.
     """
+    if sat_bound < 1:
+        raise InvalidArgumentError("sat_bound must be >= 1")
     b = bundle
     w, v = b.left.point, b.right.point
 

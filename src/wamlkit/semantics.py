@@ -9,16 +9,14 @@ every box and no diamond.
 from __future__ import annotations
 
 import itertools
-from typing import Generator, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence
 
 from . import syntax
 from .errors import BudgetExceededError, InvalidArgumentError, UnknownWorldError
-from .model import NModel, PointedModel, _slot_index, make_model
+from .model import NModel, PointedModel, make_model
 from .syntax import And, Bottom, Box, Diamond, Formula, Implies, Letter, Not, Or, Top
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
-
-_T = TypeVar("_T")
 
 
 def _modal_mask(
@@ -384,29 +382,6 @@ def _letter_subsets(letters: list[str]) -> list[tuple[str, ...]]:
     )
 
 
-def _relation_subsets(
-    candidates: Sequence[_T],
-) -> Generator[tuple[_T, ...], bool | None, None]:
-    # subsets in lexicographic order of their sorted tuple lists, a
-    # depth-first preorder: extend by the next candidate while there is
-    # one, else drop the last and advance the one before it (no recursion,
-    # so no depth limit).  Sending True skips the extensions of the subset
-    # just yielded and goes on with its next sibling.
-    chosen: list[int] = []
-    skip = yield ()
-    while True:
-        nxt = chosen[-1] + 1 if chosen else 0
-        if not skip and nxt < len(candidates):
-            chosen.append(nxt)
-        else:
-            while chosen and chosen[-1] + 1 == len(candidates):
-                chosen.pop()
-            if not chosen:
-                return
-            chosen[-1] += 1
-        skip = yield tuple(candidates[i] for i in chosen)
-
-
 def _nnf(f: Formula) -> Formula:
     """f in negation normal form: negation on letters alone, the arrows
     expanded, and box and dia exchanged under negation (``~box g`` is
@@ -563,13 +538,12 @@ def _walk_witness(
     repeated: dict[int, int] = {}  # slot set -> the slot set in every block
     for _, slots in edges:
         repeated[slots] = slots * blocks.low
-    # per tuple position i: the slot index of the candidates from i on
-    later: list[dict[int, int]] = [{}]
-    for source, slots in reversed(edges):
-        after = dict(later[-1])
-        after[slots] = after.get(slots, 0) | source
-        later.append(after)
-    later.reverse()
+    # each distinct (source, slot set) edge -> its last position, latest
+    # first: the tuples after position l are the edges listed before the
+    # first one whose last position is l or earlier
+    last_at: dict[tuple[int, int], int] = {}
+    for position in range(last_index, -1, -1):
+        last_at.setdefault(edges[position], position)
     program = syntax.compile_formula(_nnf(f))
     letter_at = {name: j for j, name in enumerate(letters)}
     letter_masks: list[int] = []
@@ -586,15 +560,20 @@ def _walk_witness(
     def run() -> int:
         return syntax.run_program(program, blocks.full, leaf)[-1]
 
-    relations = _relation_subsets(range(len(candidates)))
-    relation = next(relations)
+    # the relation R: its candidate indices in increasing order, and per
+    # prefix length d the slot index (slot set -> source mask) of the first
+    # d of them; a step of the preorder changes only R's last tuple
+    chosen: list[int] = []
+    owns: list[dict[int, int]] = [{}]
     while True:
-        last = relation[-1] if relation else -1
-        own = _slot_index(edges[i] for i in relation)
-        boxes = [(repeated[slots], sources) for slots, sources in own]
-        upper = dict(later[last + 1])
-        for slots, sources in own:
-            upper[slots] = upper.get(slots, 0) | sources
+        last = chosen[-1] if chosen else -1
+        own = owns[-1]
+        boxes = [(repeated[slots], sources) for slots, sources in own.items()]
+        upper = dict(own)
+        for (source, slots), position in last_at.items():
+            if position <= last:
+                break
+            upper[slots] = upper.get(slots, 0) | source
         bound_diamonds = [(repeated[s], sources) for s, sources in upper.items()]
         pruned = True
         for chunk, letter_masks in enumerate(blocks.chunks()):
@@ -614,7 +593,7 @@ def _walk_witness(
                 m = make_model(
                     arity,
                     worlds,
-                    [candidates[i] for i in relation],
+                    [candidates[i] for i in chosen],
                     dict(zip(worlds, assignment)),
                 )
                 return PointedModel(m, worlds[world])
@@ -622,10 +601,23 @@ def _walk_witness(
         if pruned:
             # the rest of the subtree: the extensions of the relation
             budget.spend(((1 << last_index - last) - 1) * blocks.valuations)
-        try:
-            relation = relations.send(pruned)
-        except StopIteration:
-            break
+        # the next relation: extend by the next candidate while the subtree
+        # is open and there is one, else drop the trailing last candidates
+        # and advance the one before them
+        if not pruned and last < last_index:
+            chosen.append(last + 1)
+        else:
+            while chosen and chosen[-1] == last_index:
+                chosen.pop()
+            if not chosen:
+                break
+            chosen[-1] += 1
+        del owns[len(chosen):]
+        own = owns[-1]
+        source, slots = edges[chosen[-1]]
+        if not own.get(slots, 0) & source:  # else the slot index is unchanged
+            own = {**own, slots: own.get(slots, 0) | source}
+        owns.append(own)
     raise AssertionError("decision phase promised a witness at this size")
 
 

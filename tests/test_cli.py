@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wamlkit import model
+from wamlkit import interp, model
 from wamlkit.bisim import greatest_bisim
 from wamlkit.cli import build_parser, main
 from wamlkit.model import load, model_to_dict, random_model, save
@@ -255,6 +255,20 @@ def test_interp_demo_at_arity_25_reports_without_traceback(capsys):
     assert captured.err == (
         "error: line 3: tautology check over 28 atoms exceeds the cap of 20\n"
     )
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_interp_demo_refuses_a_sat_bound_below_one_first(bound, capsys, monkeypatch):
+    # the bound is refused under its own name, before any condition is checked
+    def checked(*args):
+        raise AssertionError("a condition was checked")
+
+    monkeypatch.setattr(interp.semantics, "check", checked)
+    monkeypatch.setattr(interp.proof, "check_script", checked)
+    assert main(["interp", "demo", "--n", "2", "--sat-bound", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sat_bound must be >= 1\n"
 
 
 def test_interp_demo_refuses_a_refutation_over_the_atom_cap(capsys):
@@ -519,9 +533,33 @@ def test_sat_witness_walk_past_the_budget_is_refused_within_a_gigabyte():
     assert "budget" in lines[0]
 
 
+def test_sat_witness_walk_within_the_budget_runs_in_half_a_gigabyte():
+    # 4**10 candidate tuples, within the budget: a table of one dict per
+    # candidate, built before the first relation was tried, ran out of
+    # memory here and ended in a traceback with exit 1
+    def cap_address_space():  # in the child only
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, hard))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "wamlkit", "sat",
+         "~p & ~q & dia (p & ~q & dia (q & ~p & dia (p & q)))",
+         "--arity", "9", "--max-worlds", "4"],
+        capture_output=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        preexec_fn=cap_address_space,
+        timeout=120,
+        check=False,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: search budget of 2000000 steps exhausted\n"
+
+
 # the sha256 of ``scripts/cli_digest.py``'s output (seed 0); a change that
 # moves the CLI's bytes on purpose updates it and says so in CHANGES.md
-CLI_DIGEST_SHA256 = "432e43a4f5f93024b15d1c42409406d40dece14faf8eaadd5f8f34824b710594"
+CLI_DIGEST_SHA256 = "3572dfee75cbd20b0a0df99e9076a3da4fa23b8bd88b23fd796ea96c2170a1c9"
 
 
 @pytest.mark.skipif(
@@ -536,7 +574,7 @@ def test_cli_digest_is_unchanged():
         timeout=600,
         check=True,
     )
-    assert len(proc.stdout.splitlines()) == 2230
+    assert len(proc.stdout.splitlines()) == 2232
     assert hashlib.sha256(proc.stdout).hexdigest() == CLI_DIGEST_SHA256
 
 

@@ -2,12 +2,13 @@ import gc
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
 from wamlkit import interp, semantics, syntax
 from wamlkit.errors import BudgetExceededError, InvalidArgumentError, UnknownWorldError
-from wamlkit.model import PointedModel, load, make_model, random_model
+from wamlkit.model import PointedModel, _slot_index, load, make_model, random_model
 from wamlkit.proof import kn_axiom
 from wamlkit.semantics import bounded_sat, check, valid_on_model
 from wamlkit.syntax import (
@@ -216,6 +217,14 @@ def test_bounded_sat_rejects_bad_bounds():
 # model check per candidate, candidates in canonical order
 
 
+def relation_subsets(candidates, prefix=(), start=0):
+    """The subsets of candidates in lexicographic order of their sorted
+    lists: a recursive depth-first preorder, one level per element."""
+    yield prefix
+    for i in range(start, len(candidates)):
+        yield from relation_subsets(candidates, prefix + (candidates[i],), i + 1)
+
+
 def _reference_walk(f, arity, num_worlds, letter_list, budget):
     worlds = tuple(f"w{i}" for i in range(num_worlds))
     candidates = sorted(itertools.product(worlds, repeat=arity + 1))
@@ -226,13 +235,8 @@ def _reference_walk(f, arity, num_worlds, letter_list, budget):
         for i in range(start, len(letter_list)):
             letter_subsets(prefix + (letter_list[i],), i + 1)
 
-    def relation_subsets(prefix, start):
-        yield prefix
-        for i in range(start, len(candidates)):
-            yield from relation_subsets(prefix + (candidates[i],), i + 1)
-
     letter_subsets((), 0)
-    for relation in relation_subsets((), 0):
+    for relation in relation_subsets(candidates):
         for assignment in itertools.product(subsets, repeat=num_worlds):
             budget.spend()
             m = make_model(arity, worlds, relation, dict(zip(worlds, assignment)))
@@ -294,8 +298,8 @@ def _compiled_walk(f, arity, num_worlds, letter_list, budget):
             return letter_masks[letter_at[g.name]]
         return semantics._modal_mask(type(g) is Box, operand, full, slot_index)
 
-    for relation in semantics._relation_subsets(candidates):
-        slot_index = semantics._slot_index(edge[t] for t in relation)
+    for relation in relation_subsets(candidates):
+        slot_index = _slot_index(edge[t] for t in relation)
         valuations = zip(
             itertools.product(subsets, repeat=num_worlds),
             itertools.product(*columns),
@@ -386,39 +390,16 @@ def test_witness_walk_matches_compiled_walk(monkeypatch):
     assert "search budget of 50 steps exhausted" in outcomes
 
 
-def test_relation_subsets_canonical_order_without_recursion():
-    def nested(items, prefix=(), start=0):
-        yield prefix
-        for i in range(start, len(items)):
-            yield from nested(items, prefix + (items[i],), i + 1)
-
-    for n in range(8):
-        items = [f"t{i}" for i in range(n)]
-        assert list(semantics._relation_subsets(items)) == list(nested(items))
-    # sending True skips the extensions of the subset just yielded
-    def pruned(items, skip, prefix=(), start=0):
-        yield prefix
-        if skip(prefix):
-            return
-        for i in range(start, len(items)):
-            yield from pruned(items, skip, prefix + (items[i],), i + 1)
-
-    for n in range(8):
-        # the last skips the root: the walk ends there
-        for skip in (lambda s: sum(s) % 3 == 1, lambda s: len(s) == 2, lambda s: True):
-            walk = semantics._relation_subsets(range(n))
-            got, subset = [], next(walk)
-            while True:
-                got.append(subset)
-                try:
-                    subset = walk.send(skip(subset))
-                except StopIteration:
-                    break
-            assert got == list(pruned(range(n), skip)), n
-    # the walk reaches a relation of k tuples after k steps; a recursive
-    # generator overflowed the stack here
-    deep = itertools.islice(semantics._relation_subsets(list(range(1500))), 1200)
-    assert len(list(deep)[-1]) == 1199
+def test_witness_walk_deeper_than_the_recursion_limit(monkeypatch):
+    # the least witness holds every tuple from w0: the walk reaches it down
+    # a preorder path of 2,048 relations, past the recursion limit
+    outcome, spent = _sat_outcome(
+        monkeypatch, parse("dia p & dia ~p"), 11, 2, semantics.DEFAULT_SEARCH_BUDGET
+    )
+    assert outcome.point == "w0"
+    assert {t[0] for t in outcome.model.relation} == {"w0"}
+    assert len(outcome.model.relation) == 2_048 > sys.getrecursionlimit()
+    assert spent == 8_215
 
 
 @pytest.mark.parametrize(
