@@ -4,7 +4,8 @@
 The fixtures cover: the two 2-models with a non-aligned bisimulation
 (nonaligned_*), the cyclic model used to demonstrate unraveling (cycle),
 the interpolation counterexample bundles at arities 2 and 3 (m2/n2/z2/
-proof2 and m3/n3/z3/proof3).
+proof2 and m3/n3/z3/proof3), and a relation from n2 to m2 that fails only
+the back condition (z2_back).
 """
 
 import sys
@@ -49,11 +50,16 @@ def main() -> None:
         bundle = interp.build_counterexample(n)
         (FIXTURES / f"m{n}.json").write_bytes(model.save(bundle.left.model))
         (FIXTURES / f"n{n}.json").write_bytes(model.save(bundle.right.model))
-        pairs = [list(p) for p in sorted(bundle.z.pairs)]
+        pairs = [list(p) for p in bundle.z.pairs]
         (FIXTURES / f"z{n}.json").write_bytes(model.dump_json({"pairs": pairs}))
         (FIXTURES / f"proof{n}.json").write_bytes(
             proof.save_script(bundle.refutation)
         )
+
+    # the converse of z2 without (v2, w3): forth holds at (v, w), and w's
+    # tuple (w3, w4) has no answer back, since v2 is related to neither
+    pairs = [["v", "w"], ["v1", "w1"], ["v1", "w3"], ["v2", "w2"]]
+    (FIXTURES / "z2_back.json").write_bytes(model.dump_json({"pairs": pairs}))
 
     print(f"wrote fixtures to {FIXTURES}")
 

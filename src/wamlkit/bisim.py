@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import semantics
 from .errors import InvalidArgumentError, UnknownWorldError
@@ -28,14 +27,8 @@ Pair = tuple[str, str]
 class PairRelation:
     left: NModel
     right: NModel
-    pairs: frozenset[Pair]
+    pairs: tuple[Pair, ...]  # sorted, each pair once
     alphabet: frozenset[str]
-
-    @cached_property
-    def sorted_pairs(self) -> tuple[Pair, ...]:
-        """The pairs in sorted order; a relation read off a refinement
-        partition comes with them already in that order."""
-        return tuple(sorted(self.pairs))
 
 
 @dataclass(frozen=True)
@@ -54,22 +47,14 @@ class BisimViolation:
         )
 
 
-def _forth_failure(a, b, z, lsucc, rsucc):
-    """First left tuple from a that no right tuple from b can answer."""
-    for lt in lsucc[a]:
-        if not any(
-            all(any((v, u) in z for v in lt) for u in rt) for rt in rsucc[b]
-        ):
-            return lt
-    return None
-
-
-def _back_failure(a, b, z, lsucc, rsucc):
-    for rt in rsucc[b]:
-        if not any(
-            all(any((v, u) in z for u in rt) for v in lt) for lt in lsucc[a]
-        ):
-            return rt
+def _unanswered(tuples, answers, z):
+    """The first of ``tuples`` that no tuple of ``answers`` answers: an
+    answer has every slot related by z to some slot of the tuple.  Forth
+    asks it of a left world's tuples against a right world's, with z the
+    relation; back asks it the other way round, with z its converse."""
+    for t in tuples:
+        if not any(all(any((v, u) in z for v in t) for u in a) for a in answers):
+            return t
     return None
 
 
@@ -79,7 +64,7 @@ def check_bisim(z: PairRelation) -> BisimViolation | None:
     require_same_arity(z.left, z.right)
     if not z.pairs:
         raise InvalidArgumentError("a bisimulation candidate must be nonempty")
-    for a, b in z.sorted_pairs:
+    for a, b in z.pairs:
         if a not in z.left.valuation:
             raise UnknownWorldError(f"unknown left world {a!r}")
         if b not in z.right.valuation:
@@ -87,13 +72,15 @@ def check_bisim(z: PairRelation) -> BisimViolation | None:
     lsucc = z.left.successors
     rsucc = z.right.successors
     lpos, rpos = z.left.index, z.right.index
-    for a, b in sorted(z.pairs, key=lambda p: (lpos[p[0]], rpos[p[1]])):
+    pairs = set(z.pairs)
+    converse = {(b, a) for a, b in pairs}
+    for a, b in sorted(pairs, key=lambda p: (lpos[p[0]], rpos[p[1]])):
         if z.left.valuation[a] & z.alphabet != z.right.valuation[b] & z.alphabet:
             return BisimViolation((a, b), "inv", None)
-        lt = _forth_failure(a, b, z.pairs, lsucc, rsucc)
+        lt = _unanswered(lsucc[a], rsucc[b], pairs)
         if lt is not None:
             return BisimViolation((a, b), "forth", (a, *lt))
-        rt = _back_failure(a, b, z.pairs, lsucc, rsucc)
+        rt = _unanswered(rsucc[b], lsucc[a], converse)
         if rt is not None:
             return BisimViolation((a, b), "back", (b, *rt))
     return None
@@ -173,9 +160,7 @@ class _Partition:
         pairs = [
             (a, b) for a in sorted(self.lpos) for b in group.get(blocks[self.lpos[a]], ())
         ]
-        z = PairRelation(self.left, self.right, frozenset(pairs), self.alphabet)
-        vars(z)["sorted_pairs"] = tuple(pairs)  # what the cached property would compute
-        return z
+        return PairRelation(self.left, self.right, tuple(pairs), self.alphabet)
 
     def certificate(self, pair: Pair) -> Formula | None:
         """A formula true at the left world and false at the right one, or
@@ -205,7 +190,7 @@ class _Partition:
             us = {u for rt in rsucc[b] for u in rt}
             s = self.stages[d - 1]
             z = {(v, u) for v in vs for u in us if s[self.lpos[v]] == s[self.rpos[u]]}
-            lt = _forth_failure(a, b, z, lsucc, rsucc)
+            lt = _unanswered(lsucc[a], rsucc[b], z)
             if lt is not None:
                 # every right tuple contains a successor unrelated to every
                 # slot of lt, so a diamond over lt's slot certificates
@@ -213,7 +198,7 @@ class _Partition:
                 bad = sorted(u for u in us if all((v, u) not in z for v in lt))
                 groups = [[(v, u) for u in bad] for v in lt]
             else:
-                rt = _back_failure(a, b, z, lsucc, rsucc)
+                rt = _unanswered(rsucc[b], lsucc[a], {(u, v) for v, u in z})
                 bad = sorted(v for v in vs if all((v, u) not in z for u in rt))
                 groups = [[(v, u) for v in bad] for u in rt]
             plans[p] = (d, lt is not None, groups)

@@ -65,7 +65,7 @@ def _two_models(args) -> tuple[model.NModel, model.NModel, frozenset[str]]:
     return left, right, letters
 
 
-def _relation_pairs(data: object) -> frozenset[tuple[str, str]]:
+def _relation_pairs(data: object) -> tuple[tuple[str, str], ...]:
     if not isinstance(data, dict) or "pairs" not in data:
         raise WamlError("relation JSON must be an object with a 'pairs' list")
     pairs = data["pairs"]
@@ -80,7 +80,7 @@ def _relation_pairs(data: object) -> frozenset[tuple[str, str]]:
         ):
             raise WamlError(f"pairs[{i}] must be a pair of world-ids")
         out.add((p[0], p[1]))
-    return frozenset(out)
+    return tuple(sorted(out))
 
 
 def _pass(passed: bool) -> str:
@@ -136,7 +136,7 @@ def _cmd_bisim_max(args) -> _Result:
         z = bisim.greatest_bisim(left, right, alphabet)
     else:
         z = bisim.k_bisim(left, right, alphabet, args.k)
-    pairs = z.sorted_pairs
+    pairs = z.pairs
     payload = {"alphabet": sorted(alphabet), "k": args.k, "pairs": pairs}
     return True, payload, lambda: [
         f"{len(pairs)} pair(s)", *(f"  {a} ~ {b}" for a, b in pairs)
@@ -244,7 +244,7 @@ def _bundle_files(bundle: interp.CounterexampleBundle) -> dict[str, bytes]:
     return {
         "left.json": model.save(bundle.left.model),
         "right.json": model.save(bundle.right.model),
-        "relation.json": model.dump_json({"pairs": bundle.z.sorted_pairs}),
+        "relation.json": model.dump_json({"pairs": bundle.z.pairs}),
         "proof.json": proof.save_script(bundle.refutation),
         "formulas.json": model.dump_json(
             {

@@ -180,7 +180,7 @@ def build_counterexample(n: int) -> CounterexampleBundle:
         ProofLine(Implies(axiom.left, Box(target)), PLFromJust((1, 2))),
         *after_line_3,
     ))
-    z = PairRelation(left, right, frozenset(pairs), letters(phi) & letters(psi))
+    z = PairRelation(left, right, tuple(sorted(pairs)), letters(phi) & letters(psi))
     return CounterexampleBundle(
         n=n,
         left=PointedModel(left, left.worlds[0]),

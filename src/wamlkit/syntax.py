@@ -28,7 +28,7 @@ class Formula:
     neither recurses nor compares trees.  Nodes are immutable, and the
     table holds them weakly: a node leaves it with its last reference."""
 
-    __slots__ = ("_hash", "__weakref__")
+    __slots__ = ("__weakref__",)
     __match_args__: tuple[str, ...] = ()
 
     def __new__(cls, *operands):
@@ -40,10 +40,6 @@ class Formula:
             node = object.__new__(cls)
             for name, value in zip(cls.__match_args__, operands):
                 object.__setattr__(node, name, value)
-            # tagged with the class, so that ``Top()``/``Bottom()`` and
-            # ``Not``/``Box``/``Diamond`` of one operand hash apart; the
-            # operands carry theirs, so no hash recurses
-            object.__setattr__(node, "_hash", hash(key))
             _NODES[key] = node
         return node
 
@@ -51,9 +47,6 @@ class Formula:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         # the dataclass text, e.g. ``Not(operand=Letter(name='p'))``, built

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wamlkit import bisim, interp
+from wamlkit import interp
 from wamlkit.bisim import (
     PairRelation,
     check_bisim,
@@ -64,13 +64,13 @@ def counterexample2():
 
 def test_nonaligned_relation_is_bisimulation(nonaligned_pair):
     left, right = nonaligned_pair
-    z = PairRelation(left, right, _pairs("z_nonaligned.json"), frozenset({"p"}))
+    z = PairRelation(left, right, tuple(sorted(_pairs("z_nonaligned.json"))), frozenset({"p"}))
     assert check_bisim(z) is None
 
 
 def test_counterexample_relation_is_bisimulation(counterexample2):
     left, right = counterexample2
-    z = PairRelation(left, right, _pairs("z2.json"), frozenset({"p"}))
+    z = PairRelation(left, right, tuple(sorted(_pairs("z2.json"))), frozenset({"p"}))
     assert check_bisim(z) is None
 
 
@@ -79,7 +79,7 @@ def test_identity_relation_is_bisimulation(counterexample2):
     z = PairRelation(
         left,
         left,
-        frozenset((w, w) for w in left.worlds),
+        tuple(sorted((w, w) for w in left.worlds)),
         frozenset({"p", "q"}),
     )
     assert check_bisim(z) is None
@@ -95,7 +95,7 @@ def test_check_bisim_reports_first_violation(counterexample2):
     left, right = counterexample2
     # dropping (w2, v2) breaks forth at (w, v) for the tuple (w, w1, w2)
     pairs = _pairs("z2.json") - {("w2", "v2")}
-    z = PairRelation(left, right, pairs, frozenset({"p"}))
+    z = PairRelation(left, right, tuple(sorted(pairs)), frozenset({"p"}))
     violation = check_bisim(z)
     assert violation is not None
     assert violation.condition == "forth"
@@ -105,23 +105,107 @@ def test_check_bisim_reports_first_violation(counterexample2):
 
 def test_check_bisim_inv_violation(counterexample2):
     left, right = counterexample2
-    z = PairRelation(left, right, frozenset({("w4", "v1")}), frozenset({"p"}))
+    z = PairRelation(left, right, (("w4", "v1"),), frozenset({"p"}))
     violation = check_bisim(z)
     assert violation.condition == "inv"
+
+
+def test_check_bisim_back_violation(counterexample2, capsys):
+    left, right = counterexample2
+    # from n2 to m2: forth holds at (v, w), but w's tuple (w3, w4) has no
+    # answer among v's tuples, since v2 is related to neither w3 nor w4
+    z = PairRelation(right, left, tuple(sorted(_pairs("z2_back.json"))), frozenset({"p"}))
+    violation = check_bisim(z)
+    assert violation is not None
+    assert violation.condition == "back"
+    assert violation.pair == ("v", "w")
+    assert violation.witness_tuple == ("w", "w3", "w4")
+    argv = ["bisim", "check", str(fixture("n2.json")), str(fixture("m2.json")),
+            str(fixture("z2_back.json")), "--letters", "p"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == (
+        "not a bisimulation: pair (v, w) fails back: "
+        "tuple ['w', 'w3', 'w4'] has no matching tuple\n"
+    )
+
+
+def _brute_check(left, right, pairs, alphabet):
+    """check_bisim's verdict read straight off the definition: the pairs in
+    the models' world order, each checked for inv, then every left tuple
+    forth, then every right tuple back, tuples in sorted order."""
+    z = set(pairs)
+
+    def tuples(m, w):
+        return sorted(t[1:] for t in m.relation if t[0] == w)
+
+    for a in left.worlds:
+        for b in right.worlds:
+            if (a, b) not in z:
+                continue
+            if left.valuation[a] & alphabet != right.valuation[b] & alphabet:
+                return (a, b), "inv", None
+            for lt in tuples(left, a):
+                # some right tuple whose every slot is related to a slot of lt
+                if not any(
+                    all(any((v, u) in z for v in lt) for u in rt) for rt in tuples(right, b)
+                ):
+                    return (a, b), "forth", (a, *lt)
+            for rt in tuples(right, b):
+                if not any(
+                    all(any((v, u) in z for u in rt) for v in lt) for lt in tuples(left, a)
+                ):
+                    return (a, b), "back", (b, *rt)
+    return None
+
+
+def test_check_bisim_matches_brute_force_checker():
+    rng = random.Random(2121)
+    seen = set()
+    for i in range(300):
+        arity = 1 + i % 3
+        alphabet = frozenset({"p"} if i % 2 else {"p", "q"})
+        density = rng.uniform(0.05, 0.5) / arity**2
+        left = random_model(arity, rng.randint(1, 5), density, alphabet, seed=5000 + i)
+        right = random_model(arity, rng.randint(1, 5), density, alphabet, seed=6000 + i)
+        cross = [(a, b) for a in left.worlds for b in right.worlds]
+        agree = [
+            (a, b) for a, b in cross
+            if left.valuation[a] & alphabet == right.valuation[b] & alphabet
+        ]
+        # mostly pairs that agree on the alphabet, so that forth and back
+        # are reached; sometimes any pairs, or the greatest bisimulation
+        # with or without one of its pairs
+        kind = i % 4
+        if kind == 0:
+            pairs = [p for p in cross if rng.random() < 0.5]
+        elif kind == 3:
+            pairs = sorted(greatest_bisim(left, right, alphabet).pairs)
+            if pairs and rng.random() < 0.7:
+                pairs.remove(rng.choice(pairs))
+        else:
+            pairs = [p for p in agree if rng.random() < 0.7]
+        if not pairs:
+            continue
+        violation = check_bisim(PairRelation(left, right, tuple(sorted(pairs)), alphabet))
+        got = violation and (violation.pair, violation.condition, violation.witness_tuple)
+        want = _brute_check(left, right, pairs, alphabet)
+        assert got == want, (i, pairs)
+        seen.add(want and want[1])
+    assert seen == {None, "inv", "forth", "back"}
 
 
 def test_check_bisim_rejects_empty_and_mismatched(counterexample2):
     left, right = counterexample2
     with pytest.raises(ValueError):
-        check_bisim(PairRelation(left, right, frozenset(), frozenset()))
+        check_bisim(PairRelation(left, right, (), frozenset()))
     other = make_model(3, ["x"], [], {})
     with pytest.raises(ArityMismatchError):
         check_bisim(
-            PairRelation(left, other, frozenset({("w", "x")}), frozenset())
+            PairRelation(left, other, (("w", "x"),), frozenset())
         )
     with pytest.raises(UnknownWorldError):
         check_bisim(
-            PairRelation(left, right, frozenset({("ghost", "v")}), frozenset())
+            PairRelation(left, right, (("ghost", "v"),), frozenset())
         )
 
 
@@ -129,7 +213,7 @@ def test_greatest_bisim_contains_exhibited_pairs(nonaligned_pair):
     left, right = nonaligned_pair
     g = greatest_bisim(left, right, frozenset({"p"}))
     assert ("w", "v") in g.pairs
-    assert _pairs("z_nonaligned.json") <= g.pairs
+    assert _pairs("z_nonaligned.json") <= set(g.pairs)
     assert check_bisim(g) is None
 
 
@@ -143,13 +227,13 @@ def test_greatest_bisim_single_worlds():
     a = make_model(2, ["x"], [], {"x": ["p"]})
     b = make_model(2, ["y"], [], {"y": ["p"]})
     g = greatest_bisim(a, b, frozenset({"p"}))
-    assert g.pairs == {("x", "y")}
+    assert set(g.pairs) == {("x", "y")}
 
 
 def test_greatest_bisim_contains_checked_relations(counterexample2):
     left, right = counterexample2
     g = greatest_bisim(left, right, frozenset({"p"}))
-    assert _pairs("z2.json") <= g.pairs
+    assert _pairs("z2.json") <= set(g.pairs)
 
 
 def test_k_bisim_stage_zero(counterexample2):
@@ -161,13 +245,13 @@ def test_k_bisim_stage_zero(counterexample2):
         for b in right.worlds
         if left.valuation[a] & {"p"} == right.valuation[b] & {"p"}
     }
-    assert z0.pairs == expected
+    assert set(z0.pairs) == expected
 
 
 def test_k_bisim_monotone_and_stabilizes(counterexample2):
     left, right = counterexample2
     alphabet = frozenset({"p"})
-    stages = [k_bisim(left, right, alphabet, k).pairs for k in range(6)]
+    stages = [set(k_bisim(left, right, alphabet, k).pairs) for k in range(6)]
     for earlier, later in zip(stages, stages[1:]):
         assert later <= earlier
     bound = len(left.worlds) * len(right.worlds)
@@ -390,11 +474,23 @@ class _Refinement:
         z = self.stages[-1]
         survivors = set()
         for a, b in sorted(z, key=self.order):
-            lt = bisim._forth_failure(a, b, z, self.lsucc, self.rsucc)
+            # the first left tuple that no right tuple answers: every slot
+            # of an answer is related to some slot of the tuple
+            lt = next((
+                lt for lt in self.lsucc[a]
+                if not any(
+                    all(any((v, u) in z for v in lt) for u in rt) for rt in self.rsucc[b]
+                )
+            ), None)
             if lt is not None:
                 self.certificates[(a, b)] = self._forth_certificate(a, b, lt, z)
                 continue
-            rt = bisim._back_failure(a, b, z, self.lsucc, self.rsucc)
+            rt = next((
+                rt for rt in self.rsucc[b]
+                if not any(
+                    all(any((v, u) in z for u in rt) for v in lt) for lt in self.lsucc[a]
+                )
+            ), None)
             if rt is not None:
                 self.certificates[(a, b)] = self._back_certificate(a, b, rt, z)
                 continue
@@ -416,8 +512,8 @@ def _assert_matches_reference(left, right, alphabet):
     ref.run()
     stable = len(ref.stages) - 1
     for k in range(stable + 2):
-        assert k_bisim(left, right, alphabet, k).pairs == ref.stages[min(k, stable)]
-    assert greatest_bisim(left, right, alphabet).pairs == ref.stages[-1]
+        assert set(k_bisim(left, right, alphabet, k).pairs) == ref.stages[min(k, stable)]
+    assert set(greatest_bisim(left, right, alphabet).pairs) == ref.stages[-1]
     for a in left.worlds:
         for b in right.worlds:
             want = None
@@ -481,10 +577,7 @@ def test_sorted_pairs_are_read_off_the_partition_in_sorted_order(tmp_path, capsy
         relations = [greatest_bisim(left, right, alphabet), greatest_bisim(left, left, alphabet)]
         relations += [k_bisim(left, right, alphabet, k) for k in (0, 1, 2)]
         for z in relations:
-            assert z.sorted_pairs == tuple(sorted(z.pairs))
-    # a relation built directly sorts its pairs itself
-    z = PairRelation(left, right, frozenset({("w2", "w0"), ("w10", "w1")}), alphabet)
-    assert z.sorted_pairs == (("w10", "w1"), ("w2", "w0"))
+            assert z.pairs == tuple(sorted(set(z.pairs)))
     # ``bisim max`` prints the payload of the sorted pair set
     (tmp_path / "m.json").write_bytes(save(left))
     for k in ([], ["--k", "1"]):
@@ -495,3 +588,21 @@ def test_sorted_pairs_are_read_off_the_partition_in_sorted_order(tmp_path, capsy
         payload = {"schema": 1, "command": "bisim-max", "alphabet": ["p", "q"],
                    "k": 1 if k else None, "pairs": [list(p) for p in sorted(z.pairs)]}
         assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("relation, ok", [
+    ([["w", "v"], ["w1", "v1"], ["w2", "v2"], ["w3", "v1"], ["w3", "v2"]], True),
+    ([["w", "v"], ["w1", "v1"], ["w3", "v1"], ["w3", "v2"]], False),
+])
+def test_bisim_check_reads_a_relation_file_as_a_set(relation, ok, tmp_path, capsys):
+    # the pairs listed in reverse and the first one twice: the same bytes,
+    # text and JSON, as the sorted file with each pair once
+    (tmp_path / "sorted.json").write_text(json.dumps({"pairs": relation}))
+    (tmp_path / "shuffled.json").write_text(json.dumps({"pairs": relation[::-1] + relation[:1]}))
+    argv = ["bisim", "check", str(fixture("m2.json")), str(fixture("n2.json"))]
+    for extra in ([], ["--json"]):
+        outputs = []
+        for name in ("sorted.json", "shuffled.json"):
+            assert main([*argv, str(tmp_path / name), "--letters", "p", *extra]) == (0 if ok else 1)
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]

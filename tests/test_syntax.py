@@ -256,10 +256,15 @@ def test_program_keys_are_formula_keys():
 
 
 def test_hash_is_tagged_with_the_class():
+    # the nodes are kept alive together: a node freed before the next is
+    # built could hand its identity on
     p, q = Letter("p"), Letter("q")
-    assert hash(Top()) != hash(Bottom())
-    assert len({hash(c(p)) for c in (Not, Box, Diamond)}) == 3
-    assert len({hash(c(p, q)) for c in (And, Or, Implies, Iff)}) == 4
+    top, bottom = Top(), Bottom()
+    assert hash(top) != hash(bottom)
+    unary = [c(p) for c in (Not, Box, Diamond)]
+    assert len({hash(f) for f in unary}) == 3
+    binary = [c(p, q) for c in (And, Or, Implies, Iff)]
+    assert len({hash(f) for f in binary}) == 4
     formulas = set(enumerate_formulas({"p", "q"}, 2, 7))
     assert len(formulas) == 22_566
     assert len({hash(f) for f in formulas}) >= 22_000
