@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest of the CLI's behaviour on a fixed seeded corpus.
 
-Runs 1,115 argvs through ``wamlkit.cli.main`` in-process, each in
+Runs 1,122 argvs through ``wamlkit.cli.main`` in-process, each in
 text mode and with ``--json``, and prints one line per run: the run
 number, the exit code, the sha256 of stdout, the sha256 of stderr, the
 sha256 of every file the run wrote (``--out``, ``--emit-rmap``,
@@ -24,7 +24,10 @@ locality`` at its row budget and one row past it.  Then 2 argvs run
 ``proof check`` on an arity-2 script whose ``KnAxiom`` domain is wrong and
 on ``proof2.json`` with line 1's substitution tampered.  The last argv runs
 ``sat`` on ``dia p & dia ~p`` at arity 10, whose least witness of 1,024
-tuples lies down a preorder path 1,024 relations deep.  Its models, relations
+tuples lies down a preorder path 1,024 relations deep.  The 6 after it
+read two files past the limits of ``json.loads`` as a model (``mc``), a
+relation (``bisim check``) and a proof (``proof check``): arrays nested
+100,000 deep, and an integer of 5,000 digits.  Its models, relations
 and scripts are generated here, from the seed alone, and written to a
 temporary directory under relative names, so two source trees can be
 compared line by line:
@@ -329,6 +332,20 @@ def proof_corpus(directory: Path) -> list[list[str]]:
     ]
 
 
+def json_limit_corpus(directory: Path) -> list[list[str]]:
+    """A file nested past ``json.loads``'s recursion limit and one with an
+    integer past its digit limit, each read as a model, a relation and a
+    proof."""
+    argvs = []
+    for name, text in [("deep.json", "[" * 100_000 + "]" * 100_000),
+                       ("digits.json", "1" * 5_000)]:
+        _write(directory, name, text.encode())
+        argvs += [["mc", name, "w", "p"],
+                  ["bisim", "check", "m2.json", "n2.json", name],
+                  ["proof", "check", name]]
+    return argvs
+
+
 # the options whose value names a file (or, for a bundle, a directory)
 # that a run writes
 _OUTPUT_OPTIONS = ("--out", "--emit-rmap", "--emit-bundle")
@@ -387,6 +404,7 @@ def main() -> None:
             argvs += self_corpus(Path(tmp))
             argvs += proof_corpus(Path(tmp))
             argvs.append(["sat", "dia p & dia ~p", "--arity", "10", "--max-worlds", "2"])
+            argvs += json_limit_corpus(Path(tmp))
             runs = [argv + mode for argv in argvs for mode in ([], ["--json"])]
             for number, argv in enumerate(runs):
                 outputs = written(argv)

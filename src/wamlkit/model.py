@@ -234,7 +234,8 @@ def read_json(text: bytes | str, what: str) -> object:
         return json.loads(text)
     except UnicodeDecodeError as e:
         raise ModelLoadError(f"{what} JSON is not UTF-8: {e}") from e
-    except json.JSONDecodeError as e:
+    # a JSONDecodeError, arrays nested too deep, or too many digits
+    except (ValueError, RecursionError) as e:
         raise ModelLoadError(f"malformed JSON: {e}") from e
 
 

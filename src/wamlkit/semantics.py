@@ -507,6 +507,17 @@ class _Blocks:
         return digits[::-1]
 
 
+def _tuple_at(index: int, names: Sequence[str], arity: int) -> tuple[str, ...]:
+    """The tuple at ``index`` in the sorted list of all (arity + 1)-tuples
+    over the sorted ``names``: slot j is the name at digit j of the index
+    in base len(names), the most significant digit first."""
+    slots = []
+    for _ in range(arity + 1):
+        index, digit = divmod(index, len(names))
+        slots.append(names[digit])
+    return tuple(slots[::-1])
+
+
 def _walk_witness(
     f: Formula, arity: int, num_worlds: int, letters: list[str], budget: _Budget
 ) -> PointedModel:
@@ -518,74 +529,57 @@ def _walk_witness(
     # extend R by tuples after l.  Before R is run, the program is run
     # once for an upper bound over that whole subtree: f is put in
     # negation normal form, where every connective is monotone, so a box
-    # read over R and a dia read over R plus every later tuple bound f
-    # from above (Kleene's three-valued reading, with negation swapping
-    # the bounds).  A subtree whose bound is empty holds no witness and is
-    # skipped with one ``spend``.  The candidate tuples are listed up
-    # front, so that list is kept within the step budget: a walk over more
-    # tuples than budget steps is refused before the list is built.
-    if num_worlds ** (arity + 1) > budget.limit:
+    # read over R and a dia read over every candidate tuple bound f from
+    # above; over every candidate, dia g holds at all worlds once g holds
+    # at one (the tuple with that world in each slot).  A subtree whose
+    # bound is empty holds no witness and is skipped with one ``spend`` of
+    # its 2**(tuples after l) relations; a walk over more tuples than
+    # budget steps is refused up front, so that charge never has more bits
+    # than the budget has steps.
+    last_index = num_worlds ** (arity + 1) - 1
+    if last_index >= budget.limit:
         raise BudgetExceededError(
             f"witness walk over {num_worlds}**{arity + 1} candidate tuples"
             f" exceeds the search budget of {budget.limit} steps"
         )
     worlds = tuple(f"w{i}" for i in range(num_worlds))
+    names = sorted(worlds)  # the candidate tuples' order: w10 before w2
     bit = {w: 1 << i for i, w in enumerate(worlds)}
-    candidates = sorted(itertools.product(worlds, repeat=arity + 1))
-    last_index = len(candidates) - 1
-    edges = [(bit[t[0]], sum({bit[v] for v in t[1:]})) for t in candidates]
     blocks = _Blocks(num_worlds, letters)
-    repeated: dict[int, int] = {}  # slot set -> the slot set in every block
-    for _, slots in edges:
-        repeated[slots] = slots * blocks.low
-    # each distinct (source, slot set) edge -> its last position, latest
-    # first: the tuples after position l are the edges listed before the
-    # first one whose last position is l or earlier
-    last_at: dict[tuple[int, int], int] = {}
-    for position in range(last_index, -1, -1):
-        last_at.setdefault(edges[position], position)
     program = syntax.compile_formula(_nnf(f))
     letter_at = {name: j for j, name in enumerate(letters)}
     letter_masks: list[int] = []
-    boxes: list[tuple[int, int]] = []
-    diamonds: list[tuple[int, int]] = []
+    slot_index: list[tuple[int, int]] = []
 
-    # reads the chunk's letter masks and the slot indices, rebound below
-    def leaf(g: Formula, operand: int | None) -> int:
+    # f over R, from the chunk's letter masks and R's slot index
+    def exact(g: Formula, operand: int | None) -> int:
         if operand is None:
             return letter_masks[letter_at[g.name]]
-        is_box = type(g) is Box
-        return blocks.modal(is_box, operand, boxes if is_box else diamonds)
+        return blocks.modal(type(g) is Box, operand, slot_index)
 
-    def run() -> int:
+    def bound(g: Formula, operand: int | None) -> int:
+        if operand is not None and type(g) is Diamond:
+            return blocks.nonempty(operand) * ((1 << num_worlds) - 1)
+        return exact(g, operand)
+
+    def run(leaf) -> int:
         return syntax.run_program(program, blocks.full, leaf)[-1]
 
     # the relation R: its candidate indices in increasing order, and per
-    # prefix length d the slot index (slot set -> source mask) of the first
-    # d of them; a step of the preorder changes only R's last tuple
+    # prefix length d the slot index (slot set in each block -> source
+    # mask) of the first d of them; a preorder step changes R's last tuple
     chosen: list[int] = []
     owns: list[dict[int, int]] = [{}]
     while True:
         last = chosen[-1] if chosen else -1
-        own = owns[-1]
-        boxes = [(repeated[slots], sources) for slots, sources in own.items()]
-        upper = dict(own)
-        for (source, slots), position in last_at.items():
-            if position <= last:
-                break
-            upper[slots] = upper.get(slots, 0) | source
-        bound_diamonds = [(repeated[s], sources) for s, sources in upper.items()]
+        slot_index = list(owns[-1].items())
         pruned = True
         for chunk, letter_masks in enumerate(blocks.chunks()):
-            diamonds = bound_diamonds
-            found = run()
-            if not found:
+            if not run(bound):
                 budget.spend(blocks.count)
                 continue
             pruned = False
-            if last < last_index:  # else the bound is exact
-                diamonds = boxes
-                found = run()
+            found = run(exact)
             if found:
                 block, world = divmod((found & -found).bit_length() - 1, blocks.width)
                 budget.spend(block + 1)
@@ -593,7 +587,7 @@ def _walk_witness(
                 m = make_model(
                     arity,
                     worlds,
-                    [candidates[i] for i in chosen],
+                    [_tuple_at(i, names, arity) for i in chosen],
                     dict(zip(worlds, assignment)),
                 )
                 return PointedModel(m, worlds[world])
@@ -614,7 +608,8 @@ def _walk_witness(
             chosen[-1] += 1
         del owns[len(chosen):]
         own = owns[-1]
-        source, slots = edges[chosen[-1]]
+        source, *vector = _tuple_at(chosen[-1], names, arity)
+        source, slots = bit[source], sum({bit[v] for v in vector}) * blocks.low
         if not own.get(slots, 0) & source:  # else the slot index is unchanged
             own = {**own, slots: own.get(slots, 0) | source}
         owns.append(own)

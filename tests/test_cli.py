@@ -536,10 +536,11 @@ def test_sat_witness_walk_past_the_budget_is_refused_within_a_gigabyte():
 def test_sat_witness_walk_within_the_budget_runs_in_half_a_gigabyte():
     # 4**10 candidate tuples, within the budget: a table of one dict per
     # candidate, built before the first relation was tried, ran out of
-    # memory here and ended in a traceback with exit 1
+    # memory under 512 MB, and a list of the tuples and their edges under
+    # 128 MB; each ended in a traceback with exit 1
     def cap_address_space():  # in the child only
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, hard))
+        resource.setrlimit(resource.RLIMIT_AS, (128 << 20, hard))
 
     proc = subprocess.run(
         [sys.executable, "-m", "wamlkit", "sat",
@@ -557,9 +558,40 @@ def test_sat_witness_walk_within_the_budget_runs_in_half_a_gigabyte():
     assert proc.stderr == b"error: search budget of 2000000 steps exhausted\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["mc", "{}", "w", "p"],
+     ["bisim", "check", str(fixture("m2.json")), str(fixture("n2.json")), "{}"],
+     ["proof", "check", "{}"]],
+    ids=["model", "relation", "proof"],
+)
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000 + "]" * 100_000, "1" * 5_000],
+    ids=["nested-past-the-recursion-limit", "past-the-digit-limit"],
+)
+def test_malformed_json_file_exits_2_without_traceback(tmp_path, argv, text):
+    # json.loads raised RecursionError and ValueError here, past the
+    # reader's JSONDecodeError branch: a traceback with exit 1
+    path = tmp_path / "file.json"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "wamlkit", *(a.format(path) for a in argv)],
+        capture_output=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=60,
+        check=False,
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: malformed JSON:"), lines
+    assert b"Traceback" not in proc.stderr
+
+
 # the sha256 of ``scripts/cli_digest.py``'s output (seed 0); a change that
 # moves the CLI's bytes on purpose updates it and says so in CHANGES.md
-CLI_DIGEST_SHA256 = "3572dfee75cbd20b0a0df99e9076a3da4fa23b8bd88b23fd796ea96c2170a1c9"
+CLI_DIGEST_SHA256 = "302ccaaa92d97009382a806a9fbd77d0bc3f6c37cf58c44eeea3289283664958"
 
 
 @pytest.mark.skipif(
@@ -574,7 +606,7 @@ def test_cli_digest_is_unchanged():
         timeout=600,
         check=True,
     )
-    assert len(proc.stdout.splitlines()) == 2232
+    assert len(proc.stdout.splitlines()) == 2244
     assert hashlib.sha256(proc.stdout).hexdigest() == CLI_DIGEST_SHA256
 
 

@@ -402,6 +402,34 @@ def test_witness_walk_deeper_than_the_recursion_limit(monkeypatch):
     assert spent == 8_215
 
 
+@pytest.mark.parametrize("num_worlds, arity", [(2, 3), (3, 2), (11, 1), (12, 2)])
+def test_tuple_at_decodes_the_sorted_candidate_tuples(num_worlds, arity):
+    # from 11 worlds on, name order (w10 before w2) is not index order
+    worlds = [f"w{i}" for i in range(num_worlds)]
+    names = sorted(worlds)
+    candidates = sorted(itertools.product(worlds, repeat=arity + 1))
+    assert [semantics._tuple_at(i, names, arity) for i in range(len(candidates))] == candidates
+
+
+def test_witness_walk_prunes_subtrees_whose_bound_is_empty(monkeypatch):
+    # the bound is empty once every world has a tuple of R (box false
+    # then holds nowhere) or the box chain fails at every world, and more
+    # tuples change neither; without skipping those subtrees, the walk
+    # runs its program on one relation per budget step, 2,000,000 of them
+    calls = 0
+    run_program = syntax.run_program
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return run_program(*args)
+
+    monkeypatch.setattr(syntax, "run_program", counting)
+    with pytest.raises(BudgetExceededError):
+        bounded_sat(parse("dia dia dia box false & box box box box box false"), 2, 4)
+    assert calls <= 1_000
+
+
 @pytest.mark.parametrize(
     "text, arity, max_worlds, budget",
     [
