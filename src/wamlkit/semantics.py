@@ -133,14 +133,19 @@ def valid_on_model(m: NModel, f: Formula) -> bool:
 # decision phase belongs to the type space: a quick refutation of the
 # root types, elimination down to the greatest self-supporting set, and
 # the least support size k0 within it, with every set of types a mask
-# over type indices.  Every demand pool is a modal operand's truth mask
-# or its complement, so two types with the same truth in every operand
-# are interchangeable as successors, and a dead end (every box bit set,
-# every diamond bit clear) has no demands at all: the search for k0 tries
-# one dead end in place of all its twins (type elimination, Pratt 1979).
-# The witness itself is then recovered by enumerating models of k0 worlds
-# in canonical order, so the returned witness is the canonically least
-# one.
+# over type indices.  A type's demands depend on its modal bits alone, so
+# the types of one modal profile (the 2^|letters| consecutive indices
+# that share those bits) are realizable together or not at all: the
+# refutation and elimination ask one member per profile, and spend one
+# step for each other member, what asking it would cost with the first
+# member's covers in the memo.  Every demand pool is a modal operand's
+# truth mask or its complement, so two types with the same truth in every
+# operand are interchangeable as successors, and a dead end (every box bit
+# set, every diamond bit clear) has no demands at all: the search for k0
+# tries one dead end in place of all its twins (type elimination, Pratt
+# 1979).  The witness itself is then recovered by enumerating models of
+# k0 worlds in canonical order, so the returned witness is the
+# canonically least one.
 
 
 class _Budget:
@@ -286,21 +291,54 @@ class _TypeSpace:
         return ok
 
     def realizable(self, t: int, u_mask: int) -> bool:
-        """Can type t meet every demand with successors from ``u_mask``?"""
+        """Can type t meet every demand with successors from ``u_mask``?
+        The answer is the same for every type of t's modal profile, and
+        asking again for another of them costs one step: its covers are
+        in the memo by then."""
         self.budget.spend()
         return all(
             self.demand_satisfiable(inside, constraints, u_mask)
             for inside, constraints in self.demands(t)
         )
 
+    def profile(self, t: int) -> int:
+        """The mask of t's modal profile: the 2^|letters| consecutive
+        types, one per letter valuation, that share the modal bits of t
+        and so its demands."""
+        low = len(self.letters)
+        return ((1 << (1 << low)) - 1) << (t >> low << low)
+
+    def _profiles(self, mask: int) -> Iterator[tuple[int, int]]:
+        """The modal profiles present in ``mask``, lowest first: per
+        profile, its least type in ``mask`` and its types in ``mask``."""
+        while mask:
+            t = (mask & -mask).bit_length() - 1
+            members = mask & self.profile(t)
+            yield t, members
+            mask ^= members
+
+    def roots_refuted(self) -> bool:
+        """Is no root type realizable against every type at once?  Then
+        none can occur, whatever the world bound.  A profile that fails is
+        charged a step per further root of it; the first that holds ends
+        the search, as asking type by type would."""
+        for t, members in self._profiles(self.root_mask):
+            if self.realizable(t, self.all_types):
+                return False
+            self.budget.spend(members.bit_count() - 1)
+        return True
+
     def eliminate(self) -> int:
-        """Greatest set of types each realizable against the set itself."""
+        """Greatest set of types each realizable against the set itself,
+        asked once per modal profile present, with a step charged per
+        further member, and each profile kept or dropped whole."""
         u_mask = self.all_types
         while True:
             survivors = 0
-            for t in _iter_bits(u_mask):
+            for t, members in self._profiles(u_mask):
                 if self.realizable(t, u_mask):
-                    survivors |= 1 << t
+                    survivors |= members
+                self.budget.spend(members.bit_count() - 1)
             if survivors == u_mask:
                 return u_mask
             u_mask = survivors
@@ -312,13 +350,13 @@ class _TypeSpace:
         self-supporting set any such type but the root can be replaced by
         its dead end: each successor tuple still fits, and the set gets no
         larger.  Each class of twins is the AND of every operand mask or
-        its complement, one class per profile that some dead end has."""
-        low = len(self.letters)
-        # the dead ends are the 2^low types from ``base`` on, one per
-        # letter valuation; per operand, its mask and its bits there
+        its complement, one class per pattern of operand truths that some
+        dead end has."""
+        # the dead ends are the profile of every box bit set, from ``base``
+        # on; per operand, its mask and its bits there
         base = sum(1 << j for j, (is_box, _, _) in enumerate(self.modal_info) if is_box)
-        base <<= low
-        ends = (1 << (1 << low)) - 1
+        base <<= len(self.letters)
+        ends = self.profile(base) >> base
         operands = [(child, child >> base & ends) for _, _, child in self.modal_info]
         dominated = 0
         while ends:  # the dead ends in no class yet
@@ -639,11 +677,7 @@ def bounded_sat(
     if budget < 1:
         raise InvalidArgumentError("budget must be >= 1")
     space = _TypeSpace(f, arity, _Budget(budget))
-    # quick refutation: a root type unrealizable against every type at once
-    # can never occur, whatever the world bound
-    if not any(
-        space.realizable(t, space.all_types) for t in _iter_bits(space.root_mask)
-    ):
+    if space.roots_refuted():
         return None
     k0 = space.min_support(space.eliminate(), max_worlds)
     if k0 is None:

@@ -536,16 +536,16 @@ def _dead_ends(space):
 def _dominated_by_definition(space):
     # per type, its truth in every modal operand; a type is dominated when
     # a lesser dead end shares it
-    def profile(t):
+    def operand_truths(t):
         return tuple(child >> t & 1 for _, _, child in space.modal_info)
 
     first_dead_end = {}
     for t in _dead_ends(space):
-        first_dead_end.setdefault(profile(t), t)
+        first_dead_end.setdefault(operand_truths(t), t)
     return sum(
         1 << t
         for t in range(space.count)
-        if first_dead_end.get(profile(t), t) != t
+        if first_dead_end.get(operand_truths(t), t) != t
     )
 
 
@@ -594,6 +594,98 @@ def test_dominated_types_by_definition():
     for f in formulas:
         space = semantics._TypeSpace(f, 1, semantics._Budget(10**9))
         assert space.dominated() == _dominated_by_definition(space), print_formula(f)
+
+
+def _per_type_refuted(space):
+    # the quick refutation asked of every root type in turn
+    roots = [t for t in range(space.count) if space.root_mask >> t & 1]
+    return not any(space.realizable(t, space.all_types) for t in roots)
+
+
+def _per_type_eliminate(space):
+    # elimination asked of every type in turn, each kept or dropped alone
+    u_mask = space.all_types
+    while True:
+        survivors = 0
+        for t in range(space.count):
+            if u_mask >> t & 1 and space.realizable(t, u_mask):
+                survivors |= 1 << t
+        if survivors == u_mask:
+            return u_mask
+        u_mask = survivors
+
+
+def test_profile_walk_matches_the_per_type_decision(monkeypatch):
+    # the same answers, and every step at the same count: after the
+    # refutation, after elimination, and at budgets one step either side
+    # of those totals, where a budget error falls inside the last profile
+    corpus = [
+        (f, arity, 3)
+        for f in enumerate_formulas({"p", "q"}, 2, 5)
+        for arity in (1, 2)
+    ]
+    others = [
+        (parse(t), arity, 4)
+        for arity in (1, 2, 3)
+        for t in _SAT_FAMILIES + [_NEGATED_AXIOMS[arity]]
+    ]
+    others += _outer_letter_cases(random.Random(17), 150)
+    # the whole search too, for its witnesses, where the corpus is not
+    budgets = [case + (semantics.DEFAULT_SEARCH_BUDGET,) for case in others]
+    with_letters = 0
+    for f, arity, max_size in corpus + others:
+        new, old = (
+            semantics._TypeSpace(f, arity, semantics._Budget(10**9)) for _ in range(2)
+        )
+        refuted = new.roots_refuted()
+        assert refuted == _per_type_refuted(old), (print_formula(f), arity)
+        assert new.budget.spent == old.budget.spent
+        marks = [old.budget.spent]
+        if not refuted:
+            assert new.eliminate() == _per_type_eliminate(old), (print_formula(f), arity)
+            assert new.budget.spent == old.budget.spent
+            marks.append(old.budget.spent)
+        with_letters += bool(new.letters)
+        budgets += [
+            (f, arity, max_size, b) for m in marks for b in (m - 1, m, m + 1) if b >= 1
+        ]
+    assert with_letters > 500
+    got = [_sat_outcome(monkeypatch, *case) for case in budgets]
+    monkeypatch.setattr(semantics._TypeSpace, "roots_refuted", _per_type_refuted)
+    monkeypatch.setattr(semantics._TypeSpace, "eliminate", _per_type_eliminate)
+    want = [_sat_outcome(monkeypatch, *case) for case in budgets]
+    for case, g, w in zip(budgets, got, want):
+        assert g == w, (print_formula(case[0]), *case[1:])
+    # answers, witnesses and budget errors are all compared
+    outcomes = [o for o, _ in want]
+    assert None in outcomes
+    assert any(isinstance(o, PointedModel) for o in outcomes)
+    assert any(isinstance(o, str) for o in outcomes)
+
+
+def test_eliminate_asks_realizable_once_per_profile(monkeypatch):
+    # disj3 at arity 1: each round of elimination asks one type of each
+    # modal profile present, so at most count >> |letters| per round
+    f = parse("dia p & dia q & dia r & box ~(p&q) & box ~(p&r) & box ~(q&r)")
+    space = semantics._TypeSpace(f, 1, semantics._Budget(10**9))
+    asked = []
+    realizable = semantics._TypeSpace.realizable
+
+    def recorded(self, t, u_mask):
+        asked.append((t, u_mask))
+        return realizable(self, t, u_mask)
+
+    monkeypatch.setattr(semantics._TypeSpace, "realizable", recorded)
+    space.eliminate()
+    low = len(space.letters)
+    rounds = list(dict.fromkeys(u_mask for _, u_mask in asked))
+    for u_mask in rounds:
+        profiles = [t >> low for t, u in asked if u == u_mask]
+        present = {t >> low for t in range(space.count) if u_mask >> t & 1}
+        assert sorted(profiles) == profiles and set(profiles) == present
+        assert len(profiles) == len(present)
+    assert len(asked) <= len(rounds) * (space.count >> low)
+    assert low == 3 and len(rounds) >= 2
 
 
 def _subformulas(f):
