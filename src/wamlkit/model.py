@@ -329,6 +329,8 @@ def random_model(
     """Seed-deterministic random model: each candidate (arity+1)-tuple is
     kept with probability ``relation_density``, each letter holds at each
     world with probability 1/2."""
+    if arity < 1:
+        raise InvalidArgumentError("arity must be >= 1")
     if num_worlds < 1:
         raise InvalidArgumentError("num_worlds must be >= 1")
     if not 0 <= relation_density <= 1:

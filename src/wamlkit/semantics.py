@@ -40,7 +40,7 @@ def _modal_mask(
 
 
 class ModelEvaluator:
-    """Bit-mask evaluator for one model; caches per-formula truth masks.
+    """Bit-mask evaluator for one model; it keeps no formula state.
 
     Bit i of a mask is the truth value at ``model.worlds[i]``; letters and
     tuples are read from the model's integer view.
@@ -49,18 +49,11 @@ class ModelEvaluator:
     def __init__(self, m: NModel):
         self.model = m
         self.full = (1 << len(m.worlds)) - 1
-        self._cache: dict[Formula, int] = {}
 
     def mask(self, f: Formula) -> int:
-        """The mask of f.  Subformulas masked before are compiled as known,
-        and every mask computed is cached."""
-        cache = self._cache
-        program = syntax.compile_formula(f, cache)
-        masks = self.run(program)
-        for (node, op, _, _), bits in zip(program, masks):
-            if op is not None:
-                cache[node] = bits
-        return masks[-1]
+        """The mask of f, from one run of its program.  To mask many
+        formulas, run one program that holds them all."""
+        return self.run(syntax.compile_formula(f))[-1]
 
     def run(self, program: Sequence[syntax.Instruction]) -> list[int]:
         """The mask of every instruction of a program, in order."""
@@ -69,9 +62,7 @@ class ModelEvaluator:
     def _leaf(self, f: Formula, operand: int | None) -> int:
         if operand is not None:
             return _modal_mask(type(f) is Box, operand, self.full, self.model.slot_index)
-        if type(f) is Letter:
-            return self.model.letter_masks.get(f.name, 0)
-        return self._cache[f]  # compiled as known by ``mask``
+        return self.model.letter_masks.get(f.name, 0)
 
     def depth_masks(self, f: Formula, max_depth: int) -> list[int]:
         """The mask of f under depth-d semantics for each d in
@@ -100,7 +91,7 @@ class ModelEvaluator:
             masks = deeper
             shallower = {node: bits for (node, *_), bits in zip(program, masks)}
             out.append(masks[-1])
-        return out + [masks[-1]] * (max_depth + 1 - len(out))
+        return out + out[-1:] * (max_depth + 1 - len(out))
 
     def holds(self, world: str, f: Formula) -> bool:
         index = self.model.index

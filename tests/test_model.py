@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from wamlkit.errors import ModelLoadError
+from wamlkit.errors import InvalidArgumentError, ModelLoadError
 from wamlkit.model import (
     NModel,
     PointedModel,
@@ -157,6 +157,22 @@ def test_random_model_density_extremes():
     assert m.relation == frozenset()
     m = random_model(2, 3, 1.0, set(), seed=7)
     assert len(m.relation) == 27
+
+
+@pytest.mark.parametrize(
+    "arity, num_worlds, density, message",
+    [
+        (0, 3, 0.5, "arity must be >= 1"),
+        (-2, 3, 0.5, "arity must be >= 1"),
+        (2, 0, 0.5, "num_worlds must be >= 1"),
+        (2, 3, 1.5, "relation_density must be in [0, 1]"),
+    ],
+    ids=["arity-0", "arity-negative", "no-worlds", "density-over-1"],
+)
+def test_random_model_refuses_bad_arguments(arity, num_worlds, density, message):
+    with pytest.raises(InvalidArgumentError) as caught:
+        random_model(arity, num_worlds, density, {"p"}, seed=7)
+    assert str(caught.value) == message
 
 
 def test_random_model_deterministic():

@@ -25,6 +25,7 @@ from wamlkit.syntax import (
     ast_size,
     enumerate_formulas,
     letters,
+    modal_depth,
     parse,
     print_formula,
 )
@@ -73,19 +74,34 @@ def test_valid_on_model_basics(m2):
     assert not valid_on_model(m2, parse("p"))  # fails at w
 
 
-def test_evaluator_mask_reads_and_fills_its_cache():
+def test_evaluator_masks_and_keeps_no_formula_alive():
     # worlds 0-3: p holds at 1 and 3, q at 2 and 3
     m = make_model(1, "abcd", [], {"b": ["p"], "c": ["q"], "d": ["p", "q"]})
     ev = semantics.ModelEvaluator(m)
     assert ev.mask(parse("p <-> q")) == 0b1001
-    # every new mask is cached, the letters' too
-    assert ev._cache == {Letter("p"): 0b1010, Letter("q"): 0b1100, parse("p <-> q"): 0b1001}
     assert ev.mask(parse("~(p <-> q) -> p & q")) == 0b1001
-    assert ev._cache[parse("p & q")] == 0b1000
     assert ev.mask(parse("true | false")) == 0b1111
-    # a cached subformula is read from the cache, not recomputed
-    ev._cache[parse("p & q")] = 0b0110
-    assert ev.mask(parse("(p & q) | false")) == 0b0110
+    assert ev.mask(parse("(p & q) | false")) == 0b1000
+    # every subformula of f holds a letter that occurs nowhere else, so
+    # once f is dropped, no node built for it may stay in the node table
+    # while the evaluator lives
+    f = parse("box (only_a & ~only_b) | dia ~only_a")
+    assert ev.mask(f) == 0b1111
+    del f
+    gc.collect()
+    assert (Letter, "only_a") not in syntax._NODES
+    assert (Letter, "only_b") not in syntax._NODES
+
+
+def test_depth_masks_gives_one_mask_per_depth():
+    m = load(fixture("m2.json").read_bytes())
+    ev = semantics.ModelEvaluator(m)
+    f = parse("dia dia p | box q")
+    assert ev.depth_masks(f, -1) == []
+    masks = ev.depth_masks(f, 5)
+    assert len(masks) == 6
+    assert [ev.depth_masks(f, d) for d in range(6)] == [masks[: d + 1] for d in range(6)]
+    assert masks[modal_depth(f):] == [ev.mask(f)] * (6 - modal_depth(f))
 
 
 def test_diamond_box_duality_sampled():
