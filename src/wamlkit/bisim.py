@@ -13,29 +13,23 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 
 from . import semantics
 from .errors import InvalidArgumentError, UnknownWorldError
 from .model import NModel, require_same_arity
-from .syntax import Diamond, Formula, Letter, Not, conj, disj
+from .syntax import Diamond, Formula, Letter, Node, Not, Record, conj, disj
 
 Pair = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class PairRelation:
-    left: NModel
-    right: NModel
-    pairs: tuple[Pair, ...]  # sorted, each pair once
-    alphabet: frozenset[str]
+class PairRelation(Record):
+    # pairs: sorted, each pair once
+    __match_args__ = ("left", "right", "pairs", "alphabet")
 
 
-@dataclass(frozen=True)
-class BisimViolation:
-    pair: Pair
-    condition: str  # "inv" | "forth" | "back"
-    witness_tuple: tuple[str, ...] | None
+class BisimViolation(Node):
+    # condition: "inv" | "forth" | "back"
+    __slots__ = __match_args__ = ("pair", "condition", "witness_tuple")
 
     def describe(self) -> str:
         where = f"pair ({self.pair[0]}, {self.pair[1]})"

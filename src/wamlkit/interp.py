@@ -14,7 +14,6 @@ failure.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import bisim, proof, semantics, syntax
@@ -39,8 +38,10 @@ from .syntax import (
     Iff,
     Implies,
     Letter,
+    Node,
     Not,
     Or,
+    Record,
     Top,
     conj,
     letters,
@@ -48,15 +49,8 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class CounterexampleBundle:
-    n: int
-    left: PointedModel
-    right: PointedModel
-    phi: Formula
-    psi: Formula
-    z: PairRelation
-    refutation: ProofScript
+class CounterexampleBundle(Record):
+    __match_args__ = ("n", "left", "right", "phi", "psi", "z", "refutation")
 
 
 def tag_letters(index: int, width: int) -> list[tuple[str, bool]]:
@@ -176,7 +170,7 @@ def build_counterexample(n: int) -> CounterexampleBundle:
     axiom = proof.kn_axiom(n, subst)
     refutation = ProofScript(n, (
         ProofLine(axiom, KnAxiomJust(tuple(sorted(subst.items())))),
-        ProofLine(Iff(axiom.right, Box(target)), REJust()),
+        ProofLine(Iff(axiom.right, Box(target)), REJust(None)),
         ProofLine(Implies(axiom.left, Box(target)), PLFromJust((1, 2))),
         *after_line_3,
     ))
@@ -192,20 +186,19 @@ def build_counterexample(n: int) -> CounterexampleBundle:
     )
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    passed: bool
-    detail: str
+class ConditionReport(Node):
+    __slots__ = __match_args__ = ("passed", "detail")
 
 
-@dataclass(frozen=True)
-class InterpolationReport:
-    n: int
-    models_satisfy: ConditionReport
-    refutation_valid: ConditionReport
-    roots_indistinguishable: ConditionReport
-    joint_sat_corroboration: ConditionReport
-    note: str
+class InterpolationReport(Node):
+    __slots__ = __match_args__ = (
+        "n",
+        "models_satisfy",
+        "refutation_valid",
+        "roots_indistinguishable",
+        "joint_sat_corroboration",
+        "note",
+    )
 
     @property
     def passed(self) -> bool:
@@ -345,10 +338,5 @@ def verify_counterexample(
         )
 
     return InterpolationReport(
-        n=b.n,
-        models_satisfy=models_satisfy,
-        refutation_valid=refutation_valid,
-        roots_indistinguishable=roots,
-        joint_sat_corroboration=corroboration,
-        note=_NOTE,
+        b.n, models_satisfy, refutation_valid, roots, corroboration, _NOTE
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -21,14 +20,13 @@ from .errors import (
     ModelLoadError,
     UnknownWorldError,
 )
+from .syntax import Record
 
 
-@dataclass(frozen=True)
-class NModel:
-    arity: int
-    worlds: tuple[str, ...]
-    relation: frozenset[tuple[str, ...]]
-    valuation: Mapping[str, frozenset[str]]
+class NModel(Record):
+    # worlds: a tuple; relation: a frozenset of (arity + 1)-tuples;
+    # valuation: world -> frozenset of the letters true there
+    __match_args__ = ("arity", "worlds", "relation", "valuation")
 
     @cached_property
     def successors(self) -> dict[str, tuple[tuple[str, ...], ...]]:
@@ -80,12 +78,11 @@ def _slot_index(edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return list(sources.items())
 
 
-@dataclass(frozen=True)
-class PointedModel:
-    model: NModel
-    point: str
+class PointedModel(Record):
+    __match_args__ = ("model", "point")
 
-    def __post_init__(self):
+    def __init__(self, *values, **named):
+        super().__init__(*values, **named)
         if self.point not in self.model.worlds:
             raise UnknownWorldError(f"point {self.point!r} not among the worlds")
 

@@ -15,7 +15,6 @@ propositional reasoning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import BudgetExceededError, InvalidArgumentError, ModelLoadError
@@ -28,6 +27,7 @@ from .syntax import (
     Iff,
     Implies,
     Letter,
+    Node,
     Not,
     bit_pattern,
     compile_formula,
@@ -42,66 +42,53 @@ from .syntax import (
 MAX_TAUTOLOGY_ATOMS = 20
 
 
-@dataclass(frozen=True)
-class Justification:
-    pass
+class Justification(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TautJust(Justification):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class KnAxiomJust(Justification):
-    substitution: tuple[tuple[str, Formula], ...]  # sorted (p_i, formula) pairs
+    # the substitution: sorted (p_i, formula) pairs
+    __slots__ = __match_args__ = ("substitution",)
 
 
-@dataclass(frozen=True)
 class MPJust(Justification):
-    implication: int
-    antecedent: int
+    __slots__ = __match_args__ = ("implication", "antecedent")
 
 
-@dataclass(frozen=True)
 class NecJust(Justification):
-    source: int
+    __slots__ = __match_args__ = ("source",)
 
 
-@dataclass(frozen=True)
 class RMJust(Justification):
-    source: int
+    __slots__ = __match_args__ = ("source",)
 
 
-@dataclass(frozen=True)
 class REJust(Justification):
-    source: int | None = None  # None: the equivalence is itself tautological
+    # source None: the equivalence is itself tautological
+    __slots__ = __match_args__ = ("source",)
 
 
-@dataclass(frozen=True)
 class PLFromJust(Justification):
-    sources: tuple[int, ...]
+    __slots__ = __match_args__ = ("sources",)
 
 
-@dataclass(frozen=True)
-class ProofLine:
-    formula: Formula
-    justification: Justification
+class ProofLine(Node):
+    __slots__ = __match_args__ = ("formula", "justification")
 
 
-@dataclass(frozen=True)
-class ProofScript:
-    arity: int
-    lines: tuple[ProofLine, ...]
+class ProofScript(Node):
+    __slots__ = __match_args__ = ("arity", "lines")
 
     def theorem(self) -> Formula:
         return self.lines[-1].formula
 
 
-@dataclass(frozen=True)
-class LineReport:
-    line: int  # 1-based
-    reason: str
+class LineReport(Node):
+    __slots__ = __match_args__ = ("line", "reason")  # line: 1-based
 
 
 # ---------------------------------------------------------------------------

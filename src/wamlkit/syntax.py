@@ -1,4 +1,5 @@
-"""Formula ASTs, parsing, printing, and structural metrics.
+"""Formula ASTs, parsing, printing, and structural metrics; and the
+package's two kinds of immutable value, hash-consed nodes and records.
 
 Grammar (ASCII): letters ``[a-z][a-z0-9_]*`` (the words ``true``,
 ``false``, ``box``, ``dia`` are reserved), ``~`` not, ``&`` and, ``|`` or,
@@ -21,24 +22,27 @@ from .errors import FormulaParseError
 _T = TypeVar("_T")
 
 
-class Formula:
-    """A formula node.  Nodes are hash-consed: building a node whose class
-    and operands equal those of a live node returns that node, so equal
-    formulas are one object, ``==`` is identity, and building a node
-    neither recurses nor compares trees.  Nodes are immutable, and the
-    table holds them weakly: a node leaves it with its last reference."""
+class Node:
+    """A hash-consed value: formulas, their first-order translations,
+    proof terms and reports.  Building a node whose class and fields equal
+    those of a live node returns that node, so equal nodes are one object,
+    ``==`` is identity, and building a node neither recurses nor compares
+    trees.  Nodes are immutable, and the table holds them weakly: a node
+    leaves it with its last reference.  A subclass names its fields in
+    ``__slots__ = __match_args__``.  Fields are matched by ``==``, so no
+    field may hold a bool in one node and an int in another."""
 
     __slots__ = ("__weakref__",)
     __match_args__: tuple[str, ...] = ()
 
-    def __new__(cls, *operands):
-        key = (cls, *operands)
+    def __new__(cls, *fields):
+        key = (cls, *fields)
         node = _NODES.get(key)
         if node is None:
-            if len(operands) != len(cls.__match_args__):
-                raise TypeError(f"{cls.__name__} takes {len(cls.__match_args__)} operands")
+            if len(fields) != len(cls.__match_args__):
+                raise TypeError(f"{cls.__name__} takes the fields {cls.__match_args__}")
             node = object.__new__(cls)
-            for name, value in zip(cls.__match_args__, operands):
+            for name, value in zip(cls.__match_args__, fields):
                 object.__setattr__(node, name, value)
             _NODES[key] = node
         return node
@@ -50,20 +54,20 @@ class Formula:
 
     def __repr__(self) -> str:
         # the dataclass text, e.g. ``Not(operand=Letter(name='p'))``, built
-        # with an explicit stack of nodes and finished pieces, so that no
-        # repr recurses
+        # with an explicit stack of values and finished pieces, so that no
+        # repr recurses through nested nodes or records
         pieces: list[str] = []
         stack: list = [self]
         while stack:
             g = stack.pop()
-            if not isinstance(g, Formula):
+            if not isinstance(g, (Node, Record)):
                 pieces.append(g)
                 continue
             items = [type(g).__qualname__ + "("]
             for i, name in enumerate(g.__match_args__):
                 value = getattr(g, name)
                 items.append(f"{', ' if i else ''}{name}=")
-                items.append(value if isinstance(value, Formula) else repr(value))
+                items.append(value if isinstance(value, (Node, Record)) else repr(value))
             items.append(")")
             stack += reversed(items)
         return "".join(pieces)
@@ -74,8 +78,37 @@ class Formula:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-# (class, *operands) -> the live node built from them
-_NODES: weakref.WeakValueDictionary[tuple, Formula] = weakref.WeakValueDictionary()
+# (class, *fields) -> the live node built from them
+_NODES: weakref.WeakValueDictionary[tuple, Node] = weakref.WeakValueDictionary()
+
+
+class Record:
+    """An immutable value that is not interned, for one that holds a model
+    or a dict: fields named in ``__match_args__``, given by position or
+    keyword, and ``==`` field by field within one class.  Its ``__dict__``
+    holds any ``cached_property`` views, which write to it directly."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init__(self, *values, **named):
+        fields = self.__match_args__
+        if len(values) > len(fields) or named.keys() != set(fields[len(values):]):
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}")
+        self.__dict__.update(zip(fields, values), **named)
+
+    __setattr__ = __delattr__ = Node.__setattr__
+    __repr__ = Node.__repr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__match_args__)
+
+
+class Formula(Node):
+    """A modal formula."""
+
+    __slots__ = ()
 
 
 class Letter(Formula):

@@ -10,7 +10,6 @@ The output has exactly one free variable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import BudgetExceededError, InvalidArgumentError
 from .model import NModel
@@ -23,6 +22,7 @@ from .syntax import (
     Iff,
     Implies,
     Letter,
+    Node,
     Not,
     Or,
     Top,
@@ -34,65 +34,50 @@ from .syntax import (
 MAX_TRANSLATION_NODES = 1_000_000
 
 
-@dataclass(frozen=True)
-class FolFormula:
-    pass
+class FolFormula(Node):
+    """A first-order formula."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class LetterPred(FolFormula):
-    letter: str
-    var: str
+    __slots__ = __match_args__ = ("letter", "var")
 
 
-@dataclass(frozen=True)
 class Rel(FolFormula):
-    args: tuple[str, ...]
+    __slots__ = __match_args__ = ("args",)
 
 
-@dataclass(frozen=True)
 class FolTop(FolFormula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FolBottom(FolFormula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FolNot(FolFormula):
-    operand: FolFormula
+    __slots__ = __match_args__ = ("operand",)
 
 
-@dataclass(frozen=True)
 class FolAnd(FolFormula):
-    left: FolFormula
-    right: FolFormula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class FolOr(FolFormula):
-    left: FolFormula
-    right: FolFormula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class FolImplies(FolFormula):
-    left: FolFormula
-    right: FolFormula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Forall(FolFormula):
-    var: str
-    body: FolFormula
+    __slots__ = __match_args__ = ("var", "body")
 
 
-@dataclass(frozen=True)
 class Exists(FolFormula):
-    var: str
-    body: FolFormula
+    __slots__ = __match_args__ = ("var", "body")
 
 
 def st_size(f: Formula, arity: int) -> int:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from . import semantics
@@ -24,16 +23,18 @@ from .errors import (
     UnknownWorldError,
 )
 from .model import NModel, make_model, require_same_arity
-from .syntax import Formula
+from .syntax import Formula, Node, Record
 
 DEFAULT_NODE_BUDGET = 50_000
 
+# A locality sweep holds a mask per row, one row per depth, whatever its
+# budget; sweeps of more rows are refused.
+MAX_SWEEP_ROWS = 2_000_000
 
-@dataclass(frozen=True)
-class UnravelResult:
-    model: NModel
-    root: str
-    projection: dict[str, str]  # node id -> original world
+
+class UnravelResult(Record):
+    # projection: node id -> original world
+    __match_args__ = ("model", "root", "projection")
 
 
 # the separators of node ids, and ``%`` itself, percent-escaped in world
@@ -105,11 +106,11 @@ def unravel(
     return UnravelResult(unravelled, root[0], projection)
 
 
-@dataclass(frozen=True)
-class LocalitySweep:
-    reference: bool  # truth of the formula at the original point
-    agree: tuple[bool, ...]  # per depth 0..max_depth: the unraveling agrees
-    least_stable_depth: int | None  # agreement holds from here on, if ever
+class LocalitySweep(Node):
+    # reference: the truth of the formula at the original point; agree:
+    # per depth 0..max_depth, whether the unraveling agrees; least stable
+    # depth: agreement holds from here on, if ever
+    __slots__ = __match_args__ = ("reference", "agree", "least_stable_depth")
 
 
 def unraveling_sizes(m: NModel, w: str, max_depth: int) -> Iterator[tuple[int, int]]:
@@ -179,12 +180,18 @@ def locality_sweep(
     still bounds the unravelings' nodes and tuples, as ``unravel`` does.
     It bounds the sweep's ``max_depth + 1`` rows too, which an unraveling
     that dies out leaves unbounded otherwise; they are checked last,
-    before any depth is evaluated."""
+    before any depth is evaluated.  Rows over ``MAX_SWEEP_ROWS`` are
+    refused first, before the unravelings are counted."""
     ev = semantics.ModelEvaluator(m)
     reference = ev.holds(w, f)
     if max_depth < 0:
         raise InvalidArgumentError("max_depth must be >= 0")
     _check_budget(max_nodes)
+    if max_depth + 1 > MAX_SWEEP_ROWS:
+        raise BudgetExceededError(
+            f"a sweep to depth {max_depth} has {max_depth + 1} rows, "
+            f"over the cap of {MAX_SWEEP_ROWS}"
+        )
     for depth, (nodes, tuples) in enumerate(_sizes_until_stable(m, w, max_depth)):
         if nodes > max_nodes:
             raise _over_budget(depth, max_nodes, "node")
@@ -208,10 +215,9 @@ def locality_sweep(
     return LocalitySweep(reference, agree, least)
 
 
-@dataclass(frozen=True)
-class PmorphismViolation:
-    condition: str  # "valuation" | "forward" | "back"
-    detail: str
+class PmorphismViolation(Node):
+    # condition: "valuation" | "forward" | "back"
+    __slots__ = __match_args__ = ("condition", "detail")
 
 
 def check_pmorphism(

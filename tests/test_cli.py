@@ -392,6 +392,30 @@ def test_experiment_locality_rows_count_against_the_budget(capsys):
     )
 
 
+def test_experiment_locality_at_a_huge_depth_is_refused(capsys):
+    # a budget as large as the rows let a sweep of 10**9 + 1 rows be padded
+    # out, which ended in a MemoryError traceback with exit 1
+    argv = ["experiment", "locality", str(fixture("m2.json")), "w", "p"]
+    assert main([*argv, "--max-depth", "1000000000", "--budget", "2000000000"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: a sweep to depth 1000000000 has 1000000001 rows, over the cap of 2000000\n",
+    )
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wamlkit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=60,
+        check=True,
+    )
+    assert proc.stdout == b"[]\n"
+
+
 def test_a_model_compared_with_itself_is_parsed_once(tmp_path, capsys, monkeypatch):
     loads = []
     monkeypatch.setattr(model, "load", lambda raw: loads.append(raw) or load(raw))

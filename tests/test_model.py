@@ -211,6 +211,25 @@ def test_pointed_model_requires_member_point():
         PointedModel(m, "b")
 
 
+def test_models_are_immutable_records():
+    m = NModel(arity=1, worlds=("a", "b"), relation=frozenset({("a", "b")}),
+               valuation={"a": frozenset({"p"}), "b": frozenset()})
+    assert m == make_model(1, ["a", "b"], [("a", "b")], {"a": ["p"]})
+    assert m != make_model(1, ["a", "b"], [("a", "b")], {}) and m != (1,)
+    for name in ("arity", "relation", "successors"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, None)
+    with pytest.raises(AttributeError):
+        del m.worlds
+    # the cached views still fill in, past the refused assignment
+    assert m.successors == {"a": (("b",),), "b": ()} and m.letter_masks == {"p": 1}
+    assert PointedModel(point="b", model=m).point == "b"
+    with pytest.raises(TypeError):
+        NModel(1, ("a",), frozenset(), {}, "extra")
+    with pytest.raises(TypeError):
+        PointedModel(m, model=m)
+
+
 def test_model_to_dict_sorted():
     m = make_model(1, ["b", "a"], [("b", "a")], {"b": ["q", "p"]})
     d = model_to_dict(m)

@@ -2,12 +2,12 @@ import gc
 import itertools
 import json
 import os
+import pickle
 import random
 import resource
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -169,7 +169,7 @@ def test_mp_nec_rm_rules():
 def test_re_rule_both_flavors():
     taut_flavor = ProofScript(
         1,
-        (ProofLine(parse("box (p & q) <-> box (q & p)"), REJust()),),
+        (ProofLine(parse("box (p & q) <-> box (q & p)"), REJust(None)),),
     )
     assert check_script(taut_flavor) is None
     cited_flavor = ProofScript(
@@ -182,7 +182,7 @@ def test_re_rule_both_flavors():
     assert check_script(cited_flavor) is None
     wrong = ProofScript(
         1,
-        (ProofLine(parse("box p <-> box q"), REJust()),),
+        (ProofLine(parse("box p <-> box q"), REJust(None)),),
     )
     report = check_script(wrong)
     assert report is not None and "biconditional" in report.reason
@@ -221,7 +221,7 @@ def test_tautology_atom_cap_in_re_and_plfrom_lines():
     conj = Letter("a0")
     for i in range(1, 21):
         conj = And(conj, Letter(f"a{i}"))
-    script = ProofScript(1, (ProofLine(Iff(Box(conj), Box(conj)), REJust()),))
+    script = ProofScript(1, (ProofLine(Iff(Box(conj), Box(conj)), REJust(None)),))
     with pytest.raises(BudgetExceededError, match=r"^line 1: .* exceeds the cap of 20$"):
         check_script(script)
     script = ProofScript(
@@ -492,7 +492,7 @@ def _mutants(script, rng, replacements):
     ]
     for _ in range(3):
         i, j = rng.sample(range(len(lines)), 2)
-        yield replace(lines[i], justification=lines[j].justification), i
+        yield ProofLine(lines[i].formula, lines[j].justification), i
         k, line = rng.choice(citing)
         later = rng.randint(k + 1, len(lines) + 1)
         match line.justification:
@@ -503,10 +503,10 @@ def _mutants(script, rng, replacements):
                 moved[rng.randrange(len(moved))] = later
                 just = PLFromJust(tuple(moved))
             case other:
-                just = replace(other, source=later)
-        yield replace(line, justification=just), k
+                just = type(other)(later)
+        yield ProofLine(line.formula, just), k
         k = rng.randrange(len(lines))
-        yield replace(lines[k], formula=rng.choice(replacements)), k
+        yield ProofLine(rng.choice(replacements), lines[k].justification), k
 
 
 def test_memoised_checker_matches_the_reference_checker():
@@ -549,6 +549,24 @@ def test_expansion_through_a_shared_memo_matches_a_fresh_one():
     for f in formulas:
         assert expand_diamonds(f, memo) == expand_diamonds(f), print_formula(f)
     assert all(memo[g] == g for g in memo.values())
+
+
+def test_proof_terms_keep_their_value_semantics():
+    assert NecJust(1) == NecJust(1) and NecJust(1) is NecJust(1)
+    assert NecJust(1) != RMJust(1) and NecJust(1) != (1,) and REJust(None) != REJust(1)
+    assert PLFromJust((1, 2)) != PLFromJust((2, 1))
+    script = interp.build_counterexample(3).refutation
+    assert pickle.loads(pickle.dumps(script)) is script
+    assert script == ProofScript(script.arity, tuple(script.lines))
+    for node, name in ((NecJust(1), "source"), (script.lines[0], "formula"), (script, "arity")):
+        with pytest.raises(AttributeError):
+            setattr(node, name, 2)
+    with pytest.raises(TypeError, match="REJust takes the fields"):
+        REJust()
+    assert repr(ProofLine(parse("p -> p"), MPJust(1, 2))) == (
+        "ProofLine(formula=Implies(left=Letter(name='p'), right=Letter(name='p')), "
+        "justification=MPJust(implication=1, antecedent=2))"
+    )
 
 
 def test_check_script_expands_each_subformula_once(monkeypatch):

@@ -1,5 +1,6 @@
-import dataclasses
+import pickle
 import random
+import sys
 
 import pytest
 
@@ -13,6 +14,7 @@ from wamlkit.translate import (
     Exists,
     Forall,
     FolAnd,
+    FolFormula,
     FolImplies,
     FolNot,
     FolOr,
@@ -144,11 +146,31 @@ def test_render_text_keeps_variables():
     assert "$true" in render_text(st(parse("true"), 1, "x"))
 
 
+def test_deep_translations_are_one_node_and_do_not_recurse():
+    # 3000 nested quantifiers, past the recursion limit
+    a, b = st(parse("box p"), 3000), st(parse("box p"), 3000)
+    assert sys.getrecursionlimit() < 3000
+    assert a is b and a == b and hash(a) == hash(b)
+    text = repr(a)
+    assert text.startswith("Forall(var='y1', body=Forall(var='y2', body=")
+    assert text.count("Forall(") == 3000 and text.endswith("'y3000')))" + ")" * 3000)
+
+
+def test_first_order_nodes_are_immutable_values():
+    g = st(parse("dia p"), 2)
+    assert g is st(parse("dia p"), 2) and pickle.loads(pickle.dumps(g)) is g
+    assert LetterPred("p", "x") != Rel(("p", "x")) and FolNot(g) != (g,)
+    for node, name in ((g, "body"), (LetterPred("p", "x"), "var"), (Rel(("x",)), "args")):
+        with pytest.raises(AttributeError):
+            setattr(node, name, "y")
+    assert repr(LetterPred("p", "x")) == "LetterPred(letter='p', var='x')"
+
+
 def _fol_nodes(g):
     return 1 + sum(
         _fol_nodes(v)
-        for v in (getattr(g, field.name) for field in dataclasses.fields(g))
-        if dataclasses.is_dataclass(v)
+        for v in (getattr(g, name) for name in g.__match_args__)
+        if isinstance(v, FolFormula)
     )
 
 

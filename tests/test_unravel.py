@@ -18,6 +18,7 @@ from wamlkit.semantics import ModelEvaluator
 from wamlkit.syntax import enumeration_program, modal_depth, parse, random_formula
 from wamlkit.unravel import (
     DEFAULT_NODE_BUDGET,
+    MAX_SWEEP_ROWS,
     LocalitySweep,
     UnravelResult,
     check_pmorphism,
@@ -234,6 +235,24 @@ def test_unravel_stops_where_the_unraveling_dies_out(monkeypatch):
     with pytest.raises(BudgetExceededError, match="1000001 rows, over the 50000-row"):
         locality_sweep(m, "w", parse("box ~p"), 10**6)
     assert len(consumed) <= 3
+
+
+def test_locality_sweep_rows_are_capped_whatever_the_budget(monkeypatch):
+    m = make_model(2, ["w", "u"], [("w", "u", "u")], {"u": ["p"]})
+    counted = []
+    monkeypatch.setattr(
+        "wamlkit.unravel.unraveling_sizes", lambda *args: counted.append(args) or iter(())
+    )
+    # one row past the cap is refused before any unraveling is counted
+    with pytest.raises(BudgetExceededError, match=f"{MAX_SWEEP_ROWS + 1} rows, over the cap of"):
+        locality_sweep(m, "w", parse("box ~p"), MAX_SWEEP_ROWS, max_nodes=10**12)
+    with pytest.raises(BudgetExceededError, match="over the cap of"):
+        locality_sweep(m, "w", parse("p"), 10**9, max_nodes=2 * 10**9)
+    assert counted == []
+    # a sweep at the cap meets the budget's row check as before
+    with pytest.raises(BudgetExceededError, match=f"{MAX_SWEEP_ROWS} rows, over the 10-row budget"):
+        locality_sweep(m, "w", parse("box ~p"), MAX_SWEEP_ROWS - 1, max_nodes=10)
+    assert len(counted) == 1
 
 
 def test_tree_skeleton_unique_parents(cyclic):
