@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest of the CLI's behaviour on a fixed seeded corpus.
 
-Runs 1,122 argvs through ``wamlkit.cli.main`` in-process, each in
+Runs 1,124 argvs through ``wamlkit.cli.main`` in-process, each in
 text mode and with ``--json``, and prints one line per run: the run
 number, the exit code, the sha256 of stdout, the sha256 of stderr, the
 sha256 of every file the run wrote (``--out``, ``--emit-rmap``,
@@ -27,7 +27,9 @@ on ``proof2.json`` with line 1's substitution tampered.  The last argv runs
 tuples lies down a preorder path 1,024 relations deep.  The 6 after it
 read two files past the limits of ``json.loads`` as a model (``mc``), a
 relation (``bisim check``) and a proof (``proof check``): arrays nested
-100,000 deep, and an integer of 5,000 digits.  Its models, relations
+100,000 deep, and an integer of 5,000 digits.  The 2 after those ask for
+constructions past their size caps: ``proof check`` of an arity-200
+``KnAxiom`` line, and ``interp demo --n 3000``.  Its models, relations
 and scripts are generated here, from the seed alone, and written to a
 temporary directory under relative names, so two source trees can be
 compared line by line:
@@ -346,6 +348,20 @@ def json_limit_corpus(directory: Path) -> list[list[str]]:
     return argvs
 
 
+def cap_corpus(directory: Path) -> list[list[str]]:
+    """Axiom instances past the cap on their disjuncts, refused before
+    they are built: a ``proof check`` script of one arity-200 ``KnAxiom``
+    line (20,100 disjuncts) and ``interp demo --n 3000``."""
+    script = {"arity": 200, "lines": [{
+        "formula": "p",
+        "just": {"kind": "KnAxiom", "subst": {f"p{i}": "p" for i in range(201)}},
+    }]}
+    return [
+        ["proof", "check", _write(directory, "proof_arity200.json", script)],
+        ["interp", "demo", "--n", "3000", "--sat-bound", "1"],
+    ]
+
+
 # the options whose value names a file (or, for a bundle, a directory)
 # that a run writes
 _OUTPUT_OPTIONS = ("--out", "--emit-rmap", "--emit-bundle")
@@ -405,6 +421,7 @@ def main() -> None:
             argvs += proof_corpus(Path(tmp))
             argvs.append(["sat", "dia p & dia ~p", "--arity", "10", "--max-worlds", "2"])
             argvs += json_limit_corpus(Path(tmp))
+            argvs += cap_corpus(Path(tmp))
             runs = [argv + mode for argv in argvs for mode in ([], ["--json"])]
             for number, argv in enumerate(runs):
                 outputs = written(argv)

@@ -86,12 +86,26 @@ def build_counterexample(n: int) -> CounterexampleBundle:
     hand-crafted.  For n >= 3 the left side forces p at a successor of
     every tuple while the right side forces ~p, with pairwise-incompatible
     tags keeping the right boxes distinct: every disjunct is
-    contradictory, and so is the target."""
+    contradictory, and so is the target.  From n = 45 on the axiom
+    instance is over ``proof.MAX_AXIOM_PAIRS``, and its
+    ``BudgetExceededError`` comes before any model is built."""
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
     p, q, r = Letter("p"), Letter("q"), Letter("r")
     if n == 2:
         args = [Or(Not(p), Not(q)), And(p, r), And(p, Not(r))]
+    else:
+        args = [And(p, Not(q)), And(p, q)]
+        if n == 3:
+            args += [And(Not(p), r), And(Not(p), Not(r))]
+        else:
+            width = tag_width(n)
+            args += [And(Not(p), binary_tag(i, width)) for i in range(1, n)]
+    # the instance before the models: its size cap refuses a large n
+    # before the relation of O(n**2) pairs is built
+    subst = {f"p{i}": g for i, g in enumerate(args)}
+    axiom = proof.kn_axiom(n, subst)
+    if n == 2:
         phi = And(Box(args[0]), Diamond(q))
         psi = And(Box(args[1]), Box(args[2]))
         target = And(p, Not(q))
@@ -122,9 +136,7 @@ def build_counterexample(n: int) -> CounterexampleBundle:
         )
         pairs = {("w", "v"), ("w1", "v1"), ("w2", "v2"), ("w3", "v1"), ("w3", "v2")}
     else:
-        args = [And(p, Not(q)), And(p, q)]
         if n == 3:
-            args += [And(Not(p), r), And(Not(p), Not(r))]
             taut, target = Or(p, Not(p)), And(p, Not(p))
             left = make_model(
                 3,
@@ -142,8 +154,6 @@ def build_counterexample(n: int) -> CounterexampleBundle:
                 ("w", "v"), ("w1", "v3"), ("w2", "v3"), ("w3", "v1"), ("w3", "v2")
             }
         else:
-            width = tag_width(n)
-            args += [And(Not(p), binary_tag(i, width)) for i in range(1, n)]
             taut, target = Top(), Bottom()
             left_worlds = ["w"] + [f"w{i}" for i in range(1, n + 1)]
             left_val = {"w1": ["p"], "w2": ["p", "q"]}
@@ -166,8 +176,6 @@ def build_counterexample(n: int) -> CounterexampleBundle:
             ProofLine(Implies(Box(target), Box(Not(taut))), RMJust(4)),
             ProofLine(Implies(phi, Not(psi)), PLFromJust((3, 5))),
         ]
-    subst = {f"p{i}": g for i, g in enumerate(args)}
-    axiom = proof.kn_axiom(n, subst)
     refutation = ProofScript(n, (
         ProofLine(axiom, KnAxiomJust(tuple(sorted(subst.items())))),
         ProofLine(Iff(axiom.right, Box(target)), REJust(None)),

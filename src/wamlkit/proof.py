@@ -33,6 +33,7 @@ from .syntax import (
     compile_formula,
     conj,
     disj,
+    fold,
     fold_program,
     parse,
     print_formula,
@@ -100,21 +101,10 @@ def _expand_step(node: Formula, op: type, *operands: Formula) -> Formula:
     return op(*operands) if operands else node
 
 
-def expand_diamonds(f: Formula, memo: dict[Formula, Formula] | None = None) -> Formula:
-    """Rewrite every diamond into its negated-box form.  ``memo`` maps
-    nodes to their expansions: f is compiled with its nodes as known, so
-    none is walked again, and every expansion computed here is added,
-    mapped from its node and from itself (an expansion has no diamonds)."""
-    memo = {} if memo is None else memo
-
-    def step(node: Formula, op: type | None, *operands: Formula) -> Formula:
-        if op is None:
-            return memo[node]
-        g = memo[node] = _expand_step(node, op, *operands)
-        memo[g] = g
-        return g
-
-    return fold_program(compile_formula(f, memo), step)[-1]
+def expand_diamonds(f: Formula) -> Formula:
+    """Rewrite every diamond into its negated-box form: one fold over f,
+    each distinct subformula expanded once."""
+    return fold(f, _expand_step)
 
 
 class _PropositionalAtoms:
@@ -124,16 +114,11 @@ class _PropositionalAtoms:
         return type(g) is Letter or type(g) is Box
 
 
-def is_tautology(f: Formula, memo: dict[Formula, Formula] | None = None) -> bool:
-    """Exact truth-table check after abstracting maximal boxed subformulas
-    (syntactically identical boxes share an atom, nothing else does).
-
-    The diamond-free form of f (from ``expand_diamonds(f, memo)``) is
-    compiled once with its letters and maximal boxes as known leaves, and
-    its program is run once over all 2**k rows of the k atoms: the leaf
-    gives atom b the column ``bit_pattern(b, 2**k)``, and f must come out
-    true in every row."""
-    program = compile_formula(expand_diamonds(f, memo), _PropositionalAtoms())
+def _tautological(f: Formula) -> bool:
+    # the truth table of a diamond-free f: compiled with its letters and
+    # maximal boxes as known leaves, its program is run once over all 2**k
+    # rows of the k atoms, atom b taking the column ``bit_pattern(b, 2**k)``
+    program = compile_formula(f, _PropositionalAtoms())
     atoms = [node for node, op, _, _ in program if op is None]
     if len(atoms) > MAX_TAUTOLOGY_ATOMS:
         raise BudgetExceededError(
@@ -146,22 +131,31 @@ def is_tautology(f: Formula, memo: dict[Formula, Formula] | None = None) -> bool
     return run_program(program, full, lambda g, operand: columns[g])[-1] == full
 
 
-def tautological_consequence(
-    premises: list[Formula],
-    conclusion: Formula,
-    memo: dict[Formula, Formula] | None = None,
-) -> bool:
-    return is_tautology(Implies(conj(premises), conclusion), memo)
+def is_tautology(f: Formula) -> bool:
+    """Exact truth-table check of ``expand_diamonds(f)`` after abstracting
+    maximal boxed subformulas (syntactically identical boxes share an
+    atom, nothing else does): f must come out true in every row."""
+    return _tautological(expand_diamonds(f))
 
 
 # ---------------------------------------------------------------------------
 # The axiom schema
 
+MAX_AXIOM_PAIRS = 1_000  # pairwise disjuncts, refused before any is built
+
+
 def kn_axiom(arity: int, substitution: Mapping[str, Formula]) -> Formula:
     """The arity-n axiom instance under the substitution for p0..pn, with
-    the pairwise disjunction enumerated in lexicographic (i, j) order."""
+    the pairwise disjunction enumerated in lexicographic (i, j) order.
+    Raises BudgetExceededError past ``MAX_AXIOM_PAIRS`` disjuncts."""
     if arity < 1:
         raise InvalidArgumentError("arity must be >= 1")
+    count = arity * (arity + 1) // 2
+    if count > MAX_AXIOM_PAIRS:
+        raise BudgetExceededError(
+            f"the axiom instance at arity {arity} has {count} disjuncts, over "
+            f"the cap of {MAX_AXIOM_PAIRS}"
+        )
     names = [f"p{i}" for i in range(arity + 1)]
     missing = [p for p in names if p not in substitution]
     if missing:
@@ -184,43 +178,40 @@ class _NotEarlier(Exception):
 
 def check_script(script: ProofScript) -> LineReport | None:
     """None when every line validates; otherwise the first invalid line
-    with the reason.  A line whose tautology check is over the atom cap is
-    no verdict: its ``BudgetExceededError`` is raised again with the line
-    number in front.
-
-    Every diamond expansion of the call shares one memo, so each distinct
-    subformula of the script is expanded once; the memo lives only as long
-    as the call."""
+    with the reason.  A line over the atom cap or the axiom cap is no
+    verdict: its ``BudgetExceededError`` is raised again with the line
+    number in front.  The lines are compiled into one program and the
+    diamond expansion is one fold over it, so each distinct subformula is
+    expanded once; the checks take their truth tables on those forms."""
     if script.arity < 1:
         return LineReport(0, f"arity must be >= 1, got {script.arity}")
     if not script.lines:
         return LineReport(0, "script has no lines")
-    memo: dict[Formula, Formula] = {}
-    norms: list[Formula] = []
+    program = compile_formula(conj([line.formula for line in script.lines]))
+    norm = dict(zip([i[0] for i in program], fold_program(program, _expand_step)))
     for number, line in enumerate(script.lines, start=1):
-        current = expand_diamonds(line.formula, memo)
+        current = norm[line.formula]
 
         def cited(index: int) -> Formula:
             if not 1 <= index < number:
                 raise _NotEarlier
-            return norms[index - 1]
+            return norm[script.lines[index - 1].formula]
 
         try:
-            reason = _check_line(script.arity, current, line.justification, cited, memo)
-        except BudgetExceededError as e:  # from ``is_tautology`` alone
+            reason = _check_line(script.arity, line, current, cited)
+        except BudgetExceededError as e:  # from a cap alone
             raise BudgetExceededError(f"line {number}: {e}") from e
         except _NotEarlier:
             reason = "cited line must be strictly earlier"
         if reason is not None:
             return LineReport(number, reason)
-        norms.append(current)
     return None
 
 
-def _check_line(arity, current, just, cited, memo) -> str | None:
-    match just:
+def _check_line(arity, line, current, cited) -> str | None:
+    match line.justification:
         case TautJust():
-            if not is_tautology(current, memo):
+            if not _tautological(current):
                 return "not a propositional tautology after abstraction"
             return None
         case KnAxiomJust(substitution):
@@ -231,12 +222,16 @@ def _check_line(arity, current, just, cited, memo) -> str | None:
                 f"p{i}" for i in range(arity + 1)
             }:
                 return f"substitution domain must be exactly p0..p{arity}"
-            expected = expand_diamonds(kn_axiom(arity, subst), memo)
-            if current != expected:
-                return (
-                    "formula is not the stated axiom instance; expected "
-                    + print_formula(expected)
-                )
+            instance = kn_axiom(arity, subst)
+            # formulas are hash-consed: a right instance is the line's own
+            # formula, and only another one is expanded here
+            if instance != line.formula:
+                expected = expand_diamonds(instance)
+                if current != expected:
+                    return (
+                        "formula is not the stated axiom instance; expected "
+                        + print_formula(expected)
+                    )
             return None
         case MPJust(implication, antecedent):
             impl = cited(implication)
@@ -269,7 +264,7 @@ def _check_line(arity, current, just, cited, memo) -> str | None:
                 return "formula must be a biconditional between two boxes"
             equivalence = Iff(current.left.operand, current.right.operand)
             if source is None:
-                if not is_tautology(equivalence, memo):
+                if not _tautological(equivalence):
                     return "the unboxed biconditional is not a tautology"
                 return None
             src = cited(source)
@@ -278,10 +273,10 @@ def _check_line(arity, current, just, cited, memo) -> str | None:
             return None
         case PLFromJust(sources):
             premises = [cited(index) for index in sources]
-            if not tautological_consequence(premises, current, memo):
+            if not _tautological(Implies(conj(premises), current)):
                 return "not a tautological consequence of the cited lines"
             return None
-    return f"unknown justification {just!r}"
+    return f"unknown justification {line.justification!r}"
 
 
 # ---------------------------------------------------------------------------

@@ -389,8 +389,30 @@ def _print_step(node: Formula, op: type, *operands: tuple[int, str]) -> tuple[in
 
 
 def print_formula(f: Formula) -> str:
-    """Render with minimal parentheses; ``parse(print_formula(f)) == f``."""
-    return fold(f, _print_step)[1]
+    """Render with minimal parentheses; ``parse(print_formula(f)) == f``.
+    The text is written piece by piece off one explicit stack, so a long
+    chain costs the memory of its text, not of every prefix of it."""
+    pieces: list[str] = []
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is str:
+            pieces.append(g)
+        elif type(g) is Letter:
+            pieces.append(g.name)
+        else:
+            operands = _operands(g)
+            _, prefix, infix, least = _NOTATION[type(g)]
+            items = [prefix]
+            for k, (h, m) in enumerate(zip(operands, least)):
+                if k:
+                    items.append(infix)
+                if type(h) is not Letter and _NOTATION[type(h)][0] < m:
+                    items += ("(", h, ")")
+                else:
+                    items.append(h)
+            stack += reversed(items)
+    return "".join(pieces)
 
 
 def _depth_step(node: Formula, op: type, *depths: int) -> int:

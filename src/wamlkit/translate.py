@@ -9,6 +9,7 @@ The output has exactly one free variable.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .errors import BudgetExceededError, InvalidArgumentError
@@ -190,7 +191,10 @@ def free_variables(g: FolFormula) -> frozenset[str]:
 
 def fol_eval(m: NModel, assignment: dict[str, str], g: FolFormula) -> bool:
     """Tarskian satisfaction over m viewed as a first-order structure;
-    quantifiers range over m.worlds."""
+    quantifiers range over m.worlds.  A block of like quantifiers is read
+    in one loop over tuples of worlds, and an ``FolAnd``/``FolOr`` chain
+    in one loop over its operands, so the translation of one modal
+    operator is evaluated at one depth of recursion whatever the arity."""
     missing = sorted(free_variables(g) - set(assignment))
     if missing:
         raise InvalidArgumentError(f"unassigned free variables: {', '.join(missing)}")
@@ -207,19 +211,44 @@ def fol_eval(m: NModel, assignment: dict[str, str], g: FolFormula) -> bool:
                 return False
             case FolNot(b):
                 return not go(b, env)
-            case FolAnd(l, r):
-                return go(l, env) and go(r, env)
-            case FolOr(l, r):
-                return go(l, env) or go(r, env)
+            case FolAnd() | FolOr():
+                test = all if type(h) is FolAnd else any
+                return test(go(p, env) for p in _chain(h, type(h)))
             case FolImplies(l, r):
                 return (not go(l, env)) or go(r, env)
-            case Forall(var, body):
-                return all(go(body, {**env, var: w}) for w in m.worlds)
-            case Exists(var, body):
-                return any(go(body, {**env, var: w}) for w in m.worlds)
+            case Forall() | Exists():
+                test = all if type(h) is Forall else any
+                names, body = _block(h)
+                # a variable bound twice in the block takes its inner value
+                return test(
+                    go(body, {**env, **dict(zip(names, ws))})
+                    for ws in itertools.product(m.worlds, repeat=len(names))
+                )
         raise TypeError(f"not a first-order formula: {h!r}")
 
     return go(g, dict(assignment))
+
+
+def _chain(h: FolFormula, cls: type) -> list[FolFormula]:
+    # the operands of the cls chain at h, left to right, off a stack
+    operands, stack = [], [h]
+    while stack:
+        h = stack.pop()
+        if type(h) is cls:
+            stack += (h.right, h.left)
+        else:
+            operands.append(h)
+    return operands
+
+
+def _block(h: FolFormula) -> tuple[list[str], FolFormula]:
+    # the variables of the block of quantifiers of h's class, outermost
+    # first, and the body under them
+    cls, names = type(h), []
+    while type(h) is cls:
+        names.append(h.var)
+        h = h.body
+    return names, h
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +258,6 @@ _TPTP_NAME_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
 
 def _render(g: FolFormula, term) -> str:
-    def flatten(h, cls):
-        # the operands of the cls chain at h, left to right, off a stack
-        operands, stack = [], [h]
-        while stack:
-            h = stack.pop()
-            if isinstance(h, cls):
-                stack += (h.right, h.left)
-            else:
-                operands.append(h)
-        return operands
-
     match g:
         case LetterPred(letter, var):
             return f"p_{letter}({term(var)})"
@@ -252,19 +270,14 @@ def _render(g: FolFormula, term) -> str:
         case FolNot(h):
             return "~ " + _render(h, term)
         case FolAnd():
-            return "(" + " & ".join(_render(p, term) for p in flatten(g, FolAnd)) + ")"
+            return "(" + " & ".join(_render(p, term) for p in _chain(g, FolAnd)) + ")"
         case FolOr():
-            return "(" + " | ".join(_render(p, term) for p in flatten(g, FolOr)) + ")"
+            return "(" + " | ".join(_render(p, term) for p in _chain(g, FolOr)) + ")"
         case FolImplies(l, r):
             return "(" + _render(l, term) + " => " + _render(r, term) + ")"
         case Forall() | Exists():
             symbol = "!" if isinstance(g, Forall) else "?"
-            cls = type(g)
-            names = []
-            body = g
-            while isinstance(body, cls):
-                names.append(body.var)
-                body = body.body
+            names, body = _block(g)
             joined = ",".join(term(v) for v in names)
             return f"{symbol} [{joined}] : " + _render(body, term)
     raise TypeError(f"not a first-order formula: {g!r}")

@@ -283,6 +283,27 @@ def test_interp_demo_refuses_a_refutation_over_the_atom_cap(capsys):
     )
 
 
+def test_interp_demo_refuses_an_axiom_over_the_pair_cap_within_a_gigabyte():
+    # the relation of about n**2 pairs, built before the refusal, ran out
+    # of memory here and ended in a traceback with exit 1
+    proc = subprocess.run(
+        [sys.executable, "-m", "wamlkit", "interp", "demo", "--n", "3000",
+         "--sat-bound", "1"],
+        capture_output=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        preexec_fn=_cap_address_space,
+        timeout=60,
+        check=False,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == (
+        b"error: the axiom instance at arity 3000 has 4501500 disjuncts, "
+        b"over the cap of 1000\n"
+    )
+
+
 # runs whose output path cannot be written: {dir} is an existing
 # directory, {file} an existing file
 _WRITE_FAILURES = {
@@ -615,7 +636,7 @@ def test_malformed_json_file_exits_2_without_traceback(tmp_path, argv, text):
 
 # the sha256 of ``scripts/cli_digest.py``'s output (seed 0); a change that
 # moves the CLI's bytes on purpose updates it and says so in CHANGES.md
-CLI_DIGEST_SHA256 = "302ccaaa92d97009382a806a9fbd77d0bc3f6c37cf58c44eeea3289283664958"
+CLI_DIGEST_SHA256 = "76f8661d7640f8b39baa415c82ecc89bd3c472e92955578585d8e9f78185b6c4"
 
 
 @pytest.mark.skipif(
@@ -630,7 +651,7 @@ def test_cli_digest_is_unchanged():
         timeout=600,
         check=True,
     )
-    assert len(proc.stdout.splitlines()) == 2244
+    assert len(proc.stdout.splitlines()) == 2248
     assert hashlib.sha256(proc.stdout).hexdigest() == CLI_DIGEST_SHA256
 
 

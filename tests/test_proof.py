@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from wamlkit import interp, proof
+from wamlkit import interp, proof, syntax
 from wamlkit.errors import BudgetExceededError, ModelLoadError
 from wamlkit.model import random_model
 from wamlkit.proof import (
@@ -368,25 +368,62 @@ def test_kn_axiom_domain_check_at_a_huge_arity_is_refused_at_once(tmp_path):
         {"formula": "p", "just": {"kind": "KnAxiom", "subst": {"p0": "p"}}}
     ]}))
 
-    def cap_address_space():  # in the child only
-        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "wamlkit", "proof", "check", str(path)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        preexec_fn=cap_address_space,
-        timeout=30,
-        check=False,
-    )
+    proc = _proof_check_in_a_gigabyte(path)
     assert proc.returncode == 1
     assert proc.stdout == (
         "invalid at line 1: substitution domain must be exactly "
         "p0..p1000000000000000000\n"
     )
     assert "Traceback" not in proc.stderr
+
+
+def _cap_address_space():  # in a child only
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+
+
+def _proof_check_in_a_gigabyte(path):
+    return subprocess.run(
+        [sys.executable, "-m", "wamlkit", "proof", "check", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        preexec_fn=_cap_address_space,
+        timeout=30,
+        check=False,
+    )
+
+
+def test_kn_axiom_refuses_an_instance_over_the_pair_cap_before_building_it():
+    # arity 44 has 990 disjuncts, 45 has 1035; the cap is checked before
+    # the substitution's names are listed
+    assert proof.MAX_AXIOM_PAIRS == 1000
+    kn_axiom(44, _id_subst(44))
+    message = "the axiom instance at arity 45 has 1035 disjuncts, over the cap of 1000"
+    with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+        kn_axiom(45, {})
+    with pytest.raises(BudgetExceededError, match="arity 1000000000000000000 "):
+        kn_axiom(10**18, {})
+    line = ProofLine(Letter("p"), KnAxiomJust(tuple(sorted(_id_subst(45).items()))))
+    with pytest.raises(BudgetExceededError, match=f"^line 1: {message}$"):
+        check_script(ProofScript(45, (line,)))
+
+
+def test_kn_axiom_line_over_the_pair_cap_exits_2_within_a_gigabyte(tmp_path):
+    # 20,100 disjuncts: building them and printing the expected instance
+    # ended in a MemoryError traceback with exit 1 here
+    path = tmp_path / "arity200.json"
+    subst = {f"p{i}": "p" for i in range(201)}
+    path.write_text(json.dumps({"arity": 200, "lines": [
+        {"formula": "p", "just": {"kind": "KnAxiom", "subst": subst}}
+    ]}))
+    proc = _proof_check_in_a_gigabyte(path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: line 1: the axiom instance at arity 200 has 20100 disjuncts, "
+        "over the cap of 1000\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -542,15 +579,6 @@ def test_memo_lives_for_one_check_script_call():
     assert ref() is None
 
 
-def test_expansion_through_a_shared_memo_matches_a_fresh_one():
-    formulas = list(enumerate_formulas({"p", "q"}, 2, 5))
-    random.Random(7).shuffle(formulas)
-    memo = {}
-    for f in formulas:
-        assert expand_diamonds(f, memo) == expand_diamonds(f), print_formula(f)
-    assert all(memo[g] == g for g in memo.values())
-
-
 def test_proof_terms_keep_their_value_semantics():
     assert NecJust(1) == NecJust(1) and NecJust(1) is NecJust(1)
     assert NecJust(1) != RMJust(1) and NecJust(1) != (1,) and REJust(None) != REJust(1)
@@ -589,3 +617,21 @@ def test_check_script_expands_each_subformula_once(monkeypatch):
     # the unboxed biconditional of the RE line, and the conjunction of the
     # premises and the implication of each of the two PLFrom lines
     assert len(set(stepped) - subformulas) <= 5
+
+
+def test_check_script_compiles_the_script_once(monkeypatch):
+    # the truth tables compile their own forms with the propositional
+    # atoms as leaves; every other compile is of the script
+    script = interp.build_counterexample(8).refutation
+    compiles = []
+    compile_formula = syntax.compile_formula
+
+    def counted(f, known=()):
+        if not isinstance(known, proof._PropositionalAtoms):
+            compiles.append(f)
+        return compile_formula(f, known)
+
+    monkeypatch.setattr(proof, "compile_formula", counted)
+    monkeypatch.setattr(syntax, "compile_formula", counted)
+    assert check_script(script) is None
+    assert len(compiles) == 1

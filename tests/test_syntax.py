@@ -5,6 +5,7 @@ import pickle
 import random
 import re
 import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -29,6 +30,7 @@ from wamlkit.syntax import (
     ast_size,
     compile_formula,
     conj,
+    disj,
     enumerate_formulas,
     enumeration_program,
     formula_key,
@@ -666,6 +668,22 @@ _DEEP = {
         True,
     ),
 }
+
+
+def test_print_formula_of_a_long_chain_costs_the_memory_of_its_text():
+    # a fold keeping the text of every prefix of the chain peaked at about
+    # 500 times the text's length here (30 MB for 60 KB of text)
+    arg = parse("(p & q | ~r) & (q -> box (p | r)) & dia ~(r <-> q)")
+    parts = [And(arg, Letter(f"p{i}")) for i in range(1000)]
+    f = disj(parts)
+    tracemalloc.start()
+    try:
+        text = print_formula(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == " | ".join(print_formula(g) for g in parts)
+    assert peak < 20 * len(text)
 
 
 def test_equal_deep_formulas_compare_without_recursion():

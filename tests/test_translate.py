@@ -6,7 +6,7 @@ import pytest
 
 from wamlkit.cli import main
 from wamlkit.errors import BudgetExceededError
-from wamlkit.model import random_model
+from wamlkit.model import make_model, random_model
 from wamlkit.semantics import check
 from wamlkit.syntax import Box, Diamond, Not, parse
 from wamlkit.translate import (
@@ -154,6 +154,24 @@ def test_deep_translations_are_one_node_and_do_not_recurse():
     text = repr(a)
     assert text.startswith("Forall(var='y1', body=Forall(var='y2', body=")
     assert text.count("Forall(") == 3000 and text.endswith("'y3000')))" + ")" * 3000)
+
+
+def test_fol_eval_reads_a_quantifier_block_and_a_chain_in_one_loop():
+    # 3000 nested quantifiers over a 3000-operand chain, past the recursion
+    # limit: a box holds vacuously without successors, and a diamond needs
+    # one; with the loop it holds, and each needs p at a successor
+    assert sys.getrecursionlimit() < 3000
+    empty = make_model(3000, ["w"], [], {})
+    loop = make_model(3000, ["w"], [("w",) * 3001], {})
+    marked = make_model(3000, ["w"], [("w",) * 3001], {"w": ["p"]})
+    for text, verdicts in (("box p", (True, False, True)), ("dia p", (False, False, True))):
+        g = st(parse(text), 3000)
+        assert [fol_eval(m, {"x": "w"}, g) for m in (empty, loop, marked)] == list(verdicts)
+        assert [check(m, "w", parse(text)) for m in (empty, loop, marked)] == list(verdicts)
+    # a variable bound twice in one block takes its inner value
+    m = make_model(1, ["u", "v"], [], {"u": ["p"]})
+    assert not fol_eval(m, {}, Forall("y", Forall("y", LetterPred("p", "y"))))
+    assert fol_eval(m, {}, Exists("y", Exists("y", LetterPred("p", "y"))))
 
 
 def test_first_order_nodes_are_immutable_values():
