@@ -13,18 +13,33 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from functools import cached_property
 
 from . import semantics
 from .errors import InvalidArgumentError, UnknownWorldError
-from .model import NModel, require_same_arity
+from .model import NModel, PairImage, require_same_arity
 from .syntax import Diamond, Formula, Letter, Node, Not, Record, conj, disj
 
 Pair = tuple[str, str]
 
 
 class PairRelation(Record):
-    # pairs: sorted, each pair once
-    __match_args__ = ("left", "right", "pairs", "alphabet")
+    # image: a PairImage; ``pairs`` is its flat view, built on first use
+    __match_args__ = ("left", "right", "image", "alphabet")
+
+    @classmethod
+    def from_pairs(cls, left, right, pairs, alphabet) -> PairRelation:
+        """The relation of pairs in any order, duplicates allowed."""
+        partners = defaultdict(set)
+        for a, b in pairs:
+            partners[a].add(b)
+        image = PairImage((a, tuple(sorted(partners[a]))) for a in sorted(partners))
+        return cls(left, right, image, alphabet)
+
+    @cached_property
+    def pairs(self) -> tuple[Pair, ...]:
+        """The pairs in sorted order, each once."""
+        return tuple((a, b) for a, partners in self.image.items() for b in partners)
 
 
 class BisimViolation(Node):
@@ -56,13 +71,13 @@ def check_bisim(z: PairRelation) -> BisimViolation | None:
     """None when z is a wa^n-bisimulation over its alphabet; otherwise the
     first failing pair with the violated condition and offending tuple."""
     require_same_arity(z.left, z.right)
-    if not z.pairs:
+    if not z.image:
         raise InvalidArgumentError("a bisimulation candidate must be nonempty")
-    for a, b in z.pairs:
+    for a, partners in z.image.items():
         if a not in z.left.valuation:
             raise UnknownWorldError(f"unknown left world {a!r}")
-        if b not in z.right.valuation:
-            raise UnknownWorldError(f"unknown right world {b!r}")
+        if unknown := [b for b in partners if b not in z.right.valuation]:
+            raise UnknownWorldError(f"unknown right world {unknown[0]!r}")
     lsucc = z.left.successors
     rsucc = z.right.successors
     lpos, rpos = z.left.index, z.right.index
@@ -145,16 +160,17 @@ class _Partition:
                 break
             self.stages.append(blocks := refined)
 
-    def relation(self, blocks: list[int]) -> PairRelation:
-        """The cross pairs sharing a block: each left world in sorted
-        order, followed by the right worlds of its block in sorted order."""
+    def relation(self) -> PairRelation:
+        """The cross pairs sharing a last-stage block: each left world in
+        sorted order, mapped to its block's right worlds, one sorted tuple."""
+        blocks = self.stages[-1]
         group = defaultdict(list)
         for b in sorted(self.rpos):
             group[blocks[self.rpos[b]]].append(b)
-        pairs = [
-            (a, b) for a in sorted(self.lpos) for b in group.get(blocks[self.lpos[a]], ())
-        ]
-        return PairRelation(self.left, self.right, tuple(pairs), self.alphabet)
+        partners = {block: tuple(worlds) for block, worlds in group.items()}
+        lefts = [(a, blocks[self.lpos[a]]) for a in sorted(self.lpos)]
+        image = PairImage((a, partners[k]) for a, k in lefts if k in partners)
+        return PairRelation(self.left, self.right, image, self.alphabet)
 
     def certificate(self, pair: Pair) -> Formula | None:
         """A formula true at the left world and false at the right one, or
@@ -213,8 +229,7 @@ def k_bisim(
     the greatest bisimulation once k reaches the pair count."""
     if k < 0:
         raise InvalidArgumentError("k must be >= 0")
-    partition = _Partition(left, right, frozenset(alphabet), max_stage=k)
-    return partition.relation(partition.stages[min(k, len(partition.stages) - 1)])
+    return _Partition(left, right, frozenset(alphabet), max_stage=k).relation()
 
 
 def greatest_bisim(
@@ -222,8 +237,7 @@ def greatest_bisim(
 ) -> PairRelation:
     """Union of all wa^n-bisimulations between the two models over the
     alphabet (possibly empty)."""
-    partition = _Partition(left, right, frozenset(alphabet))
-    return partition.relation(partition.stages[-1])
+    return _Partition(left, right, frozenset(alphabet)).relation()
 
 
 # ---------------------------------------------------------------------------

@@ -59,28 +59,24 @@ def _two_models(args) -> tuple[model.NModel, model.NModel, frozenset[str]]:
     if args.letters is None:
         letters = frozenset().union(*left.valuation.values(), *right.valuation.values())
     elif value := args.letters.strip():
-        letters = frozenset(part.strip() for part in value.split(","))
+        if "" in (parts := [part.strip() for part in value.split(",")]):
+            raise WamlError(f"--letters {args.letters!r} has an empty item")
+        letters = frozenset(parts)
     else:
         letters = frozenset()
     return left, right, letters
 
 
-def _relation_pairs(data: object) -> tuple[tuple[str, str], ...]:
+def _relation_pairs(data: object) -> list[list[str]]:
     if not isinstance(data, dict) or "pairs" not in data:
         raise WamlError("relation JSON must be an object with a 'pairs' list")
     pairs = data["pairs"]
     if not isinstance(pairs, list):
         raise WamlError("'pairs' must be a list of [left, right] pairs")
-    out = set()
     for i, p in enumerate(pairs):
-        if (
-            not isinstance(p, list)
-            or len(p) != 2
-            or not all(isinstance(x, str) for x in p)
-        ):
+        if not isinstance(p, list) or len(p) != 2 or not all(isinstance(x, str) for x in p):
             raise WamlError(f"pairs[{i}] must be a pair of world-ids")
-        out.add((p[0], p[1]))
-    return tuple(sorted(out))
+    return pairs
 
 
 def _pass(passed: bool) -> str:
@@ -118,7 +114,7 @@ def _cmd_sat(args) -> _Result:
 def _cmd_bisim_check(args) -> _Result:
     left, right, alphabet = _two_models(args)
     pairs = _relation_pairs(model.read_json(_read(args.relation), "relation"))
-    violation = bisim.check_bisim(bisim.PairRelation(left, right, pairs, alphabet))
+    violation = bisim.check_bisim(bisim.PairRelation.from_pairs(left, right, pairs, alphabet))
     payload = {"alphabet": sorted(alphabet), "ok": violation is None}
     if violation is None:
         return True, payload, lambda: ["ok: relation is a bisimulation"]
@@ -136,10 +132,9 @@ def _cmd_bisim_max(args) -> _Result:
         z = bisim.greatest_bisim(left, right, alphabet)
     else:
         z = bisim.k_bisim(left, right, alphabet, args.k)
-    pairs = z.pairs
-    payload = {"alphabet": sorted(alphabet), "k": args.k, "pairs": pairs}
+    payload = {"alphabet": sorted(alphabet), "k": args.k, "pairs": z.image}
     return True, payload, lambda: [
-        f"{len(pairs)} pair(s)", *(f"  {a} ~ {b}" for a, b in pairs)
+        f"{len(z.pairs)} pair(s)", *(f"  {a} ~ {b}" for a, b in z.pairs)
     ]
 
 
@@ -244,7 +239,7 @@ def _bundle_files(bundle: interp.CounterexampleBundle) -> dict[str, bytes]:
     return {
         "left.json": model.save(bundle.left.model),
         "right.json": model.save(bundle.right.model),
-        "relation.json": model.dump_json({"pairs": bundle.z.pairs}),
+        "relation.json": model.dump_json({"pairs": bundle.z.image}),
         "proof.json": proof.save_script(bundle.refutation),
         "formulas.json": model.dump_json(
             {
@@ -419,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         path = [args.command, getattr(args, "subcommand", None)]
         payload = {"schema": SCHEMA, "command": "-".join(filter(None, path)), **payload}
-        text = model.dump_json(payload).decode()
+        text = model.json_text(payload)
     else:
         text = "".join(f"{line}\n" for line in lines())
     sys.stdout.write(text)

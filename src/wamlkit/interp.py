@@ -182,7 +182,7 @@ def build_counterexample(n: int) -> CounterexampleBundle:
         ProofLine(Implies(axiom.left, Box(target)), PLFromJust((1, 2))),
         *after_line_3,
     ))
-    z = PairRelation(left, right, tuple(sorted(pairs)), letters(phi) & letters(psi))
+    z = PairRelation.from_pairs(left, right, pairs, letters(phi) & letters(psi))
     return CounterexampleBundle(
         n=n,
         left=PointedModel(left, left.worlds[0]),
@@ -323,7 +323,7 @@ def verify_counterexample(
         if separating is not None:
             detail += f"; points separated by {print_formula(separating)}"
         roots = ConditionReport(False, detail)
-    elif (w, v) not in b.z.pairs:
+    elif v not in b.z.image.get(w, ()):
         roots = ConditionReport(False, "relation does not link the two points")
     else:
         disagreement = first_disagreement(b.left, b.right, _sweep(b.z.alphabet))

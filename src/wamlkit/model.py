@@ -236,12 +236,20 @@ def read_json(text: bytes | str, what: str) -> object:
         raise ModelLoadError(f"malformed JSON: {e}") from e
 
 
+class PairImage(dict):
+    """A relation as its image: each left world, in sorted order, maps to the
+    sorted nonempty tuple of its right partners.  Written as its pairs."""
+
+
+def json_text(value: object) -> str:
+    """What ``json.dumps`` gives with ``indent=2`` and ``sort_keys=True``, and
+    a newline (ASCII; tuples and a PairImage's pairs as arrays; string keys)."""
+    return _json_text(value, "") + "\n"
+
+
 def dump_json(value: object) -> bytes:
-    """The canonical JSON file of a value, as ``read_json`` reads it
-    back: keys sorted, two-space indent, a final newline.  The bytes are
-    what ``json.dumps`` gives with ``indent=2`` and ``sort_keys=True``,
-    and a newline (ASCII, tuples as arrays); object keys must be strings."""
-    return (_json_text(value, "") + "\n").encode()
+    """The canonical JSON file of a value, as ``read_json`` reads it back."""
+    return json_text(value).encode()
 
 
 # leaves go through json's C encoder; with ``indent`` set, ``json.dumps``
@@ -264,6 +272,8 @@ def _json_text(value: object, indent: str) -> str:
         inner = indent + "  "
         items = map(_json_text, value, itertools.repeat(inner))
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if type(value) is PairImage:
+        return _image_text(value, indent) if value else "[]"
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -277,8 +287,8 @@ def _json_text(value: object, indent: str) -> str:
 
 
 def _rows_text(rows: list | tuple, indent: str) -> str:
-    # the canonical text of rows of strings of one nonzero width (relation
-    # tuples, bisimulation pairs), built column by column at C speed: each
+    # the canonical text of rows of strings of one nonzero width (the
+    # relation tuples of a model), built column by column at C speed: each
     # distinct cell of a column is encoded once, with the separator that
     # follows it.  Other rows raise TypeError (a cell that is no string or
     # is unhashable, an item that is no list or tuple) or ValueError (rows
@@ -301,6 +311,17 @@ def _rows_text(rows: list | tuple, indent: str) -> str:
         "[\n" + inner + "[\n" + cell + "".join(pieces)
         + "\n" + inner + "]\n" + indent + "]"
     )
+
+
+def _image_text(image: PairImage, indent: str) -> str:
+    # the text of a nonempty image's pairs: each distinct partner tuple's cells
+    # are encoded once, then joined by a separator holding the left world's cell
+    inner, cell = indent + "  ", indent + "    "
+    close = "\n" + inner + "],\n" + inner
+    cells = {right: list(map(_encode_str, right)) for right in set(image.values())}
+    rows = ["[\n" + cell + _encode_str(left) + ",\n" + cell for left in image]
+    groups = [row + (close + row).join(cells[right]) for row, right in zip(rows, image.values())]
+    return "[\n" + inner + close.join(groups) + "\n" + inner + "]\n" + indent + "]"
 
 
 def load(text: bytes | str) -> NModel:

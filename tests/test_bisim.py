@@ -65,19 +65,19 @@ def counterexample2():
 
 def test_nonaligned_relation_is_bisimulation(nonaligned_pair):
     left, right = nonaligned_pair
-    z = PairRelation(left, right, tuple(sorted(_pairs("z_nonaligned.json"))), frozenset({"p"}))
+    z = PairRelation.from_pairs(left, right, tuple(sorted(_pairs("z_nonaligned.json"))), frozenset({"p"}))
     assert check_bisim(z) is None
 
 
 def test_counterexample_relation_is_bisimulation(counterexample2):
     left, right = counterexample2
-    z = PairRelation(left, right, tuple(sorted(_pairs("z2.json"))), frozenset({"p"}))
+    z = PairRelation.from_pairs(left, right, tuple(sorted(_pairs("z2.json"))), frozenset({"p"}))
     assert check_bisim(z) is None
 
 
 def test_identity_relation_is_bisimulation(counterexample2):
     left, _ = counterexample2
-    z = PairRelation(
+    z = PairRelation.from_pairs(
         left,
         left,
         tuple(sorted((w, w) for w in left.worlds)),
@@ -96,7 +96,7 @@ def test_check_bisim_reports_first_violation(counterexample2):
     left, right = counterexample2
     # dropping (w2, v2) breaks forth at (w, v) for the tuple (w, w1, w2)
     pairs = _pairs("z2.json") - {("w2", "v2")}
-    z = PairRelation(left, right, tuple(sorted(pairs)), frozenset({"p"}))
+    z = PairRelation.from_pairs(left, right, tuple(sorted(pairs)), frozenset({"p"}))
     violation = check_bisim(z)
     assert violation is not None
     assert violation.condition == "forth"
@@ -106,7 +106,7 @@ def test_check_bisim_reports_first_violation(counterexample2):
 
 def test_check_bisim_inv_violation(counterexample2):
     left, right = counterexample2
-    z = PairRelation(left, right, (("w4", "v1"),), frozenset({"p"}))
+    z = PairRelation.from_pairs(left, right, (("w4", "v1"),), frozenset({"p"}))
     violation = check_bisim(z)
     assert violation.condition == "inv"
 
@@ -115,7 +115,7 @@ def test_check_bisim_back_violation(counterexample2, capsys):
     left, right = counterexample2
     # from n2 to m2: forth holds at (v, w), but w's tuple (w3, w4) has no
     # answer among v's tuples, since v2 is related to neither w3 nor w4
-    z = PairRelation(right, left, tuple(sorted(_pairs("z2_back.json"))), frozenset({"p"}))
+    z = PairRelation.from_pairs(right, left, tuple(sorted(_pairs("z2_back.json"))), frozenset({"p"}))
     violation = check_bisim(z)
     assert violation is not None
     assert violation.condition == "back"
@@ -187,7 +187,7 @@ def test_check_bisim_matches_brute_force_checker():
             pairs = [p for p in agree if rng.random() < 0.7]
         if not pairs:
             continue
-        violation = check_bisim(PairRelation(left, right, tuple(sorted(pairs)), alphabet))
+        violation = check_bisim(PairRelation.from_pairs(left, right, tuple(sorted(pairs)), alphabet))
         got = violation and (violation.pair, violation.condition, violation.witness_tuple)
         want = _brute_check(left, right, pairs, alphabet)
         assert got == want, (i, pairs)
@@ -198,15 +198,15 @@ def test_check_bisim_matches_brute_force_checker():
 def test_check_bisim_rejects_empty_and_mismatched(counterexample2):
     left, right = counterexample2
     with pytest.raises(ValueError):
-        check_bisim(PairRelation(left, right, (), frozenset()))
+        check_bisim(PairRelation.from_pairs(left, right, (), frozenset()))
     other = make_model(3, ["x"], [], {})
     with pytest.raises(ArityMismatchError):
         check_bisim(
-            PairRelation(left, other, (("w", "x"),), frozenset())
+            PairRelation.from_pairs(left, other, (("w", "x"),), frozenset())
         )
     with pytest.raises(UnknownWorldError):
         check_bisim(
-            PairRelation(left, right, (("ghost", "v"),), frozenset())
+            PairRelation.from_pairs(left, right, (("ghost", "v"),), frozenset())
         )
 
 
@@ -588,6 +588,61 @@ def test_sorted_pairs_are_read_off_the_partition_in_sorted_order(tmp_path, capsy
         payload = {"schema": 1, "command": "bisim-max", "alphabet": ["p", "q"],
                    "k": 1 if k else None, "pairs": [list(p) for p in sorted(z.pairs)]}
         assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_a_partition_relation_is_its_image_and_rebuilt_from_its_pairs():
+    # from_pairs takes pairs in any order, duplicates and JSON lists too
+    rng = random.Random(2828)
+    for i in range(12):
+        arity = 1 + i % 3
+        alphabet = frozenset({"p", "q"} if i % 2 else {"p"})
+        left = random_model(arity, rng.randint(1, 12), 0.3 / arity**2, alphabet, seed=2800 + i)
+        right = random_model(arity, rng.randint(1, 12), 0.3 / arity**2, alphabet, seed=2850 + i)
+        relations = [greatest_bisim(left, right, alphabet), greatest_bisim(left, left, alphabet)]
+        relations += [k_bisim(left, right, alphabet, k) for k in (0, 1)]
+        for z in relations:
+            assert list(z.image) == sorted(z.image)
+            assert all(bs and list(bs) == sorted(set(bs)) for bs in z.image.values())
+            # the left worlds of one block share one tuple of partners
+            assert len(set(map(id, z.image.values()))) == len(set(z.image.values()))
+            assert z.pairs == tuple((a, b) for a in z.image for b in z.image[a])
+            shuffled = list(z.pairs) * 2
+            rng.shuffle(shuffled)
+            lists = [list(p) for p in z.pairs]
+            for pairs in (z.pairs, z.pairs[::-1], shuffled, lists):
+                again = PairRelation.from_pairs(z.left, z.right, pairs, z.alphabet)
+                assert again == z
+                assert again.pairs == z.pairs
+
+
+def test_check_bisim_names_an_unknown_right_world(counterexample2):
+    left, right = counterexample2
+    z = PairRelation.from_pairs(left, right, [("w", "v"), ("w", "ghost")], frozenset())
+    with pytest.raises(UnknownWorldError, match="unknown right world 'ghost'"):
+        check_bisim(z)
+    # the first unknown world in pair order: here the left world "a" first
+    z = PairRelation.from_pairs(left, right, [("w", "ghost"), ("a", "v")], frozenset())
+    with pytest.raises(UnknownWorldError, match="unknown left world 'a'"):
+        check_bisim(z)
+
+
+def test_bisim_max_json_builds_no_pair_tuples(tmp_path, monkeypatch, capsys):
+    # the payload is written from the image: the flat pairs are never read
+    path = str(tmp_path / "m.json")
+    (tmp_path / "m.json").write_bytes(save(random_model(2, 40, 0.01, {"p", "q"}, seed=28)))
+    argvs = [["bisim", "max", path, path, *k, "--json"] for k in ([], ["--k", "0"], ["--k", "1"])]
+    expected = []
+    for argv in argvs:
+        assert main(argv) == 0
+        expected.append(capsys.readouterr().out)
+
+    def refuse(z):
+        raise AssertionError("PairRelation.pairs was computed")
+
+    monkeypatch.setattr(PairRelation, "pairs", property(refuse))
+    for argv, out in zip(argvs, expected):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize("relation, ok", [

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wamlkit import interp, model
-from wamlkit.bisim import greatest_bisim
+from wamlkit.bisim import greatest_bisim, k_bisim
 from wamlkit.cli import build_parser, main
-from wamlkit.model import load, model_to_dict, random_model, save
+from wamlkit.model import load, make_model, model_to_dict, random_model, save
 from wamlkit.semantics import check
 from wamlkit.syntax import MAX_NESTING, parse, print_formula
 
@@ -242,6 +242,70 @@ def test_interp_demo_cli(capsys, tmp_path):
         assert (bundle_dir / name).exists()
     formulas = json.loads((bundle_dir / "formulas.json").read_text())
     assert formulas["n"] == 4 and formulas["alphabet"] == ["p"]
+
+
+def _odd_names(m, shift):
+    # the model with worlds named with quotes, backslashes, newlines and
+    # non-ASCII characters, in an order that is not the sorted one
+    marks = ['"', "\\", "\n", "é", "€", "😀", "w", " "]
+    name = {w: f"{marks[(i + shift) % len(marks)]}{i}" for i, w in enumerate(m.worlds)}
+    return make_model(
+        m.arity,
+        [name[w] for w in m.worlds],
+        [tuple(name[w] for w in t) for t in m.relation],
+        {name[w]: m.valuation[w] for w in m.worlds},
+    )
+
+
+@pytest.mark.parametrize("k", [None, 0, 1])
+def test_bisim_max_json_is_the_bytes_of_json_dumps(k, tmp_path, capsys):
+    # a model with itself and a cross pair of models, with odd world names
+    for i, seed in enumerate((281, 282)):
+        m = _odd_names(random_model(2, 24, 0.002, {"p", "q"}, seed=seed), i)
+        (tmp_path / f"m{i}.json").write_bytes(save(m))
+    for a, b in (("m0", "m0"), ("m0", "m1"), ("m1", "m0")):
+        left, right = (str(tmp_path / f"{x}.json") for x in (a, b))
+        stage = [] if k is None else ["--k", str(k)]
+        assert main(["bisim", "max", left, right, *stage, "--json"]) == 0
+        lm, rm = (load((tmp_path / f"{x}.json").read_bytes()) for x in (a, b))
+        z = greatest_bisim(lm, rm, {"p", "q"}) if k is None else k_bisim(lm, rm, {"p", "q"}, k)
+        assert len(z.pairs) > 1
+        payload = {"schema": 1, "command": "bisim-max", "alphabet": ["p", "q"], "k": k,
+                   "pairs": [list(p) for p in z.pairs]}
+        assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_bundle_relation_is_the_bytes_of_json_dumps(n, tmp_path):
+    bundle_dir = tmp_path / "bundle"
+    argv = ["interp", "demo", "--n", str(n), "--sat-bound", "1", "--emit-bundle", str(bundle_dir)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    z = interp.build_counterexample(n).z
+    relation = {"pairs": [list(p) for p in z.pairs]}
+    expected = (json.dumps(relation, indent=2, sort_keys=True) + "\n").encode()
+    assert (bundle_dir / "relation.json").read_bytes() == expected
+    if n <= 3:
+        assert expected == fixture(f"z{n}.json").read_bytes()
+
+
+@pytest.mark.parametrize("letters", ["p,", ",p", "p,,q", " p , ", ","])
+def test_letters_with_an_empty_item_exit_2(letters, capsys):
+    m2, n2 = str(fixture("m2.json")), str(fixture("n2.json"))
+    for argv in (
+        ["bisim", "max", m2, m2],
+        ["bisim", "check", m2, n2, str(fixture("z2.json"))],
+        ["bisim", "distinguish", m2, "w", n2, "v"],
+    ):
+        for mode in ([], ["--json"]):
+            assert main(argv + ["--letters", letters, *mode]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: --letters {letters!r} has an empty item\n"
+    # an empty or blank value is still the empty alphabet
+    for letters in ("", "  "):
+        assert main(["bisim", "max", m2, m2, "--letters", letters, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["alphabet"] == []
 
 
 def test_interp_demo_at_arity_25_reports_without_traceback(capsys):

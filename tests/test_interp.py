@@ -210,7 +210,7 @@ def test_mutated_bundle_fails_with_named_witness():
         right=b.right,
         phi=b.phi,
         psi=b.psi,
-        z=PairRelation(broken_left, b.right.model, b.z.pairs, b.z.alphabet),
+        z=PairRelation.from_pairs(broken_left, b.right.model, b.z.pairs, b.z.alphabet),
         refutation=b.refutation,
     )
     report = verify_counterexample(mutated, 2)
@@ -236,12 +236,25 @@ def test_mutated_relation_reports_distinguishing_formula():
         right=b.right,
         phi=b.phi,
         psi=b.psi,
-        z=PairRelation(b.left.model, b.right.model, tuple(sorted(pairs)), b.z.alphabet),
+        z=PairRelation.from_pairs(b.left.model, b.right.model, tuple(sorted(pairs)), b.z.alphabet),
         refutation=b.refutation,
     )
     report = verify_counterexample(mutated, 2)
     assert not report.roots_indistinguishable.passed
     assert "fails inv" in report.roots_indistinguishable.detail
+
+
+def test_relation_that_misses_the_points_is_reported():
+    # the leaf pairs alone are a bisimulation, but do not link w and v
+    b = build_counterexample(2)
+    pairs = [p for p in b.z.pairs if p != ("w", "v")]
+    z = PairRelation.from_pairs(b.left.model, b.right.model, pairs, b.z.alphabet)
+    report = verify_counterexample(CounterexampleBundle(
+        n=b.n, left=b.left, right=b.right, phi=b.phi, psi=b.psi, z=z,
+        refutation=b.refutation,
+    ), 2)
+    assert not report.roots_indistinguishable.passed
+    assert report.roots_indistinguishable.detail == "relation does not link the two points"
 
 
 def test_transitivity_axiom_valid_on_fixture_models():

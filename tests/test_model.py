@@ -6,8 +6,10 @@ from hypothesis import given, strategies as st
 from wamlkit.errors import InvalidArgumentError, ModelLoadError
 from wamlkit.model import (
     NModel,
+    PairImage,
     PointedModel,
     dump_json,
+    json_text,
     load,
     make_model,
     model_to_dict,
@@ -315,3 +317,54 @@ def test_dump_json_of_a_large_pair_list():
     assert dump_json(payload) == _reference(payload)
     for shallow in ([], [[]], [["w"], []], [("w", "v")], {"": [["w"]], "a": {}}):
         assert dump_json(shallow) == _reference(shallow)
+
+
+def _image(pairs) -> PairImage:
+    # the image of a set of pairs: each left world in sorted order, with the
+    # sorted tuple of its right partners
+    partners: dict = {}
+    for a, b in sorted(set(pairs)):
+        partners.setdefault(a, []).append(b)
+    return PairImage((a, tuple(bs)) for a, bs in partners.items())
+
+
+_WRAPS = (
+    lambda v: v,
+    lambda v: {"schema": 1, "pairs": v, "k": None},
+    lambda v: [{"pairs": v}, v],
+)
+
+
+@given(st.lists(st.tuples(_text, _text), max_size=8), st.sampled_from(_WRAPS))
+def test_an_image_is_written_as_the_bytes_of_its_pairs(pairs, wrap):
+    # at the top, as an object's value and inside a list: each indent
+    image, rows = _image(pairs), [list(p) for p in sorted(set(pairs))]
+    assert dump_json(wrap(image)) == _reference(wrap(rows))
+
+
+@pytest.mark.parametrize("pairs", [
+    [],
+    [("w", "v")],
+    [('w"0', "v\\1"), ("w\n2", "vé"), ('w"0', "v€😀"), ("w\n2", "v\\1"), ("é", "\n")],
+    [(f"w{i}", f"w{j}") for i in range(200) for j in range(i % 4, 200, 4)],
+])
+def test_image_writer_edge_cases(pairs):
+    # no pairs, one pair, quotes, backslashes, newlines and non-ASCII names,
+    # and the 10,000 pairs of a 200-world cover with itself
+    payload = {"schema": 1, "command": "bisim-max", "pairs": _image(pairs)}
+    expected = _reference({**payload, "pairs": [list(p) for p in sorted(pairs)]})
+    assert dump_json(payload) == expected
+    assert json_text(payload) == expected.decode()
+
+
+def test_only_an_image_is_written_as_pairs():
+    # the type is checked exactly: a plain dict, or another dict subclass,
+    # of the same items is still written as an object
+    class Other(dict):
+        pass
+
+    items = {"w": ("u", "v"), "x": ("y",)}
+    for value in (dict(items), Other(items)):
+        assert dump_json(value) == _reference(value)
+    assert dump_json(PairImage(items)) == _reference([["w", "u"], ["w", "v"], ["x", "y"]])
+    assert dump_json(PairImage()) == _reference([])
