@@ -103,7 +103,8 @@ def check_bisim(z: PairRelation) -> BisimViolation | None:
 # models (Kanellakis & Smolka 1990).  Stage 0 groups worlds by their letters
 # in the alphabet; a world's stage-k+1 signature is its stage-k block and
 # the ⊆-minimal stage-k block sets of its successor tuples, which agree
-# exactly when forth and back hold within stage k.
+# exactly when forth and back hold within stage k.  A stage ORs a block mask
+# per tuple off ``NModel.columns``; a world's tuples are a slice of them.
 
 
 def _dedupe(parts: list[Formula]) -> list[Formula]:
@@ -126,6 +127,10 @@ def _minimal(masks: set[int]) -> frozenset[int]:
 
 
 class _Partition:
+    """The refinement of two models' disjoint union: ``stages[k][x]`` is the
+    stage-k block of union number x.  ``_minimal`` runs once per distinct
+    set of tuple masks in a stage."""
+
     def __init__(
         self, left: NModel, right: NModel, alphabet: frozenset[str], max_stage=None
     ):
@@ -138,24 +143,22 @@ class _Partition:
         self.lpos = left.index
         if right is left:
             self.rpos = self.lpos
-            sides = ((left, self.lpos),)
+            sides = ((0, left),)
         else:
             self.rpos = {w: len(left.worlds) + j for w, j in right.index.items()}
-            sides = ((left, self.lpos), (right, self.rpos))
-        succ = [
-            [[pos[v] for v in t] for t in m.successors[w]]
-            for m, pos in sides
-            for w in m.worlds
-        ]
-        blocks = _number([m.valuation[w] & alphabet for m, _ in sides for w in m.worlds])
+            sides = ((0, left), (len(left.worlds), right))
+        blocks = _number([m.valuation[w] & alphabet for _, m in sides for w in m.worlds])
         self.stages = [blocks]  # one block list per stage, by union number
         # stable once the block count stops growing
         while max_stage is None or len(self.stages) <= max_stage:
             bits = [1 << b for b in blocks]
-            refined = _number([
-                (blocks[x], _minimal({sum({bits[v] for v in t}) for t in tuples}))
-                for x, tuples in enumerate(succ)
-            ])
+            sets = []
+            for start, m in sides:
+                masks = m.row_masks(bits[start:start + len(m.worlds)].__getitem__)
+                offsets = m.columns[0]
+                sets += map(frozenset, map(masks.__getitem__, map(slice, offsets, offsets[1:])))
+            minimal = {s: _minimal(s) for s in set(sets)}
+            refined = _number(list(zip(blocks, map(minimal.__getitem__, sets))))
             if len(set(refined)) == len(set(blocks)):
                 break
             self.stages.append(blocks := refined)

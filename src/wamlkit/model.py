@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import random
 from functools import cached_property
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .errors import (
     ArityMismatchError,
@@ -47,14 +48,39 @@ class NModel(Record):
         return {w: i for i, w in enumerate(self.worlds)}
 
     @cached_property
+    def columns(self) -> tuple[list[int], list[list[int]]]:
+        """The relation by position: world i's tuples are the rows
+        ``offsets[i]:offsets[i + 1]``, in no fixed order, and slot k's
+        column holds each row's k-th successor position.  With no tuples
+        there is no column, whatever the arity."""
+        index = self.index
+        columns = [list(map(index.__getitem__, c)) for c in zip(*self.relation)]
+        sources, *slots = columns or [[]]
+        order = sorted(range(len(sources)), key=sources.__getitem__)
+        counts = [0] * len(self.worlds)
+        for i in sources:
+            counts[i] += 1
+        offsets = list(itertools.accumulate(counts, initial=0))
+        return offsets, [list(map(column.__getitem__, order)) for column in slots]
+
+    def row_masks(self, bit: Callable[[int], int]) -> list[int]:
+        """Each row of ``columns``, as the OR of ``bit(v)`` over the
+        positions v of its successors."""
+        offsets, slots = self.columns
+        masks = [0] * offsets[-1]
+        for column in slots:
+            masks = list(map(operator.or_, masks, map(bit, column)))
+        return masks
+
+    @cached_property
     def slot_index(self) -> list[tuple[int, int]]:
         """Each distinct slot set of the relation, with the mask of the
         worlds having a tuple of that slot set."""
-        index = self.index
+        offsets, masks = self.columns[0], self.row_masks((1).__lshift__)
         return _slot_index(
-            (1 << index[w], sum({1 << index[v] for v in vector}))
-            for w, vectors in self.successors.items()
-            for vector in vectors
+            (1 << i, slots)
+            for i, lo, hi in zip(itertools.count(), offsets, offsets[1:])
+            for slots in masks[lo:hi]
         )
 
     @cached_property
@@ -243,8 +269,12 @@ class PairImage(dict):
 
 def json_text(value: object) -> str:
     """What ``json.dumps`` gives with ``indent=2`` and ``sort_keys=True``, and
-    a newline (ASCII; tuples and a PairImage's pairs as arrays; string keys)."""
-    return _json_text(value, "") + "\n"
+    a newline (ASCII; tuples and a PairImage's pairs as arrays; string keys).
+    The pieces of the text go to one list, joined once at the end."""
+    pieces: list[str] = []
+    _json_text(value, "", pieces)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 def dump_json(value: object) -> bytes:
@@ -258,32 +288,33 @@ _encode_str = json.encoder.encode_basestring_ascii
 _encode_scalar = json.JSONEncoder().encode
 
 
-def _json_text(value: object, indent: str) -> str:
-    # the canonical text of a value whose first line is at ``indent``
+def _json_text(value: object, indent: str, out: list[str]) -> None:
+    # append the canonical text of a value whose first line is at ``indent``
+    inner = indent + "  "
     if isinstance(value, str):
-        return _encode_str(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+        out.append(_encode_str(value))
+    elif not isinstance(value, (list, tuple, dict)):
+        out.append(_encode_scalar(value))
+    elif not value:
+        out.append("{}" if isinstance(value, dict) and type(value) is not PairImage else "[]")
+    elif type(value) is PairImage:
+        _image_text(value, indent, out)
+    elif isinstance(value, dict):
+        out.append("{\n" + inner)
+        for key, item in sorted(value.items()):
+            out.append(_encode_str(key) + ": ")
+            _json_text(item, inner, out)
+            out.append(",\n" + inner)
+        out[-1] = "\n" + indent + "}"
+    else:
         try:
-            return _rows_text(value, indent)
+            out.append(_rows_text(value, indent))
         except (TypeError, ValueError):  # not rows of strings of one width
-            pass
-        inner = indent + "  "
-        items = map(_json_text, value, itertools.repeat(inner))
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    if type(value) is PairImage:
-        return _image_text(value, indent) if value else "[]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = [
-            _encode_str(key) + ": " + _json_text(item, inner)
-            for key, item in sorted(value.items())
-        ]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    return _encode_scalar(value)
+            out.append("[\n" + inner)
+            for item in value:
+                _json_text(item, inner, out)
+                out.append(",\n" + inner)
+            out[-1] = "\n" + indent + "]"
 
 
 def _rows_text(rows: list | tuple, indent: str) -> str:
@@ -313,15 +344,17 @@ def _rows_text(rows: list | tuple, indent: str) -> str:
     )
 
 
-def _image_text(image: PairImage, indent: str) -> str:
-    # the text of a nonempty image's pairs: each distinct partner tuple's cells
-    # are encoded once, then joined by a separator holding the left world's cell
+def _image_text(image: PairImage, indent: str, out: list[str]) -> None:
+    # append the text of a nonempty image's pairs: each distinct partner tuple's
+    # cells are encoded once, then joined by a separator holding the left world's cell
     inner, cell = indent + "  ", indent + "    "
     close = "\n" + inner + "],\n" + inner
     cells = {right: list(map(_encode_str, right)) for right in set(image.values())}
-    rows = ["[\n" + cell + _encode_str(left) + ",\n" + cell for left in image]
-    groups = [row + (close + row).join(cells[right]) for row, right in zip(rows, image.values())]
-    return "[\n" + inner + close.join(groups) + "\n" + inner + "]\n" + indent + "]"
+    out.append("[\n" + inner)
+    for left, right in image.items():
+        row = "[\n" + cell + _encode_str(left) + ",\n" + cell
+        out += row + (close + row).join(cells[right]), close
+    out[-1] = "\n" + inner + "]\n" + indent + "]"
 
 
 def load(text: bytes | str) -> NModel:

@@ -122,21 +122,22 @@ def unraveling_sizes(m: NModel, w: str, max_depth: int) -> Iterator[tuple[int, i
     slot of each vector."""
     if w not in m.valuation:
         raise UnknownWorldError(f"unknown world {w!r}")
-    succ = m.successors
-    fans: dict[str, tuple[dict[str, int], int]] = {}
+    offsets, slots = m.columns
+    fans: dict[int, tuple[dict[int, int], int]] = {}
 
-    def fan(u: str) -> tuple[dict[str, int], int]:
+    def fan(u: int) -> tuple[dict[int, int], int]:
         # the children of a u-node by focus, and the tuples it sources
         if u not in fans:
-            counts: dict[str, int] = {}
-            for vector in succ[u]:
+            rows = list(zip(*(column[offsets[u]:offsets[u + 1]] for column in slots)))
+            counts: dict[int, int] = {}
+            for vector in rows:
                 for x in vector:
                     counts[x] = counts.get(x, 0) + 1
-            tuples = sum(math.prod(counts[x] for x in vector) for vector in succ[u])
+            tuples = sum(math.prod(counts[x] for x in vector) for vector in rows)
             fans[u] = counts, tuples
         return fans[u]
 
-    level = {w: 1}  # focus -> nodes at the deepest level
+    level = {m.index[w]: 1}  # focus position -> nodes at the deepest level
     nodes, tuples = 1, 0
     yield nodes, tuples
     for _ in range(max_depth):

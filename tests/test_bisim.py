@@ -564,6 +564,67 @@ def test_partition_signature_uses_minimal_block_sets():
     assert ("a", "c") in greatest_bisim(left, right, frozenset({"p", "q"})).pairs
 
 
+def _base(rng):
+    """A 4-world arity-2 model whose worlds carry the four valuations over
+    {p, q}, with 0-3 random tuples each."""
+    worlds = ["b0", "b1", "b2", "b3"]
+    relation = [
+        (w, *rng.choices(worlds, k=2)) for w in worlds for _ in range(rng.randint(0, 3))
+    ]
+    return make_model(2, worlds, relation, {"b1": ["p"], "b2": ["q"], "b3": ["p", "q"]})
+
+
+def _cover(rng, base, n):
+    """A seeded n-world cover of ``base`` and its fiber map: each world is
+    sent to a base world, and each base tuple is lifted to one tuple of
+    each world of its source's fiber, into the fibers of its slots."""
+    fibers = base.worlds + tuple(rng.choices(base.worlds, k=n - 4))
+    fiber = dict(zip([f"c{i}" for i in range(n)], fibers))
+    members = {x: [u for u in fiber if fiber[u] == x] for x in base.worlds}
+    relation = [
+        (u, *(rng.choice(members[y]) for y in t[1:]))
+        for u in fiber
+        for t in base.relation
+        if t[0] == fiber[u]
+    ]
+    valuation = {u: base.valuation[fiber[u]] for u in fiber}
+    return make_model(2, fiber, relation, valuation), fiber
+
+
+def _lift(z, left_fiber, right_fiber):
+    """The pairs of two covers whose fibers z relates."""
+    related = set(z.pairs)
+    return {(u, v) for u in left_fiber for v in right_fiber
+            if (left_fiber[u], right_fiber[v]) in related}
+
+
+def test_partition_refinement_on_covers_is_the_lift_of_the_base_refinement():
+    # covers of the size the benchmark's model queries read: a cover's
+    # projection is a p-morphism, so its worlds are bisimilar at every
+    # stage exactly as their fibers are
+    rng = random.Random(2937)
+    alphabet = frozenset({"p", "q"})
+    bases = [_base(rng) for _ in range(3)]
+    m, fiber = _cover(rng, bases[0], 200)
+    z = greatest_bisim(m, m, alphabet)
+    assert z.image == {u: tuple(sorted(v for v in fiber if fiber[v] == fiber[u]))
+                       for u in sorted(fiber)}
+    assert check_bisim(z) is None
+    stage_sizes = []
+    for i, j in [(0, 1), (1, 2), (2, 0), (1, 1)]:
+        (left, lf), (right, rf) = _cover(rng, bases[i], 60), _cover(rng, bases[j], 45)
+        stages = [k_bisim(bases[i], bases[j], alphabet, k) for k in (0, 1, 2)]
+        for k, base_stage in enumerate(stages):
+            assert set(k_bisim(left, right, alphabet, k).pairs) == _lift(base_stage, lf, rf)
+        stage_sizes.append([len(s.pairs) for s in stages])
+        z = greatest_bisim(left, right, alphabet)
+        assert set(z.pairs) == _lift(greatest_bisim(bases[i], bases[j], alphabet), lf, rf)
+        assert not z.pairs or check_bisim(z) is None
+    # base pairs die at stages 1 and 2, and some survive every stage
+    assert any(s[1] < s[0] for s in stage_sizes) and any(s[2] < s[1] for s in stage_sizes)
+    assert any(s[2] for s in stage_sizes)
+
+
 def test_sorted_pairs_are_read_off_the_partition_in_sorted_order(tmp_path, capsys):
     # twelve worlds: "w10" and "w11" sort before "w2" but come after it in
     # the model's world order

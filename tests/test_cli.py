@@ -963,3 +963,34 @@ def test_cli_fuzz_exits_0_1_or_2_without_traceback(argv, junk, as_json):
             code = e.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bisim", "max", "{0}", "{0}", "--letters", "p"],
+     ["bisim", "distinguish", "{0}", "a", "{0}", "b", "--letters", "p"],
+     ["mc", "{0}", "a", "box p & ~dia p"],
+     ["experiment", "locality", "{0}", "a", "box p | dia q"]],
+    ids=["bisim-max", "bisim-distinguish", "mc", "locality"],
+)
+def test_a_tupleless_model_of_huge_arity_costs_its_worlds_within_a_gigabyte(
+    tmp_path, argv
+):
+    # the positional view of a relation holds one list per slot only when
+    # there are tuples: one empty list for each of 10**9 slots ran out of
+    # memory and ended in a traceback
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"arity": 10**9, "worlds": ["a", "b"], "relation": [],
+                                "valuation": {"a": ["p"], "b": []}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wamlkit", *(a.format(path) for a in argv), "--json"],
+        capture_output=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        preexec_fn=_cap_address_space,
+        timeout=20,
+        check=False,
+    )
+    assert proc.returncode in (0, 1), proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["schema"] == 1

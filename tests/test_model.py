@@ -267,6 +267,26 @@ def test_integer_view_matches_its_definition():
             assert m.slot_index is m.slot_index  # computed once per model
 
 
+def test_positional_view_holds_each_worlds_successor_vectors():
+    repeated = make_model(2, "abc", [("a", "b", "b"), ("a", "b", "c"), ("c", "a", "a")], {})
+    models = [make_model(1, "ab", [], {}), make_model(1000, "ab", [], {}), repeated]
+    for arity in (1, 2, 3):
+        for seed in range(10):
+            drawn = random_model(arity, 1 + seed % 6, 0.4 / arity, {"p"}, seed=100 + seed)
+            models.append(make_model(arity, ("idle",) + drawn.worlds, drawn.relation, {}))
+    for m in models:
+        offsets, slots = m.columns
+        assert len(offsets) == len(m.worlds) + 1 and offsets[-1] == len(m.relation)
+        # no list per slot without tuples, whatever the arity
+        assert len(slots) == (m.arity if m.relation else 0)
+        for i, w in enumerate(m.worlds):
+            rows = zip(*(column[offsets[i]:offsets[i + 1]] for column in slots))
+            vectors = [tuple(m.worlds[v] for v in row) for row in rows]
+            assert sorted(vectors) == sorted(m.successors[w]), (m, w)
+        assert m.columns is m.columns  # computed once per model
+    assert repeated.columns[0] == [0, 2, 2, 3]
+
+
 # strings with quotes, backslashes, control characters and non-ASCII text
 _text = st.text(st.sampled_from('wv,:#%"\\/\n\t\x00\x1f\x7fé€\u2028😀') | st.characters())
 
