@@ -38,6 +38,44 @@ class NModel(Record):
             succ[t[0]].append(t[1:])
         return {w: tuple(vectors) for w, vectors in succ.items()}
 
+    def around(self, w: str, depth: int) -> NModel:
+        """The neighbourhood of w that decides a formula of modal depth
+        ``depth`` there: the worlds within ``depth`` steps of w, in the
+        model's order, their valuations, and the tuples of the worlds
+        within ``depth - 1`` steps.  A box or diamond nested j deep in the
+        formula is read at worlds within j steps, over all of their
+        tuples, so the formula has the same truth at w here as in the
+        model.  When every world is within reach, the model itself.
+
+        The relation is grouped by source once, and each level reads only
+        the tuples of its own worlds, so the cost is the relation's size
+        plus the neighbourhood's, whatever the depth."""
+        if w not in self.valuation:
+            raise UnknownWorldError(f"unknown world {w!r}")
+        sourced: dict[str, list[tuple[str, ...]]] = {}
+        if depth > 0:
+            for t in self.relation:
+                sourced.setdefault(t[0], []).append(t)
+        reached, level = {w}, {w}
+        kept: list[tuple[str, ...]] = []
+        for _ in range(depth):
+            tuples = [t for u in level for t in sourced.get(u, ())]
+            kept += tuples
+            level = set().union(*tuples) - reached
+            reached |= level
+            # once a level adds no world, no later level adds anything
+            if not level or len(reached) == len(self.worlds):
+                break
+        if len(reached) == len(self.worlds):
+            return self
+        worlds = tuple(filter(reached.__contains__, self.worlds))
+        return NModel(
+            arity=self.arity,
+            worlds=worlds,
+            relation=frozenset(kept),
+            valuation={v: self.valuation[v] for v in worlds},
+        )
+
     # The integer view of the model: a set of worlds is a mask whose bit i
     # stands for ``worlds[i]``, and a tuple is its source bit plus its slot
     # set, the mask of the worlds in its successor vector.

@@ -101,8 +101,18 @@ class ModelEvaluator:
 
 
 def check(m: NModel, w: str, f: Formula) -> bool:
-    """Truth of f at world w.  Letters missing from the valuation are false."""
-    return ModelEvaluator(m).holds(w, f)
+    """Truth of f at world w.  Letters missing from the valuation are false.
+
+    f is evaluated on ``m.around(w, d)``, for the modal depth d of f: the
+    worlds within d steps of w and the tuples of those within d - 1.  A
+    formula of modal depth d is invariant under d-step bisimulation, so its
+    truth at w is decided there, and none of m's own views is built
+    unless every world is within reach."""
+    if w not in m.valuation:
+        raise UnknownWorldError(f"unknown world {w!r}")
+    program = syntax.compile_formula(f)
+    near = m.around(w, syntax.program_depth(program))
+    return bool(ModelEvaluator(near).run(program)[-1] >> near.index[w] & 1)
 
 
 def valid_on_model(m: NModel, f: Formula) -> bool:

@@ -420,7 +420,12 @@ def _depth_step(node: Formula, op: type, *depths: int) -> int:
 
 
 def modal_depth(f: Formula) -> int:
-    return fold(f, _depth_step)
+    return program_depth(compile_formula(f))
+
+
+def program_depth(program: list[Instruction]) -> int:
+    """The modal depth of a program's formula, the last instruction's."""
+    return fold_program(program, _depth_step)[-1]
 
 
 def letters(f: Formula) -> frozenset[str]:

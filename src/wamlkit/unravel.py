@@ -23,7 +23,7 @@ from .errors import (
     UnknownWorldError,
 )
 from .model import NModel, make_model, require_same_arity
-from .syntax import Formula, Node, Record
+from .syntax import Formula, Node, Record, modal_depth
 
 DEFAULT_NODE_BUDGET = 50_000
 
@@ -182,9 +182,14 @@ def locality_sweep(
     It bounds the sweep's ``max_depth + 1`` rows too, which an unraveling
     that dies out leaves unbounded otherwise; they are checked last,
     before any depth is evaluated.  Rows over ``MAX_SWEEP_ROWS`` are
-    refused first, before the unravelings are counted."""
-    ev = semantics.ModelEvaluator(m)
-    reference = ev.holds(w, f)
+    refused first, before the unravelings are counted.
+
+    The formula is evaluated, at every depth, on ``m.around(w, d)`` for
+    its modal depth d: under depth-k semantics it reads no world farther
+    than min(k, d) steps from w.  The budget counts the unravelings of
+    the whole model."""
+    if w not in m.valuation:
+        raise UnknownWorldError(f"unknown world {w!r}")
     if max_depth < 0:
         raise InvalidArgumentError("max_depth must be >= 0")
     _check_budget(max_nodes)
@@ -203,7 +208,10 @@ def locality_sweep(
             f"a sweep to depth {max_depth} has {max_depth + 1} rows, "
             f"over the {max_nodes}-row budget"
         )
-    bit = m.index[w]
+    near = m.around(w, modal_depth(f))
+    ev = semantics.ModelEvaluator(near)
+    bit = near.index[w]
+    reference = bool(ev.mask(f) >> bit & 1)
     agree = tuple(
         bool(bits >> bit & 1) == reference for bits in ev.depth_masks(f, max_depth)
     )

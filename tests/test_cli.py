@@ -43,6 +43,15 @@ def test_mc_exit_codes(capsys):
     assert code == 2
 
 
+def test_mc_on_an_unknown_world_exits_2_with_its_message(capsys):
+    for extra in ([], ["--json"]):
+        code = main(["mc", str(fixture("m2.json")), "x", "box p", *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: unknown world 'x'\n"
+
+
 def test_mc_json_payload(capsys):
     code, out = run(capsys, "mc", fixture("m2.json"), "w", "dia q", "--json")
     assert code == 0

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +22,7 @@ from wamlkit.model import (
 )
 from wamlkit.errors import UnknownWorldError
 
-from conftest import fixture
+from conftest import fixture, random_sparse_model
 
 
 def test_counterexample_fixture_validates():
@@ -230,6 +231,85 @@ def test_models_are_immutable_records():
         NModel(1, ("a",), frozenset(), {}, "extra")
     with pytest.raises(TypeError):
         PointedModel(m, model=m)
+
+
+def _distances(m, w):
+    # world -> its number of steps from w, by breadth-first search over
+    # the relation as it is stated
+    dist, level = {w: 0}, {w}
+    while level:
+        step = dist[next(iter(level))] + 1
+        level = {v for t in m.relation if t[0] in level for v in t[1:]} - dist.keys()
+        dist.update(dict.fromkeys(level, step))
+    return dist
+
+
+def test_around_holds_the_worlds_within_reach_and_the_tuples_inside():
+    rng = random.Random(31)
+    strict = 0
+    for _ in range(300):
+        m = random_sparse_model(rng)
+        w = rng.choice(m.worlds)
+        dist = _distances(m, w)
+        for depth in range(5):
+            near = m.around(w, depth)
+            within = {v for v, d in dist.items() if d <= depth}
+            if within == set(m.worlds):
+                assert near is m
+                continue
+            strict += 1
+            assert near.arity == m.arity
+            assert near.worlds == tuple(v for v in m.worlds if v in within)
+            assert near.relation == {t for t in m.relation if dist.get(t[0], depth) < depth}
+            assert near.valuation == {v: m.valuation[v] for v in near.worlds}
+            assert validate(near) == []
+            if depth == 0:
+                assert near.worlds == (w,) and near.relation == frozenset()
+    assert strict > 300
+
+
+def test_around_returns_the_model_itself_when_every_world_is_reached():
+    m = make_model(2, ["a", "b", "c"], [("a", "b", "b"), ("b", "c", "a")], {"a": ["p"]})
+    assert m.around("a", 0).worlds == ("a",)
+    assert m.around("a", 1).worlds == ("a", "b")
+    assert m.around("a", 1).relation == {("a", "b", "b")}
+    assert m.around("a", 2) is m and m.around("b", 1) is m
+    assert m.around("c", 10**9).worlds == ("c",)
+    # a point that is the only world is the whole model, at depth 0 too
+    single = make_model(1, ["a"], [("a", "a")], {})
+    assert single.around("a", 0) is single
+    with pytest.raises(UnknownWorldError, match="unknown world 'x'"):
+        m.around("x", 1)
+
+
+class _CountedRelation(frozenset):
+    # a relation that counts how often it is iterated
+    iterations = 0
+
+    def __iter__(self):
+        type(self).iterations += 1
+        return super().__iter__()
+
+
+def test_around_reads_the_relation_once_whatever_the_depth():
+    # 10**5 tuples that share one slot set, and a chain of 60 worlds that
+    # reaches them only at its end: a scan of the relation per level
+    # would iterate it 50 times
+    hub = [f"h{i}" for i in range(10**5)]
+    chain = [f"c{i}" for i in range(60)]
+    relation = [(h, "h0", "h1") for h in hub] + list(zip(chain, chain[1:], chain[1:]))
+    relation.append((chain[-1], "h0", "h0"))
+    m = NModel(
+        arity=2,
+        worlds=tuple(chain + hub),
+        relation=_CountedRelation(relation),
+        valuation={w: frozenset() for w in chain + hub},
+    )
+    for depth, reached in ((0, chain[:1]), (1, chain[:2]), (50, chain[:51]),
+                           (10**6, chain + ["h0", "h1"])):
+        _CountedRelation.iterations = 0
+        assert m.around("c0", depth).worlds == tuple(reached)
+        assert _CountedRelation.iterations == (depth > 0)
 
 
 def test_model_to_dict_sorted():

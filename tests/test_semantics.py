@@ -11,6 +11,7 @@ from wamlkit.errors import BudgetExceededError, InvalidArgumentError, UnknownWor
 from wamlkit.model import PointedModel, _slot_index, load, make_model, random_model
 from wamlkit.proof import kn_axiom
 from wamlkit.semantics import bounded_sat, check, valid_on_model
+from wamlkit.translate import fol_eval, st
 from wamlkit.syntax import (
     And,
     Bottom,
@@ -30,7 +31,7 @@ from wamlkit.syntax import (
     print_formula,
 )
 
-from conftest import fixture, random_formula
+from conftest import fixture, random_formula, random_sparse_model
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +103,67 @@ def test_depth_masks_gives_one_mask_per_depth():
     assert len(masks) == 6
     assert [ev.depth_masks(f, d) for d in range(6)] == [masks[: d + 1] for d in range(6)]
     assert masks[modal_depth(f):] == [ev.mask(f)] * (6 - modal_depth(f))
+
+
+def _kinds(f):
+    # the connectives and constants occurring in f
+    return set(syntax.fold(f, lambda g, op, *kinds: {op}.union(*kinds)))
+
+
+def test_check_on_the_neighbourhood_matches_the_whole_model():
+    rng = random.Random(41)
+    seen = set()
+    for i in range(400):
+        m = random_sparse_model(rng)
+        f = random_formula(rng, ["p", "q"], rng.randint(0, 4), rng.randint(1, 14))
+        # over a copy, so that check reads no view the whole-model evaluator built
+        whole = semantics.ModelEvaluator(make_model(m.arity, m.worlds, m.relation, m.valuation))
+        for w in m.worlds:
+            value = check(m, w, f)
+            assert value == whole.holds(w, f), (m, w, f)
+            if i % 8 == 0:
+                assert value == fol_eval(m, {"x": w}, st(f, m.arity)), (m, w, f)
+            depth = modal_depth(f)
+            near = m.around(w, depth)
+            seen.add("strict" if near is not m else "whole")
+            if depth and len(near.worlds) == len(m.around(w, depth - 1).worlds):
+                seen.add("past the diameter")
+        seen |= _kinds(f)
+        for t in m.relation:
+            seen.add("self-loop" if t[0] in t[1:] else "no loop")
+            seen.add("repeated slot" if len(set(t[1:])) < m.arity else "distinct slots")
+        seen.add("dead end" if set(m.worlds) - {t[0] for t in m.relation} else "no dead end")
+    assert seen >= {
+        "strict", "whole", "past the diameter", "self-loop", "repeated slot", "dead end",
+        Implies, Iff, Top, Bottom, Box, Diamond,
+    }
+
+
+def _cover(rng, n):
+    # n worlds over a base of four with two tuples each; every world lifts
+    # its fiber's base tuples into random members of the target fibers
+    base = {b: [(rng.randrange(4), rng.randrange(4)) for _ in range(2)] for b in range(4)}
+    fiber = [i % 4 for i in range(n)]
+    rng.shuffle(fiber)
+    members = {b: [f"w{i}" for i in range(n) if fiber[i] == b] for b in range(4)}
+    relation = [
+        (f"w{x}", rng.choice(members[c1]), rng.choice(members[c2]))
+        for x in range(n)
+        for c1, c2 in base[fiber[x]]
+    ]
+    letters = (["p"], ["q"], ["p", "q"], [])
+    valuation = {f"w{i}": letters[fiber[i]] for i in range(n)}
+    return make_model(2, [f"w{i}" for i in range(n)], relation, valuation)
+
+
+def test_check_builds_none_of_the_whole_models_views():
+    m = _cover(random.Random(5), 200)
+    f = parse("box (p | dia q) & dia (q -> box ~p)")
+    assert len(m.around("w7", modal_depth(f)).worlds) < len(m.worlds)
+    value = check(m, "w7", f)
+    for name in ("slot_index", "letter_masks", "columns", "index"):
+        assert name not in m.__dict__, name
+    assert value == semantics.ModelEvaluator(m).holds("w7", f)
 
 
 def test_diamond_box_duality_sampled():

@@ -27,7 +27,7 @@ from wamlkit.unravel import (
     unraveling_sizes,
 )
 
-from conftest import fixture
+from conftest import fixture, random_sparse_model
 
 
 @pytest.fixture(scope="module")
@@ -448,6 +448,23 @@ def test_locality_sweep_agrees_from_the_modal_depth_on():
         assert sweep.least_stable_depth <= modal_depth(f)
 
 
+def test_locality_sweep_on_the_neighbourhood_matches_the_whole_model():
+    rng = random.Random(43)
+    for _ in range(300):
+        m = random_sparse_model(rng)
+        f = random_formula(rng, ["p", "q"], rng.randint(0, 4), rng.randint(1, 14))
+        w = rng.choice(m.worlds)
+        max_depth = rng.randint(0, 6)
+        sweep = locality_sweep(m, w, f, max_depth, max_nodes=10**40)
+        ev = ModelEvaluator(make_model(m.arity, m.worlds, m.relation, m.valuation))
+        bit = ev.model.index[w]
+        reference = bool(ev.mask(f) >> bit & 1)
+        agree = tuple(
+            bool(bits >> bit & 1) == reference for bits in ev.depth_masks(f, max_depth)
+        )
+        assert (sweep.reference, sweep.agree) == (reference, agree), (m, w, f, max_depth)
+
+
 def test_locality_sweep_script_reports_budget_errors_per_sample():
     # samples 20 and 101 need unravelings of over 50,000 tuples
     script = Path(__file__).resolve().parent.parent / "scripts" / "locality_sweep.py"
@@ -472,6 +489,9 @@ def test_locality_sweep_argument_errors(cyclic):
     f = parse("box p")
     with pytest.raises(UnknownWorldError):
         locality_sweep(cyclic, "ghost", f, 1)
+    # an unknown world is reported before a negative depth
+    with pytest.raises(UnknownWorldError):
+        locality_sweep(cyclic, "ghost", f, -1)
     with pytest.raises(InvalidArgumentError, match="max_depth"):
         locality_sweep(cyclic, "w", f, -1)
     for budget in (0, -1):
