@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest of the CLI's behaviour on a fixed seeded corpus.
 
-Runs 1,124 argvs through ``wamlkit.cli.main`` in-process, each in
+Runs 1,129 argvs through ``wamlkit.cli.main`` in-process, each in
 text mode and with ``--json``, and prints one line per run: the run
 number, the exit code, the sha256 of stdout, the sha256 of stderr, the
 sha256 of every file the run wrote (``--out``, ``--emit-rmap``,
@@ -29,7 +29,11 @@ read two files past the limits of ``json.loads`` as a model (``mc``), a
 relation (``bisim check``) and a proof (``proof check``): arrays nested
 100,000 deep, and an integer of 5,000 digits.  The 2 after those ask for
 constructions past their size caps: ``proof check`` of an arity-200
-``KnAxiom`` line, and ``interp demo --n 3000``.  Its models, relations
+``KnAxiom`` line, and ``interp demo --n 3000``.  The 2 after those run
+``sat`` at arity 10**9: ``dia p``, whose one-tuple witness would hold
+10**9 + 1 cells, and ``p``, whose witness has no tuple.  The last 3 run
+``bisim check``, ``bisim distinguish`` and ``unravel`` on a model file
+that lists its worlds out of string order.  Its models, relations
 and scripts are generated here, from the seed alone, and written to a
 temporary directory under relative names, so two source trees can be
 compared line by line:
@@ -362,6 +366,27 @@ def cap_corpus(directory: Path) -> list[list[str]]:
     ]
 
 
+def order_corpus(directory: Path) -> list[list[str]]:
+    """Readers of a world's sorted successor vectors on a model whose file
+    lists ``w2`` before ``w10`` before ``w1``: a relation failing forth on
+    three tuples, a certificate that answers the first of them, and an
+    unraveling whose world order follows them."""
+    listed = {
+        "arity": 2,
+        "worlds": ["w2", "v", "w10", "w1"],
+        "relation": [["w2", "w1", "w1"], ["w2", "w10", "w10"], ["w2", "w1", "w10"],
+                     ["w1", "w2", "w2"], ["w10", "w1", "w2"], ["v", "v", "v"]],
+        "valuation": {"w2": [], "v": [], "w10": ["q"], "w1": ["p"]},
+    }
+    name = _write(directory, "listed.json", listed)
+    relation = _write(directory, "listed_relation.json", {"pairs": [["w2", "v"]]})
+    return [
+        ["bisim", "check", name, name, relation],
+        ["bisim", "distinguish", name, "w2", name, "v"],
+        ["unravel", name, "w2", "--depth", "2"],
+    ]
+
+
 # the options whose value names a file (or, for a bundle, a directory)
 # that a run writes
 _OUTPUT_OPTIONS = ("--out", "--emit-rmap", "--emit-bundle")
@@ -422,6 +447,9 @@ def main() -> None:
             argvs.append(["sat", "dia p & dia ~p", "--arity", "10", "--max-worlds", "2"])
             argvs += json_limit_corpus(Path(tmp))
             argvs += cap_corpus(Path(tmp))
+            for formula in ("dia p", "p"):
+                argvs.append(["sat", formula, "--arity", "1000000000", "--max-worlds", "2"])
+            argvs += order_corpus(Path(tmp))
             runs = [argv + mode for argv in argvs for mode in ([], ["--json"])]
             for number, argv in enumerate(runs):
                 outputs = written(argv)

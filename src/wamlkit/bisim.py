@@ -11,9 +11,10 @@ slot-to-some-slot, mirroring the forall/exists alternation of box.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import semantics
 from .errors import InvalidArgumentError, UnknownWorldError
@@ -78,18 +79,17 @@ def check_bisim(z: PairRelation) -> BisimViolation | None:
             raise UnknownWorldError(f"unknown left world {a!r}")
         if unknown := [b for b in partners if b not in z.right.valuation]:
             raise UnknownWorldError(f"unknown right world {unknown[0]!r}")
-    lsucc = z.left.successors
-    rsucc = z.right.successors
+    lsucc, rsucc = cache(z.left.vectors), cache(z.right.vectors)
     lpos, rpos = z.left.index, z.right.index
     pairs = set(z.pairs)
     converse = {(b, a) for a, b in pairs}
     for a, b in sorted(pairs, key=lambda p: (lpos[p[0]], rpos[p[1]])):
         if z.left.valuation[a] & z.alphabet != z.right.valuation[b] & z.alphabet:
             return BisimViolation((a, b), "inv", None)
-        lt = _unanswered(lsucc[a], rsucc[b], pairs)
+        lt = _unanswered(lsucc(a), rsucc(b), pairs)
         if lt is not None:
             return BisimViolation((a, b), "forth", (a, *lt))
-        rt = _unanswered(rsucc[b], lsucc[a], converse)
+        rt = _unanswered(rsucc(b), lsucc(a), converse)
         if rt is not None:
             return BisimViolation((a, b), "back", (b, *rt))
     return None
@@ -181,7 +181,7 @@ class _Partition:
         first forth or back failure within stage d-1 with certificates of
         pairs that died earlier (Cleaveland 1990); only the pairs needed
         get one, found by a worklist and built by increasing death stage."""
-        lsucc, rsucc = self.left.successors, self.right.successors
+        lsucc, rsucc = cache(self.left.vectors), cache(self.right.vectors)
         certs: dict[Pair, Formula] = {}
         plans: dict[Pair, tuple] = {}
         todo = [pair]
@@ -199,11 +199,11 @@ class _Partition:
                 certs[p] = Letter(name) if name in la else Not(Letter(name))
                 continue
             # the stage-(d-1) pairs among the successors of a and b
-            vs = {v for lt in lsucc[a] for v in lt}
-            us = {u for rt in rsucc[b] for u in rt}
+            vs = {v for lt in lsucc(a) for v in lt}
+            us = {u for rt in rsucc(b) for u in rt}
             s = self.stages[d - 1]
             z = {(v, u) for v in vs for u in us if s[self.lpos[v]] == s[self.rpos[u]]}
-            lt = _unanswered(lsucc[a], rsucc[b], z)
+            lt = _unanswered(lsucc(a), rsucc(b), z)
             if lt is not None:
                 # every right tuple contains a successor unrelated to every
                 # slot of lt, so a diamond over lt's slot certificates
@@ -211,7 +211,7 @@ class _Partition:
                 bad = sorted(u for u in us if all((v, u) not in z for v in lt))
                 groups = [[(v, u) for u in bad] for v in lt]
             else:
-                rt = _unanswered(rsucc[b], lsucc[a], {(u, v) for v, u in z})
+                rt = _unanswered(rsucc(b), lsucc(a), {(u, v) for v, u in z})
                 bad = sorted(v for v in vs if all((v, u) not in z for u in rt))
                 groups = [[(v, u) for v in bad] for u in rt]
             plans[p] = (d, lt is not None, groups)
@@ -282,23 +282,18 @@ def distance(m: NModel, s: str, t: str) -> int | float:
         raise UnknownWorldError(f"unknown world {t!r}")
     if s == t:
         return 0
-    adjacency: dict[str, set[str]] = {w: set() for w in m.worlds}
-    for tup in m.relation:
-        for v in tup[1:]:
-            adjacency[tup[0]].add(v)
-            adjacency[v].add(tup[0])
-    frontier = {s}
-    visited = {s}
+    offsets, slots = m.columns
+    near: list[set[int]] = [set() for _ in m.worlds]  # position -> its step partners
+    for u, lo, hi in zip(itertools.count(), offsets, offsets[1:]):
+        for v in itertools.chain.from_iterable(column[lo:hi] for column in slots):
+            near[u].add(v)
+            near[v].add(u)
+    frontier, visited, goal = {m.index[s]}, {m.index[s]}, m.index[t]
     steps = 0
     while frontier:
         steps += 1
-        frontier = {
-            nxt
-            for cur in frontier
-            for nxt in adjacency[cur]
-            if nxt not in visited
-        }
-        if t in frontier:
+        frontier = set().union(*map(near.__getitem__, frontier)) - visited
+        if goal in frontier:
             return steps
         visited |= frontier
     return math.inf

@@ -29,15 +29,6 @@ class NModel(Record):
     # valuation: world -> frozenset of the letters true there
     __match_args__ = ("arity", "worlds", "relation", "valuation")
 
-    @cached_property
-    def successors(self) -> dict[str, tuple[tuple[str, ...], ...]]:
-        """World -> successor vectors of its tuples, in sorted relation
-        order.  Computed once per model and shared by every caller."""
-        succ: dict[str, list[tuple[str, ...]]] = {w: [] for w in self.worlds}
-        for t in sorted(self.relation):
-            succ[t[0]].append(t[1:])
-        return {w: tuple(vectors) for w, vectors in succ.items()}
-
     def around(self, w: str, depth: int) -> NModel:
         """The neighbourhood of w that decides a formula of modal depth
         ``depth`` there: the worlds within ``depth`` steps of w, in the
@@ -49,7 +40,8 @@ class NModel(Record):
 
         The relation is grouped by source once, and each level reads only
         the tuples of its own worlds, so the cost is the relation's size
-        plus the neighbourhood's, whatever the depth."""
+        plus the neighbourhood's, whatever the depth.  Unlike ``columns``,
+        it builds no view of the whole model."""
         if w not in self.valuation:
             raise UnknownWorldError(f"unknown world {w!r}")
         sourced: dict[str, list[tuple[str, ...]]] = {}
@@ -100,6 +92,15 @@ class NModel(Record):
             counts[i] += 1
         offsets = list(itertools.accumulate(counts, initial=0))
         return offsets, [list(map(column.__getitem__, order)) for column in slots]
+
+    def vectors(self, w: str) -> list[tuple[str, ...]]:
+        """The successor vectors of w's tuples, read off ``columns``, in
+        sorted order: the order that fixes a bisimulation violation's
+        tuple, a certificate's bytes and an unraveling's worlds."""
+        offsets, slots = self.columns
+        i, worlds = self.index[w], self.worlds
+        rows = zip(*(column[offsets[i]:offsets[i + 1]] for column in slots))
+        return sorted(tuple(map(worlds.__getitem__, row)) for row in rows)
 
     def row_masks(self, bit: Callable[[int], int]) -> list[int]:
         """Each row of ``columns``, as the OR of ``bit(v)`` over the

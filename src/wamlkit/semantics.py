@@ -17,6 +17,8 @@ from .model import NModel, PointedModel, make_model
 from .syntax import And, Bottom, Box, Diamond, Formula, Implies, Letter, Not, Or, Top
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
+# the cells a witness's relation may hold, as ``translate.MAX_TRANSLATION_NODES``
+MAX_WITNESS_CELLS = 1_000_000
 
 
 def _modal_mask(
@@ -92,12 +94,6 @@ class ModelEvaluator:
             shallower = {node: bits for (node, *_), bits in zip(program, masks)}
             out.append(masks[-1])
         return out + out[-1:] * (max_depth + 1 - len(out))
-
-    def holds(self, world: str, f: Formula) -> bool:
-        index = self.model.index
-        if world not in index:
-            raise UnknownWorldError(f"unknown world {world!r}")
-        return bool(self.mask(f) >> index[world] & 1)
 
 
 def check(m: NModel, w: str, f: Formula) -> bool:
@@ -646,6 +642,11 @@ def _walk_witness(
                 break
             chosen[-1] += 1
         del owns[len(chosen):]
+        if (cells := len(chosen) * (arity + 1)) > MAX_WITNESS_CELLS:
+            raise BudgetExceededError(
+                f"a witness of arity {arity} would hold {cells} relation cells,"
+                f" over the cap of {MAX_WITNESS_CELLS}"
+            )
         own = owns[-1]
         source, *vector = _tuple_at(chosen[-1], names, arity)
         source, slots = bit[source], sum({bit[v] for v in vector}) * blocks.low

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cache
 from typing import Iterator
 
 from . import semantics
@@ -74,7 +75,7 @@ def unravel(
             raise _over_budget(depth, max_nodes, "node")
     if tuple_count > max_nodes:  # the tuples at the requested depth
         raise _over_budget(depth, max_nodes, "tuple")
-    succ = m.successors
+    succ = cache(m.vectors)
 
     # a node is (id, focus): the id names its path, the start world and
     # then per step the escaped vector and the focused index
@@ -86,13 +87,13 @@ def unravel(
         deeper = []
         for node_id, focus in level:
             by_world: dict[str, list[str]] = {}
-            for vector in succ[focus]:
+            for vector in succ(focus):
                 step = node_id + "#" + ",".join(u.translate(_ESCAPES) for u in vector)
                 for index, x in enumerate(vector, start=1):
                     child = (f"{step}:{index}", x)
                     deeper.append(child)
                     by_world.setdefault(x, []).append(child[0])
-            for vector in succ[focus]:
+            for vector in succ(focus):
                 for combo in itertools.product(*(by_world[x] for x in vector)):
                     relation.add((node_id, *combo))
         if not deeper:
@@ -253,11 +254,11 @@ def check_pmorphism(
             return PmorphismViolation(
                 "forward", f"image {list(image)} of {list(t)} is not a target tuple"
             )
+    target_vectors = cache(target.vectors)
     for s in source.worlds:
-        for vector in target.successors[f[s]]:
-            if not any(
-                tuple(f[v] for v in st) == vector for st in source.successors[s]
-            ):
+        lifted = {tuple(map(f.__getitem__, st)) for st in source.vectors(s)}
+        for vector in target_vectors(f[s]):
+            if vector not in lifted:
                 return PmorphismViolation(
                     "back",
                     f"target tuple {[f[s], *vector]} does not lift at {s!r}",

@@ -414,8 +414,8 @@ class _Refinement:
         self.left = left
         self.right = right
         self.alphabet = alphabet
-        self.lsucc = left.successors
-        self.rsucc = right.successors
+        self.lsucc = {w: left.vectors(w) for w in left.worlds}
+        self.rsucc = {w: right.vectors(w) for w in right.worlds}
         lpos = {w: i for i, w in enumerate(left.worlds)}
         rpos = {w: i for i, w in enumerate(right.worlds)}
         self.order = lambda pair: (lpos[pair[0]], rpos[pair[1]])

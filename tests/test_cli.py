@@ -99,6 +99,26 @@ def test_aggregation_query_at_arity_three_exits_2_on_the_budget(capsys):
     assert captured.err == "error: search budget of 2000000 steps exhausted\n"
 
 
+def test_sat_refuses_a_witness_of_more_than_a_million_cells(capsys):
+    # one world supports dia p, so the walk faces one candidate tuple and
+    # passes its up-front check; building that tuple of 10**9 + 1 slots
+    # ended in a MemoryError traceback under a gigabyte
+    argv = ["sat", "dia p", "--arity", "1000000000", "--max-worlds", "2"]
+    for mode in ([], ["--json"]):
+        assert main(argv + mode) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: a witness of arity 1000000000 would hold 1000000001 relation"
+            " cells, over the cap of 1000000\n"
+        )
+    # a witness without tuples costs its worlds, whatever the arity
+    argv = ["sat", "p", "--arity", "1000000000", "--max-worlds", "2", "--json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["model"]["relation"] == [] and payload["world"] == "w0"
+
+
 def test_bisim_check_cli(capsys):
     code, out = run(
         capsys,
@@ -709,7 +729,7 @@ def test_malformed_json_file_exits_2_without_traceback(tmp_path, argv, text):
 
 # the sha256 of ``scripts/cli_digest.py``'s output (seed 0); a change that
 # moves the CLI's bytes on purpose updates it and says so in CHANGES.md
-CLI_DIGEST_SHA256 = "76f8661d7640f8b39baa415c82ecc89bd3c472e92955578585d8e9f78185b6c4"
+CLI_DIGEST_SHA256 = "41bd1a09ea12ffa9e7c15ddfb08c0d5eacf91cff60aa57925b977222695ddb71"
 
 
 @pytest.mark.skipif(
@@ -724,7 +744,7 @@ def test_cli_digest_is_unchanged():
         timeout=600,
         check=True,
     )
-    assert len(proc.stdout.splitlines()) == 2248
+    assert len(proc.stdout.splitlines()) == 2258
     assert hashlib.sha256(proc.stdout).hexdigest() == CLI_DIGEST_SHA256
 
 

@@ -72,8 +72,9 @@ def test_arity_three_bundle_matches_fixtures():
 def _first_disagreement_by_formula(left, right, formulas):
     # the root sweep as first written: one model check per formula
     lev, rev = ModelEvaluator(left.model), ModelEvaluator(right.model)
+    lbit, rbit = left.model.index[left.point], right.model.index[right.point]
     for f in formulas:
-        if lev.holds(left.point, f) != rev.holds(right.point, f):
+        if lev.mask(f) >> lbit & 1 != rev.mask(f) >> rbit & 1:
             return f
     return None
 

@@ -21,6 +21,9 @@ from wamlkit.model import (
     validate,
 )
 from wamlkit.errors import UnknownWorldError
+from wamlkit.bisim import PairRelation, check_bisim, distinguishing_formula
+from wamlkit.syntax import print_formula
+from wamlkit.unravel import unravel
 
 from conftest import fixture, random_sparse_model
 
@@ -219,13 +222,13 @@ def test_models_are_immutable_records():
                valuation={"a": frozenset({"p"}), "b": frozenset()})
     assert m == make_model(1, ["a", "b"], [("a", "b")], {"a": ["p"]})
     assert m != make_model(1, ["a", "b"], [("a", "b")], {}) and m != (1,)
-    for name in ("arity", "relation", "successors"):
+    for name in ("arity", "relation", "columns"):
         with pytest.raises(AttributeError):
             setattr(m, name, None)
     with pytest.raises(AttributeError):
         del m.worlds
     # the cached views still fill in, past the refused assignment
-    assert m.successors == {"a": (("b",),), "b": ()} and m.letter_masks == {"p": 1}
+    assert m.columns == ([0, 1, 1], [[1]]) and m.letter_masks == {"p": 1}
     assert PointedModel(point="b", model=m).point == "b"
     with pytest.raises(TypeError):
         NModel(1, ("a",), frozenset(), {}, "extra")
@@ -360,11 +363,42 @@ def test_positional_view_holds_each_worlds_successor_vectors():
         # no list per slot without tuples, whatever the arity
         assert len(slots) == (m.arity if m.relation else 0)
         for i, w in enumerate(m.worlds):
+            want = sorted(t[1:] for t in m.relation if t[0] == w)
             rows = zip(*(column[offsets[i]:offsets[i + 1]] for column in slots))
-            vectors = [tuple(m.worlds[v] for v in row) for row in rows]
-            assert sorted(vectors) == sorted(m.successors[w]), (m, w)
+            assert sorted(tuple(m.worlds[v] for v in row) for row in rows) == want, (m, w)
+            assert m.vectors(w) == want, (m, w)
         assert m.columns is m.columns  # computed once per model
     assert repeated.columns[0] == [0, 2, 2, 3]
+
+
+def _listed(worlds):
+    # one model, read from a file that lists its worlds in the given order
+    relation = [["w2", "w1", "w1"], ["w2", "w10", "w10"], ["w2", "w1", "w10"],
+                ["w1", "w2", "w2"], ["w10", "w1", "w2"], ["v", "v", "v"]]
+    valuation = {"w1": ["p"], "w10": ["q"], "w2": [], "v": []}
+    return load(json.dumps(
+        {"arity": 2, "worlds": worlds, "relation": relation, "valuation": valuation}
+    ))
+
+
+def test_readers_of_the_vectors_see_them_in_string_order_whatever_the_listing():
+    # every tuple of w2 fails forth against v's; by position the first
+    # listing puts w10 before w1, by string w1 comes first
+    def outputs(m):
+        violation = check_bisim(PairRelation.from_pairs(m, m, [("w2", "v")], frozenset()))
+        unravelled = unravel(m, "w2", 2).model
+        return (
+            (violation.pair, violation.condition, violation.witness_tuple),
+            print_formula(distinguishing_formula(m, "w2", m, "v", {"p", "q"})),
+            unravelled.worlds,
+            save(unravelled),
+        )
+
+    want = outputs(_listed(["v", "w1", "w10", "w2"]))
+    assert want[0] == (("w2", "v"), "forth", ("w2", "w1", "w1"))
+    assert want[1] == "dia p"
+    for worlds in (["w2", "v", "w10", "w1"], ["w1", "w10", "v", "w2"]):
+        assert outputs(_listed(worlds)) == want, worlds
 
 
 # strings with quotes, backslashes, control characters and non-ASCII text

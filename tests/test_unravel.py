@@ -157,7 +157,7 @@ def path_unravel(m, w, depth, max_nodes):
         raise BudgetExceededError(
             f"unraveling to depth {depth} exceeds the {max_nodes}-tuple budget"
         )
-    succ = m.successors
+    succ = {w: m.vectors(w) for w in m.worlds}
     levels = [[(((w,) * m.arity, 1),)]]
     children_of = {}
     for level in range(depth):
