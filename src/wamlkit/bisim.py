@@ -104,7 +104,7 @@ def check_bisim(z: PairRelation) -> BisimViolation | None:
 # in the alphabet; a world's stage-k+1 signature is its stage-k block and
 # the ⊆-minimal stage-k block sets of its successor tuples, which agree
 # exactly when forth and back hold within stage k.  A stage ORs a block mask
-# per tuple off ``NModel.columns``; a world's tuples are a slice of them.
+# per tuple with ``NModel.row_masks``, one list of them per world.
 
 
 def _dedupe(parts: list[Formula]) -> list[Formula]:
@@ -154,9 +154,8 @@ class _Partition:
             bits = [1 << b for b in blocks]
             sets = []
             for start, m in sides:
-                masks = m.row_masks(bits[start:start + len(m.worlds)].__getitem__)
-                offsets = m.columns[0]
-                sets += map(frozenset, map(masks.__getitem__, map(slice, offsets, offsets[1:])))
+                own = bits[start:start + len(m.worlds)]
+                sets += map(frozenset, m.row_masks(own.__getitem__))
             minimal = {s: _minimal(s) for s in set(sets)}
             refined = _number(list(zip(blocks, map(minimal.__getitem__, sets))))
             if len(set(refined)) == len(set(blocks)):
@@ -282,10 +281,9 @@ def distance(m: NModel, s: str, t: str) -> int | float:
         raise UnknownWorldError(f"unknown world {t!r}")
     if s == t:
         return 0
-    offsets, slots = m.columns
     near: list[set[int]] = [set() for _ in m.worlds]  # position -> its step partners
-    for u, lo, hi in zip(itertools.count(), offsets, offsets[1:]):
-        for v in itertools.chain.from_iterable(column[lo:hi] for column in slots):
+    for u in range(len(m.worlds)):
+        for v in itertools.chain.from_iterable(m.rows(u)):
             near[u].add(v)
             near[v].add(u)
     frontier, visited, goal = {m.index[s]}, {m.index[s]}, m.index[t]

@@ -13,7 +13,7 @@ import json
 import operator
 import random
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ArityMismatchError,
@@ -93,18 +93,27 @@ class NModel(Record):
         offsets = list(itertools.accumulate(counts, initial=0))
         return offsets, [list(map(column.__getitem__, order)) for column in slots]
 
-    def vectors(self, w: str) -> list[tuple[str, ...]]:
-        """The successor vectors of w's tuples, read off ``columns``, in
-        sorted order: the order that fixes a bisimulation violation's
-        tuple, a certificate's bytes and an unraveling's worlds."""
+    def rows(self, i: int) -> Iterator[tuple[int, ...]]:
+        """World i's tuples, each as the positions of its successors, in
+        ``columns``' row order."""
         offsets, slots = self.columns
-        i, worlds = self.index[w], self.worlds
-        rows = zip(*(column[offsets[i]:offsets[i + 1]] for column in slots))
-        return sorted(tuple(map(worlds.__getitem__, row)) for row in rows)
+        return zip(*(column[offsets[i]:offsets[i + 1]] for column in slots))
 
-    def row_masks(self, bit: Callable[[int], int]) -> list[int]:
-        """Each row of ``columns``, as the OR of ``bit(v)`` over the
-        positions v of its successors."""
+    def vectors(self, w: str) -> list[tuple[str, ...]]:
+        """The successor vectors of w's tuples, in sorted order: the order
+        that fixes a bisimulation violation's tuple, a certificate's bytes
+        and an unraveling's worlds."""
+        worlds = self.worlds
+        return sorted(tuple(map(worlds.__getitem__, row)) for row in self.rows(self.index[w]))
+
+    def row_masks(self, bit: Callable[[int], int]) -> list[list[int]]:
+        """Per world, the masks of its tuples in ``rows`` order: each the OR
+        of ``bit(v)`` over the positions v of the tuple's successors."""
+        masks, offsets = self._masks(bit), self.columns[0]
+        return list(map(masks.__getitem__, map(slice, offsets, offsets[1:])))
+
+    def _masks(self, bit: Callable[[int], int]) -> list[int]:
+        # ``row_masks`` as one list, in the order of ``columns``' rows
         offsets, slots = self.columns
         masks = [0] * offsets[-1]
         for column in slots:
@@ -115,7 +124,7 @@ class NModel(Record):
     def slot_index(self) -> list[tuple[int, int]]:
         """Each distinct slot set of the relation, with the mask of the
         worlds having a tuple of that slot set."""
-        offsets, masks = self.columns[0], self.row_masks((1).__lshift__)
+        offsets, masks = self.columns[0], self._masks((1).__lshift__)
         return _slot_index(
             (1 << i, slots)
             for i, lo, hi in zip(itertools.count(), offsets, offsets[1:])
@@ -346,41 +355,11 @@ def _json_text(value: object, indent: str, out: list[str]) -> None:
             out.append(",\n" + inner)
         out[-1] = "\n" + indent + "}"
     else:
-        try:
-            out.append(_rows_text(value, indent))
-        except (TypeError, ValueError):  # not rows of strings of one width
-            out.append("[\n" + inner)
-            for item in value:
-                _json_text(item, inner, out)
-                out.append(",\n" + inner)
-            out[-1] = "\n" + indent + "]"
-
-
-def _rows_text(rows: list | tuple, indent: str) -> str:
-    # the canonical text of rows of strings of one nonzero width (the
-    # relation tuples of a model), built column by column at C speed: each
-    # distinct cell of a column is encoded once, with the separator that
-    # follows it.  Other rows raise TypeError (a cell that is no string or
-    # is unhashable, an item that is no list or tuple) or ValueError (rows
-    # of different widths, or empty ones)
-    if not set(map(type, rows)) <= {list, tuple}:
-        raise TypeError("not a list of rows")
-    columns = list(zip(*rows, strict=True))
-    if not columns:
-        raise ValueError("empty rows")
-    width = len(columns)
-    inner, cell = indent + "  ", indent + "    "
-    separators = [",\n" + cell] * (width - 1)
-    separators.append("\n" + inner + "],\n" + inner + "[\n" + cell)
-    pieces = [""] * (width * len(rows))
-    for k, (column, separator) in enumerate(zip(columns, separators)):
-        texts = {c: _encode_str(c) + separator for c in set(column)}
-        pieces[k::width] = map(texts.__getitem__, column)
-    pieces[-1] = _encode_str(rows[-1][-1])
-    return (
-        "[\n" + inner + "[\n" + cell + "".join(pieces)
-        + "\n" + inner + "]\n" + indent + "]"
-    )
+        out.append("[\n" + inner)
+        for item in value:
+            _json_text(item, inner, out)
+            out.append(",\n" + inner)
+        out[-1] = "\n" + indent + "]"
 
 
 def _image_text(image: PairImage, indent: str, out: list[str]) -> None:

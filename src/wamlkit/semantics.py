@@ -12,7 +12,7 @@ import itertools
 from typing import Iterator, Sequence
 
 from . import syntax
-from .errors import BudgetExceededError, InvalidArgumentError, UnknownWorldError
+from .errors import BudgetExceededError, InvalidArgumentError
 from .model import NModel, PointedModel, make_model
 from .syntax import And, Bottom, Box, Diamond, Formula, Implies, Letter, Not, Or, Top
 
@@ -66,14 +66,13 @@ class ModelEvaluator:
             return _modal_mask(type(f) is Box, operand, self.full, self.model.slot_index)
         return self.model.letter_masks.get(f.name, 0)
 
-    def depth_masks(self, f: Formula, max_depth: int) -> list[int]:
-        """The mask of f under depth-d semantics for each d in
-        0..max_depth, where a box or diamond looks at successors through
-        the depth-(d-1) masks of its operand, and at depth 0 every box
-        holds and no diamond does.  A world's bit at depth d is the truth
-        of f at a node of its unraveling with d levels below it.  From the
-        modal depth of f on, every entry is ``mask(f)``."""
-        program = syntax.compile_formula(f)
+    def depth_masks(self, program: Sequence[syntax.Instruction], max_depth: int) -> list[int]:
+        """The mask of a program's formula f under depth-d semantics for
+        each d in 0..max_depth, where a box or diamond looks at successors
+        through the depth-(d-1) masks of its operand, and at depth 0 every
+        box holds and no diamond does.  A world's bit at depth d is the
+        truth of f at a node of its unraveling with d levels below it.
+        From the modal depth of f on, every entry is ``mask(f)``."""
         full, slots = self.full, self.model.slot_index
         shallower: dict[Formula, int] = {}  # the previous depth's masks
 
@@ -104,8 +103,6 @@ def check(m: NModel, w: str, f: Formula) -> bool:
     formula of modal depth d is invariant under d-step bisimulation, so its
     truth at w is decided there, and none of m's own views is built
     unless every world is within reach."""
-    if w not in m.valuation:
-        raise UnknownWorldError(f"unknown world {w!r}")
     program = syntax.compile_formula(f)
     near = m.around(w, syntax.program_depth(program))
     return bool(ModelEvaluator(near).run(program)[-1] >> near.index[w] & 1)

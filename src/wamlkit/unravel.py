@@ -24,7 +24,7 @@ from .errors import (
     UnknownWorldError,
 )
 from .model import NModel, make_model, require_same_arity
-from .syntax import Formula, Node, Record, modal_depth
+from .syntax import Formula, Node, Record, compile_formula, program_depth
 
 DEFAULT_NODE_BUDGET = 50_000
 
@@ -123,13 +123,12 @@ def unraveling_sizes(m: NModel, w: str, max_depth: int) -> Iterator[tuple[int, i
     slot of each vector."""
     if w not in m.valuation:
         raise UnknownWorldError(f"unknown world {w!r}")
-    offsets, slots = m.columns
     fans: dict[int, tuple[dict[int, int], int]] = {}
 
     def fan(u: int) -> tuple[dict[int, int], int]:
         # the children of a u-node by focus, and the tuples it sources
         if u not in fans:
-            rows = list(zip(*(column[offsets[u]:offsets[u + 1]] for column in slots)))
+            rows = list(m.rows(u))
             counts: dict[int, int] = {}
             for vector in rows:
                 for x in vector:
@@ -209,12 +208,13 @@ def locality_sweep(
             f"a sweep to depth {max_depth} has {max_depth + 1} rows, "
             f"over the {max_nodes}-row budget"
         )
-    near = m.around(w, modal_depth(f))
+    program = compile_formula(f)
+    near = m.around(w, program_depth(program))
     ev = semantics.ModelEvaluator(near)
     bit = near.index[w]
-    reference = bool(ev.mask(f) >> bit & 1)
+    reference = bool(ev.run(program)[-1] >> bit & 1)
     agree = tuple(
-        bool(bits >> bit & 1) == reference for bits in ev.depth_masks(f, max_depth)
+        bool(bits >> bit & 1) == reference for bits in ev.depth_masks(program, max_depth)
     )
     least = None
     for depth, agrees in enumerate(agree):

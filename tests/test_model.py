@@ -367,8 +367,14 @@ def test_positional_view_holds_each_worlds_successor_vectors():
             rows = zip(*(column[offsets[i]:offsets[i + 1]] for column in slots))
             assert sorted(tuple(m.worlds[v] for v in row) for row in rows) == want, (m, w)
             assert m.vectors(w) == want, (m, w)
+            assert sorted(tuple(m.worlds[v] for v in row) for row in m.rows(i)) == want
+            # one mask per tuple, in ``rows`` order
+            masks = m.row_masks((1).__lshift__)[i]
+            assert masks == [sum(1 << v for v in set(row)) for row in m.rows(i)], (m, w)
         assert m.columns is m.columns  # computed once per model
     assert repeated.columns[0] == [0, 2, 2, 3]
+    assert [list(models[1].rows(i)) for i in (0, 1)] == [[], []]
+    assert models[1].row_masks((1).__lshift__) == [[], []]
 
 
 def _listed(worlds):

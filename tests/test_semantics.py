@@ -24,6 +24,7 @@ from wamlkit.syntax import (
     Or,
     Top,
     ast_size,
+    compile_formula,
     enumerate_formulas,
     letters,
     modal_depth,
@@ -98,10 +99,11 @@ def test_depth_masks_gives_one_mask_per_depth():
     m = load(fixture("m2.json").read_bytes())
     ev = semantics.ModelEvaluator(m)
     f = parse("dia dia p | box q")
-    assert ev.depth_masks(f, -1) == []
-    masks = ev.depth_masks(f, 5)
+    program = compile_formula(f)
+    assert ev.depth_masks(program, -1) == []
+    masks = ev.depth_masks(program, 5)
     assert len(masks) == 6
-    assert [ev.depth_masks(f, d) for d in range(6)] == [masks[: d + 1] for d in range(6)]
+    assert [ev.depth_masks(program, d) for d in range(6)] == [masks[: d + 1] for d in range(6)]
     assert masks[modal_depth(f):] == [ev.mask(f)] * (6 - modal_depth(f))
 
 

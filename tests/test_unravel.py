@@ -15,7 +15,7 @@ from wamlkit.errors import (
 )
 from wamlkit.model import load, make_model, random_model, validate
 from wamlkit.semantics import ModelEvaluator
-from wamlkit.syntax import enumeration_program, modal_depth, parse, random_formula
+from wamlkit.syntax import compile_formula, enumeration_program, modal_depth, parse, random_formula
 from wamlkit.unravel import (
     DEFAULT_NODE_BUDGET,
     MAX_SWEEP_ROWS,
@@ -460,7 +460,8 @@ def test_locality_sweep_on_the_neighbourhood_matches_the_whole_model():
         bit = ev.model.index[w]
         reference = bool(ev.mask(f) >> bit & 1)
         agree = tuple(
-            bool(bits >> bit & 1) == reference for bits in ev.depth_masks(f, max_depth)
+            bool(bits >> bit & 1) == reference
+            for bits in ev.depth_masks(compile_formula(f), max_depth)
         )
         assert (sweep.reference, sweep.agree) == (reference, agree), (m, w, f, max_depth)
 
