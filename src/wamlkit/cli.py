@@ -154,16 +154,15 @@ def _cmd_unravel(args) -> _Result:
     m = model.load(_read(args.model))
     result = unravel.unravel(m, args.world, args.depth, max_nodes=args.budget)
     saved = model.save(result.model) if args.out or not args.json else None
-    rmap = {k: result.projection[k] for k in sorted(result.projection)}
     if args.out:
         _write(args.out, saved)
     if args.emit_rmap:
-        _write(args.emit_rmap, model.dump_json(rmap))
+        _write(args.emit_rmap, model.dump_json(result.projection))
     payload = {
         "depth": args.depth,
         "root": result.root,
         "model": model.model_to_dict(result.model),
-        "projection": rmap,
+        "projection": result.projection,
     }
     return True, payload, lambda: [f"root: {result.root}", saved.decode().rstrip()]
 

@@ -60,13 +60,8 @@ class NModel(Record):
                 break
         if len(reached) == len(self.worlds):
             return self
-        worlds = tuple(filter(reached.__contains__, self.worlds))
-        return NModel(
-            arity=self.arity,
-            worlds=worlds,
-            relation=frozenset(kept),
-            valuation={v: self.valuation[v] for v in worlds},
-        )
+        worlds = filter(reached.__contains__, self.worlds)
+        return make_model(self.arity, worlds, kept, self.valuation)
 
     # The integer view of the model: a set of worlds is a mask whose bit i
     # stands for ``worlds[i]``, and a tuple is its source bit plus its slot
@@ -109,26 +104,20 @@ class NModel(Record):
     def row_masks(self, bit: Callable[[int], int]) -> list[list[int]]:
         """Per world, the masks of its tuples in ``rows`` order: each the OR
         of ``bit(v)`` over the positions v of the tuple's successors."""
-        masks, offsets = self._masks(bit), self.columns[0]
-        return list(map(masks.__getitem__, map(slice, offsets, offsets[1:])))
-
-    def _masks(self, bit: Callable[[int], int]) -> list[int]:
-        # ``row_masks`` as one list, in the order of ``columns``' rows
         offsets, slots = self.columns
         masks = [0] * offsets[-1]
         for column in slots:
             masks = list(map(operator.or_, masks, map(bit, column)))
-        return masks
+        return list(map(masks.__getitem__, map(slice, offsets, offsets[1:])))
 
     @cached_property
     def slot_index(self) -> list[tuple[int, int]]:
         """Each distinct slot set of the relation, with the mask of the
         worlds having a tuple of that slot set."""
-        offsets, masks = self.columns[0], self._masks((1).__lshift__)
         return _slot_index(
             (1 << i, slots)
-            for i, lo, hi in zip(itertools.count(), offsets, offsets[1:])
-            for slots in masks[lo:hi]
+            for i, row in enumerate(self.row_masks((1).__lshift__))
+            for slots in row
         )
 
     @cached_property
@@ -168,13 +157,13 @@ def make_model(
     valuation: Mapping[str, Iterable[str]],
 ) -> NModel:
     """Normalize plain containers into an NModel; missing valuation entries
-    default to the empty set."""
+    default to the empty set.  Every NModel is built here."""
     world_tuple = tuple(worlds)
     val = {w: frozenset(valuation.get(w, ())) for w in world_tuple}
     return NModel(
         arity=arity,
         worlds=world_tuple,
-        relation=frozenset(tuple(t) for t in relation),
+        relation=frozenset(map(tuple, relation)),
         valuation=val,
     )
 
@@ -269,7 +258,17 @@ def model_from_dict(data: object) -> NModel:
     relation = data["relation"]
     if not isinstance(relation, list):
         raise ModelLoadError("relation must be a list of tuples")
-    if not _lists_of_strings(relation):
+    # every declared world is a string, so one pass over the cells shows
+    # that each is a declared world-id; a failure, an unhashable cell's
+    # TypeError included, falls back to the row search for its message
+    declared = set(worlds)
+    try:
+        cells_declared = _all_of(list, relation) and declared.issuperset(
+            itertools.chain.from_iterable(relation)
+        )
+    except TypeError:
+        cells_declared = False
+    if not cells_declared and not _lists_of_strings(relation):
         i = next(i for i, t in enumerate(relation) if not _lists_of_strings([t]))
         raise ModelLoadError(f"relation[{i}] must be a list of world-ids")
     valuation = data["valuation"]
@@ -278,22 +277,15 @@ def model_from_dict(data: object) -> NModel:
     if not _lists_of_strings(list(valuation.values())):
         w = next(w for w, ls in valuation.items() if not _lists_of_strings([ls]))
         raise ModelLoadError(f"valuation[{w!r}] must be a list of letters")
-    tuples = set(map(tuple, relation))
-    declared = set(worlds)
     if not (
-        len(declared) == len(worlds) > 0
-        and set(map(len, tuples)) <= {arity + 1}
-        and declared.issuperset(itertools.chain.from_iterable(tuples))
+        cells_declared
+        and len(declared) == len(worlds) > 0
+        and set(map(len, relation)) <= {arity + 1}
         and valuation.keys() == declared
     ):
-        violations = _violations(arity, worlds, tuples, valuation)
+        violations = _violations(arity, worlds, set(map(tuple, relation)), valuation)
         raise ModelLoadError("invalid model: " + "; ".join(violations))
-    return NModel(
-        arity=arity,
-        worlds=tuple(worlds),
-        relation=frozenset(tuples),
-        valuation={w: frozenset(valuation[w]) for w in worlds},
-    )
+    return make_model(arity, worlds, relation, valuation)
 
 
 def read_json(text: bytes | str, what: str) -> object:
@@ -421,9 +413,4 @@ def random_model(
 def restrict_valuation(m: NModel, alphabet: Iterable[str]) -> NModel:
     """The same model with every valuation intersected with ``alphabet``."""
     keep = frozenset(alphabet)
-    return NModel(
-        arity=m.arity,
-        worlds=m.worlds,
-        relation=m.relation,
-        valuation={w: m.valuation[w] & keep for w in m.worlds},
-    )
+    return make_model(m.arity, m.worlds, m.relation, {w: m.valuation[w] & keep for w in m.worlds})

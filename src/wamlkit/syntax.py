@@ -430,11 +430,7 @@ def program_depth(program: list[Instruction]) -> int:
 
 def letters(f: Formula) -> frozenset[str]:
     """The set of letter names occurring in f."""
-
-    def step(g: Formula, op: type, *names: frozenset[str]) -> frozenset[str]:
-        return frozenset((g.name,)) if op is Letter else frozenset().union(*names)
-
-    return fold(f, step)
+    return frozenset(g.name for g, op, _, _ in compile_formula(f) if op is Letter)
 
 
 def ast_size(f: Formula) -> int:

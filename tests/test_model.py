@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -143,6 +146,14 @@ def _model_text(**changes):
          "invalid model: duplicate world 'a'; tuple ['a', 'c'] mentions undeclared "
          "world 'c'; tuple ['b'] has length 1, expected 2; tuple ['b'] mentions "
          "undeclared world 'b'; valuation mentions undeclared world 'b'"),
+        # a bad cell, an unhashable one included, is named before the valuation
+        ({"relation": [["a", ["b"]]]}, "relation[0] must be a list of world-ids"),
+        ({"relation": [{"a": "b"}]}, "relation[0] must be a list of world-ids"),
+        ({"relation": [["a", 1]], "valuation": []}, "relation[0] must be a list of world-ids"),
+        # an undeclared world is named only after the valuation's own checks
+        ({"relation": [["a", "c"]], "valuation": []}, "valuation must be an object"),
+        ({"relation": [["a", "c"]], "valuation": {"a": [], "b": "p"}},
+         "valuation['b'] must be a list of letters"),
     ],
 )
 def test_load_rejects_each_violation_with_its_message(changes, message):
@@ -155,6 +166,24 @@ def test_load_accepts_a_total_valuation():
     m = load(_model_text())
     assert m.valuation == {"a": frozenset(), "b": frozenset({"p"})}
     assert m.relation == {("a", "b")}
+    assert load(_model_text(relation=[["a", "b"], ["a", "b"]])).relation == {("a", "b")}
+
+
+def test_make_fixtures_regenerates_every_bundled_fixture(tmp_path, monkeypatch):
+    # scripts/make_fixtures.py builds each model with make_model and writes
+    # it with save; run into tmp_path, it gives fixtures/ byte for byte
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
+    make_fixtures = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    spec.loader.exec_module(make_fixtures)
+    monkeypatch.setattr(make_fixtures, "FIXTURES", tmp_path)
+    make_fixtures.main()
+    bundled = sorted(p.name for p in fixture("").iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == bundled
+    assert len(bundled) == 13
+    for name in bundled:
+        assert (tmp_path / name).read_bytes() == fixture(name).read_bytes(), name
 
 
 def test_random_model_density_extremes():
